@@ -271,13 +271,20 @@ def _apply_shift(values, rotation, bias, noise_std, rng):
     return shifted
 
 
+def _world_constants(spec: WorldSpec):
+    """(class means, strong means or None, rotation, bias) shared by every batch."""
+    strong = None if spec.strong_mode == "uniform_noise" else strong_means(spec)
+    return class_means(spec), strong, rotation_matrix(spec), spec.bias_scale * bias_vector(spec)
+
+
 def generate_batch(spec: WorldSpec, t: int) -> List[RawSample]:
     """One stream batch; depends only on (spec fields, seed, t)."""
+    return _batch(spec, t, *_world_constants(spec))
+
+
+def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> List[RawSample]:
     rng = _rng(spec, _TAG_BATCH, t)
     n_weak, n_strong = batch_counts(spec)
-    source = class_means(spec)
-    rotation = rotation_matrix(spec)
-    bias = spec.bias_scale * bias_vector(spec)
 
     weak_labels = rng.integers(0, spec.k_s, size=n_weak)
     weak_raw = source[weak_labels] + spec.within_std * rng.standard_normal(
@@ -291,7 +298,6 @@ def generate_batch(spec: WorldSpec, t: int) -> List[RawSample]:
         )
         strong_labels = np.full(n_strong, spec.k_s)
     else:
-        means = strong_means(spec)
         picks = rng.integers(0, spec.k_t, size=n_strong)
         strong_values = means[picks] + spec.within_std * rng.standard_normal(
             (n_strong, spec.d_in)
@@ -310,7 +316,8 @@ def generate_batch(spec: WorldSpec, t: int) -> List[RawSample]:
 def generate_stream(spec: WorldSpec) -> List[List[RawSample]]:
     """The full test stream as a list of batches."""
     spec.validate()
-    return [generate_batch(spec, t) for t in range(spec.n_batches)]
+    constants = _world_constants(spec)
+    return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
 
 
 def with_overrides(spec: WorldSpec, **kwargs) -> WorldSpec:

@@ -8,62 +8,57 @@ pool cannot grow without bound.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .adapter import NORM_EPS
 from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool
-from .scoring import ScoreWindow, adaptive_threshold, batch_extended_scores, ood_score
+from .scoring import ScoreWindow, adaptive_threshold, batch_extended_scores
+from .scoring import ood_score  # noqa: F401  (patched by the perfbench tracer)
 
 _POOL_MAGIC = b"OWTP"
 _POOL_VERSION = 1
+_POOL_HEADER = struct.Struct("<4sIIIII")
 
 
 class PrototypePool:
-    """Immutable source prototypes and a FIFO queue of novel prototypes."""
+    """Immutable source prototypes and a FIFO queue of novel prototypes.
+
+    All rows live in one preallocated array: the source rows, then the novel
+    rows oldest-first. The matrix accessors return views of it, so they cost
+    no copy, and a view taken before a later push or update sees the change.
+    """
 
     def __init__(self, source: np.ndarray, novel_capacity: int):
         if novel_capacity < 1:
             raise ValueError("novel_capacity must be positive")
-        self._source = np.asarray(source, dtype=float)
+        source = np.asarray(source, dtype=float)
+        self.num_source = source.shape[0]
         self.novel_capacity = novel_capacity
-        self._novel: deque = deque(maxlen=novel_capacity)
-
-    @property
-    def num_source(self) -> int:
-        return self._source.shape[0]
-
-    @property
-    def novel_count(self) -> int:
-        return len(self._novel)
+        self.novel_count = 0
+        self._rows = np.empty((self.num_source + novel_capacity, source.shape[1]))
+        self._rows[: self.num_source] = source
 
     def source_matrix(self) -> np.ndarray:
-        return self._source
+        return self._rows[: self.num_source]
 
     def novel_matrix(self) -> np.ndarray:
-        if not self._novel:
-            return np.empty((0, self._source.shape[1]))
-        return np.stack(list(self._novel))
+        return self._rows[self.num_source : self.num_source + self.novel_count]
 
     def all_matrix(self) -> np.ndarray:
-        if not self._novel:
-            return self._source
-        return np.vstack([self._source, self.novel_matrix()])
+        return self._rows[: self.num_source + self.novel_count]
 
     def novel_at(self, index: int) -> np.ndarray:
-        return self._novel[index]
+        return self.novel_matrix()[index]
 
     def push_novel(self, feature: np.ndarray) -> None:
         """Append a novel prototype; the oldest is evicted at capacity."""
-        self._novel.append(np.asarray(feature, dtype=float))
-
-    def copy(self) -> "PrototypePool":
-        clone = PrototypePool(self._source.copy(), self.novel_capacity)
-        for p in self._novel:
-            clone._novel.append(p.copy())
-        return clone
+        if self.novel_count == self.novel_capacity:
+            self._rows[self.num_source : -1] = self._rows[self.num_source + 1 :]
+        else:
+            self.novel_count += 1
+        self._rows[self.num_source + self.novel_count - 1] = feature
 
 
 def build_source_prototypes(
@@ -105,6 +100,10 @@ def expand(
     descending initial-score order, and each is re-scored against the
     current (growing) pool before insertion, so near-duplicates from the
     same batch cannot all enter.
+
+    The visit stops at the first candidate whose initial score is <= tau:
+    such candidates are never visited, even when an eviction later in the
+    batch would raise their score above tau.
     """
     batch_features = np.asarray(batch_features, dtype=float)
     if batch_features.shape[0] == 0:
@@ -116,12 +115,19 @@ def expand(
     else:
         tau = adaptive_threshold(window, clamp_range).tau
 
+    order = np.argsort(-initial, kind="stable")
+    candidates = batch_features[order[: np.count_nonzero(initial > tau)]]
+    # Every candidate scores above tau against the pool the batch found, so a
+    # re-score need only check the prototypes this batch added that are still
+    # in the pool: the last novel_capacity of them. sims[i, j % width] holds
+    # candidate i's similarity to the j-th one added (-inf before it exists).
+    width = min(pool.novel_capacity, candidates.shape[0])
+    sims = np.full((candidates.shape[0], width), -np.inf)
     added = 0
-    for i in np.argsort(-initial, kind="stable"):
-        if initial[i] <= tau:
-            break  # scores from here on can only be lower; pool growth never raises them
-        if ood_score(batch_features[i], pool.all_matrix()) > tau:
-            pool.push_novel(batch_features[i].copy())
+    for i, feature in enumerate(candidates):
+        if 1.0 - sims[i].max() > tau:
+            pool.push_novel(feature)
+            sims[i + 1 :, added % width] = candidates[i + 1 :] @ feature
             added += 1
     return added
 
@@ -132,8 +138,7 @@ def save_pool(pool: PrototypePool, path) -> None:
     novel = pool.novel_matrix()
     with open(path, "wb") as fh:
         fh.write(
-            struct.pack(
-                "<4sIIIII",
+            _POOL_HEADER.pack(
                 _POOL_MAGIC,
                 _POOL_VERSION,
                 source.shape[1],
@@ -148,18 +153,23 @@ def save_pool(pool: PrototypePool, path) -> None:
 
 def load_pool(path) -> PrototypePool:
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIIII"))
-        magic, version, dim, n_source, n_novel, capacity = struct.unpack("<4sIIIII", header)
-        if magic != _POOL_MAGIC:
-            raise ValueError(f"not a pool checkpoint (magic {magic!r})")
-        if version != _POOL_VERSION:
-            raise ValueError(f"unsupported pool checkpoint version {version}")
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    source = flat[: n_source * dim].reshape(n_source, dim)
-    novel = flat[n_source * dim :].reshape(n_novel, dim)
-    pool = PrototypePool(source.copy(), novel_capacity=capacity)
-    for row in novel:
-        pool.push_novel(row.copy())
+        data = fh.read()
+    if len(data) < _POOL_HEADER.size:
+        raise ValueError(f"pool checkpoint header truncated ({len(data)} bytes)")
+    magic, version, dim, n_source, n_novel, capacity = _POOL_HEADER.unpack_from(data)
+    if magic != _POOL_MAGIC:
+        raise ValueError(f"not a pool checkpoint (magic {magic!r})")
+    if version != _POOL_VERSION:
+        raise ValueError(f"unsupported pool checkpoint version {version}")
+    if capacity < 1 or n_novel > capacity:
+        raise ValueError(f"pool checkpoint holds {n_novel} novel rows at capacity {capacity}")
+    expected = _POOL_HEADER.size + 8 * dim * (n_source + n_novel)
+    if len(data) != expected:
+        raise ValueError(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")
+    rows = np.frombuffer(data, "<f8", offset=_POOL_HEADER.size).reshape(n_source + n_novel, dim)
+    pool = PrototypePool(rows[:n_source], novel_capacity=capacity)
+    pool._rows[n_source : n_source + n_novel] = rows[n_source:]
+    pool.novel_count = n_novel
     return pool
 
 
@@ -170,10 +180,10 @@ def momentum_update_novel(
     if pool.novel_count == 0:
         raise EmptyNovelPool("no novel prototypes to update")
     feature = np.asarray(feature, dtype=float)
-    sims = pool.novel_matrix() @ feature
-    idx = int(np.argmax(sims))
-    blended = (1.0 - momentum) * pool.novel_at(idx) + momentum * feature
+    novel = pool.novel_matrix()
+    idx = int(np.argmax(novel @ feature))
+    blended = (1.0 - momentum) * novel[idx] + momentum * feature
     norm = np.linalg.norm(blended)
     if norm < NORM_EPS:
         raise DegenerateEmbedding("momentum blend collapsed to zero norm")
-    pool._novel[idx] = blended / norm
+    novel[idx] = blended / norm

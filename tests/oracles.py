@@ -128,3 +128,76 @@ def nearest_mean_accuracy(train_x, train_y, test_x, test_y, num_classes):
         if int(np.argmin(dists)) == y:
             correct += 1
     return correct / len(test_x)
+
+
+class ListPool:
+    """Definitional prototype pool: source rows plus a Python list of novel
+    rows, oldest first, evicting the oldest once the list exceeds capacity."""
+
+    def __init__(self, source, capacity):
+        self.source = [np.array(row, dtype=float) for row in source]
+        self.novel = []
+        self.capacity = capacity
+
+    def push(self, row):
+        self.novel.append(np.array(row, dtype=float))
+        if len(self.novel) > self.capacity:
+            self.novel.pop(0)
+
+    def rows(self):
+        return self.source + self.novel
+
+    def matrix(self):
+        return np.array(self.rows()).reshape(len(self.rows()), -1)
+
+
+def list_ood_score(x, rows):
+    """One minus the best similarity of x to any row, by a plain loop."""
+    best = None
+    for row in rows:
+        sim = float(np.dot(row, x))
+        if best is None or sim > best:
+            best = sim
+    return 1.0 - best
+
+
+def brute_force_expand(pool, batch, window, window_capacity, clamp_range=None,
+                       fixed_threshold=None):
+    """Expansion on a ListPool, written out step by step.
+
+    ``window`` is a list of scores, oldest first, updated in place. The
+    batch's scores enter the window clamped to [0, 1]; tau is the fixed
+    threshold or the brute-force split of the window. Candidates are visited
+    in descending batch-entry score (ties in batch order) and the visit stops
+    at the first score <= tau; each visited candidate is re-scored against
+    the pool as it stands and pushed when the re-score exceeds tau. Returns
+    the number pushed.
+    """
+    if len(batch) == 0:
+        return 0
+    initial = [list_ood_score(x, pool.rows()) for x in batch]
+    for score in initial:
+        window.append(min(max(score, 0.0), 1.0))
+    del window[: max(len(window) - window_capacity, 0)]
+    if fixed_threshold is not None:
+        tau = fixed_threshold
+    else:
+        tau = brute_force_threshold(window, clamp_range)[0]
+    added = 0
+    for i in sorted(range(len(batch)), key=lambda j: -initial[j]):
+        if initial[i] <= tau:
+            break
+        if list_ood_score(batch[i], pool.rows()) > tau:
+            pool.push(batch[i])
+            added += 1
+    return added
+
+
+def list_momentum_update(pool, feature, momentum):
+    """Blend the first most similar novel row of a ListPool toward feature."""
+    best = 0
+    for i, row in enumerate(pool.novel):
+        if float(np.dot(row, feature)) > float(np.dot(pool.novel[best], feature)):
+            best = i
+    blended = (1.0 - momentum) * pool.novel[best] + momentum * feature
+    pool.novel[best] = blended / np.linalg.norm(blended)

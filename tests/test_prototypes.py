@@ -1,14 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ListPool, brute_force_expand, list_momentum_update
 from owtt.errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool
 from owtt.prototypes import (
     PrototypePool,
     build_source_prototypes,
     expand,
+    load_pool,
     momentum_update_novel,
+    save_pool,
 )
 from owtt.scoring import ScoreWindow, adaptive_threshold, batch_extended_scores
 
@@ -131,6 +136,90 @@ def test_novel_count_never_exceeds_capacity(seed, batches):
         assert pool.novel_count <= 5
 
 
+def test_expand_early_stop_skips_candidates_an_eviction_would_admit():
+    # e2 enters the batch scoring 0 against the pool [e1 | e2], so it is
+    # never visited, although adding e3 evicts e2 from the pool and would
+    # raise e2's score to 1.
+    e1, e2, e3 = np.eye(3)
+    pool = PrototypePool(e1[None, :], novel_capacity=1)
+    pool.push_novel(e2)
+    added = expand(pool, np.stack([e3, e2]), primed_window([0.0] * 8), fixed_threshold=0.5)
+    assert added == 1
+    np.testing.assert_array_equal(pool.novel_matrix(), [e3])
+
+
+def test_expand_rescore_ignores_prototypes_evicted_within_the_batch():
+    # At capacity 1, e3 evicts e2 before c is re-scored, so c, close to e2,
+    # still enters.
+    e1, e2, e3, _ = np.eye(4)
+    c = np.array([0.0, 0.9, 0.0, 0.43589])
+    pool = PrototypePool(e1[None, :], novel_capacity=1)
+    added = expand(pool, np.stack([e2, e3, c]), primed_window([0.0] * 8), fixed_threshold=0.5)
+    assert added == 3
+    np.testing.assert_array_equal(pool.novel_matrix(), [c])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capacity=st.integers(1, 5),
+    pushes=st.integers(0, 12),
+)
+def test_pool_matches_list_model(seed, capacity, pushes):
+    rng = np.random.default_rng(seed)
+    source = unit_rows(rng.normal(size=(2, 3)))
+    pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
+    for _ in range(pushes):
+        row = unit_rows(rng.normal(size=(1, 3)))[0]
+        pool.push_novel(row)
+        model.push(row)
+        assert pool.novel_count == len(model.novel)
+        np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
+        np.testing.assert_array_equal(pool.source_matrix(), source)
+        for i, expected in enumerate(model.novel):
+            np.testing.assert_array_equal(pool.novel_at(i), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    num_source=st.integers(1, 3),
+    capacity=st.integers(1, 5),
+    prefill=st.integers(0, 7),
+    batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=4),
+    fixed_threshold=st.sampled_from([None, 0.1, 0.3, 0.5, 0.8]),
+    clamp_range=st.sampled_from([None, (0.4, 1.0)]),
+    momentum=st.sampled_from([None, 0.1, 0.5, 1.0]),
+)
+def test_expand_matches_brute_force_oracle(
+    seed, dim, num_source, capacity, prefill, batch_sizes, fixed_threshold, clamp_range,
+    momentum,
+):
+    rng = np.random.default_rng(seed)
+    source = unit_rows(rng.normal(size=(num_source, dim)))
+    pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
+    for row in unit_rows(rng.normal(size=(prefill, dim))):  # empty, partial or full
+        pool.push_novel(row)
+        model.push(row)
+    window, model_window = ScoreWindow(16), []
+    for size in batch_sizes:
+        batch = unit_rows(rng.normal(size=(size, dim)))
+        if size > 1:
+            batch[-1] = batch[0]  # an in-batch duplicate must enter at most once
+        added = expand(pool, batch, window, clamp_range, fixed_threshold)
+        expected = brute_force_expand(
+            model, list(batch), model_window, 16, clamp_range, fixed_threshold
+        )
+        assert added == expected
+        np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
+        if momentum is not None and pool.novel_count:
+            for feature in batch[: size // 2]:
+                momentum_update_novel(pool, feature, momentum)
+                list_momentum_update(model, feature, momentum)
+            np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
+
+
 # --- momentum refresh of novel prototypes ----------------------------------------
 
 
@@ -174,8 +263,6 @@ def test_momentum_blend_collapse_raises():
 
 
 def test_pool_checkpoint_roundtrip(tmp_path):
-    from owtt.prototypes import load_pool, save_pool
-
     rng = np.random.default_rng(13)
     pool = PrototypePool(unit_rows(rng.normal(size=(4, 6))), novel_capacity=9)
     for _ in range(3):
@@ -189,9 +276,39 @@ def test_pool_checkpoint_roundtrip(tmp_path):
 
 
 def test_pool_checkpoint_rejects_bad_magic(tmp_path):
-    from owtt.prototypes import load_pool
-
     path = tmp_path / "bad.owtp"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
+        load_pool(path)
+
+
+def saved_pool_bytes(tmp_path):
+    pool = PrototypePool(np.eye(3), novel_capacity=4)
+    pool.push_novel(np.array([0.0, SQ2, SQ2]))
+    path = tmp_path / "pool.owtp"
+    save_pool(pool, path)
+    return path, path.read_bytes()
+
+
+def test_pool_checkpoint_rejects_short_header(tmp_path):
+    path, data = saved_pool_bytes(tmp_path)
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="header truncated"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_pool_checkpoint_rejects_truncated_payload(tmp_path, cut):
+    path, data = saved_pool_bytes(tmp_path)
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ValueError, match="header implies"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("n_novel, capacity", [(2, 1), (0, 0)])
+def test_pool_checkpoint_rejects_novel_count_over_capacity(tmp_path, n_novel, capacity):
+    path = tmp_path / "pool.owtp"
+    header = struct.pack("<4sIIIII", b"OWTP", 1, 3, 1, n_novel, capacity)
+    path.write_bytes(header + np.zeros((1 + n_novel) * 3, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="capacity"):
         load_pool(path)
