@@ -6,9 +6,9 @@ Gaussian distribution alignment, plus a synthetic open-world benchmark
 generator and an experiment CLI.
 """
 
-from .adapter import AdapterState, embed, embed_batch, init_adapter, sgd_momentum_step
+from .adapter import AdapterState, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import (
-    RawSample,
+    Batch,
     WorldSpec,
     export_stream,
     generate_source,
@@ -23,7 +23,6 @@ from .engine import (
     RunResult,
     StageFailure,
     TraceRow,
-    run_stream,
     select_confident,
 )
 from .experiment import (
@@ -46,6 +45,7 @@ from .errors import (
     MissingArtifacts,
     MissingPopulation,
     NonFiniteGradient,
+    NonFiniteInput,
     NumericalFailure,
     OwttError,
     UnknownLabel,
@@ -54,7 +54,6 @@ from .metrics import (
     REJECT,
     MetricsReport,
     compute_metrics,
-    cumulative_trace,
     score_histogram,
     score_separation,
 )
@@ -80,10 +79,8 @@ from .scoring import (
     ScoreWindow,
     ThresholdEstimate,
     adaptive_threshold,
-    batch_extended_scores,
+    batch_discrete_scores,
     batch_ood_scores,
-    discrete_mode_score,
-    extended_ood_score,
     ood_score,
 )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEmbedding, NonFiniteGradient
+from .errors import DegenerateEmbedding, NonFiniteGradient, NonFiniteInput
 
 # Below this output norm the adapter is considered collapsed and the run
 # aborts instead of silently renormalizing noise.
@@ -25,22 +25,6 @@ class AdapterState:
     momentum_buffer: np.ndarray  # same shape as weight
     learning_rate: float
     momentum_coeff: float
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weight.shape[1]
-
-    def copy(self) -> "AdapterState":
-        return AdapterState(
-            weight=self.weight.copy(),
-            momentum_buffer=self.momentum_buffer.copy(),
-            learning_rate=self.learning_rate,
-            momentum_coeff=self.momentum_coeff,
-        )
 
 
 def init_adapter(
@@ -69,18 +53,16 @@ def init_adapter(
     )
 
 
-def embed(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
-    """Map one raw input vector to a unit-norm feature."""
-    raw = adapter.weight @ np.asarray(values, dtype=float)
-    norm = np.linalg.norm(raw)
-    if norm < NORM_EPS:
-        raise DegenerateEmbedding(f"embedding norm {norm:.3e} below {NORM_EPS:.0e}")
-    return raw / norm
-
-
 def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
-    """Map a batch of raw inputs (rows) to unit-norm features (rows)."""
-    raw = np.asarray(values, dtype=float) @ adapter.weight.T
+    """Map a batch of raw inputs (rows) to unit-norm features (rows).
+
+    Raises NonFiniteInput naming the first row that holds a NaN or inf.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
+    raw = values @ adapter.weight.T
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms < NORM_EPS):
         bad = int(np.argmin(norms))

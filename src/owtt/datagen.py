@@ -9,7 +9,7 @@ independently so stream prefixes do not depend on the total length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ STRONG_MODES = ("uniform_noise", "disjoint_clusters", "near_clusters")
 
 _STREAM_MAGIC = b"OWTT"
 _STREAM_VERSION = 1
+_STREAM_HEADER = struct.Struct("<4sIIII")
 
 # SeedSequence tags keeping the independent random draws decoupled.
 _TAG_SOURCE_MEANS = 1
@@ -33,12 +34,18 @@ _MAX_PLACEMENT_TRIES = 20_000
 
 
 @dataclass
-class RawSample:
-    """One stream element: input vector, evaluation-only label, batch index."""
+class Batch:
+    """One stream batch: input rows and their evaluation-only labels."""
 
-    values: np.ndarray
-    hidden_label: int
-    timestamp: int
+    values: np.ndarray  # (B, d_in) float64
+    hidden: np.ndarray  # (B,) int
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.hidden = np.asarray(self.hidden, dtype=int)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass
@@ -277,12 +284,12 @@ def _world_constants(spec: WorldSpec):
     return class_means(spec), strong, rotation_matrix(spec), spec.bias_scale * bias_vector(spec)
 
 
-def generate_batch(spec: WorldSpec, t: int) -> List[RawSample]:
+def generate_batch(spec: WorldSpec, t: int) -> Batch:
     """One stream batch; depends only on (spec fields, seed, t)."""
     return _batch(spec, t, *_world_constants(spec))
 
 
-def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> List[RawSample]:
+def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> Batch:
     rng = _rng(spec, _TAG_BATCH, t)
     n_weak, n_strong = batch_counts(spec)
 
@@ -307,79 +314,85 @@ def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> List[RawSa
     values = np.vstack([weak_values, strong_values])
     labels = np.concatenate([weak_labels, strong_labels])
     order = rng.permutation(spec.batch_size)
-    return [
-        RawSample(values=values[i], hidden_label=int(labels[i]), timestamp=t)
-        for i in order
-    ]
+    return Batch(values[order], labels[order])
 
 
-def generate_stream(spec: WorldSpec) -> List[List[RawSample]]:
+def generate_stream(spec: WorldSpec) -> List[Batch]:
     """The full test stream as a list of batches."""
     spec.validate()
     constants = _world_constants(spec)
     return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
 
 
-def with_overrides(spec: WorldSpec, **kwargs) -> WorldSpec:
-    return replace(spec, **kwargs).validate()
-
-
 # --- stream export / ingestion ----------------------------------------------------
 
 
-def export_stream(batches: Sequence[Sequence[RawSample]], path) -> None:
+def export_stream(batches: Sequence[Batch], path) -> None:
     """Write a stream as little-endian float32 rows with an OWTT header.
 
-    Row layout: timestamp, hidden_label, then the d_in input values.
+    Row layout: batch index, hidden label, then the d_in input values.
     """
-    n_samples = sum(len(b) for b in batches)
-    d_in = len(batches[0][0].values)
-    rows = np.empty((n_samples, d_in + 2), dtype="<f4")
-    i = 0
-    for batch in batches:
-        for sample in batch:
-            rows[i, 0] = sample.timestamp
-            rows[i, 1] = sample.hidden_label
-            rows[i, 2:] = sample.values
-            i += 1
+    sizes = [len(batch) for batch in batches]
+    rows = np.empty((sum(sizes), batches[0].values.shape[1] + 2), dtype="<f4")
+    rows[:, 0] = np.repeat(np.arange(len(batches)), sizes)
+    rows[:, 1] = np.concatenate([batch.hidden for batch in batches])
+    rows[:, 2:] = np.concatenate([batch.values for batch in batches])
     with open(path, "wb") as fh:
         fh.write(
-            struct.pack("<4sIIII", _STREAM_MAGIC, _STREAM_VERSION, d_in, n_samples, len(batches))
+            _STREAM_HEADER.pack(
+                _STREAM_MAGIC, _STREAM_VERSION, rows.shape[1] - 2, rows.shape[0], len(batches)
+            )
         )
         fh.write(rows.tobytes())
 
 
-def load_stream(path) -> List[List[RawSample]]:
-    """Read a stream written by export_stream; validates magic and version."""
+def load_stream(path) -> List[Batch]:
+    """Read a stream written by export_stream; rows keep their file order.
+
+    Raises InvalidSpec for a bad magic or version, a file whose length
+    disagrees with its header, a non-integral label or batch index, a batch
+    index outside 0..n_batches-1, or a batch with no rows.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIII"))
-        magic, version, d_in, n_samples, n_batches = struct.unpack("<4sIIII", header)
-        if magic != _STREAM_MAGIC:
-            raise InvalidSpec(f"not a stream file (magic {magic!r})")
-        if version != _STREAM_VERSION:
-            raise InvalidSpec(f"unsupported stream version {version}")
-        rows = np.frombuffer(fh.read(), dtype="<f4").reshape(n_samples, d_in + 2)
-    batches: List[List[RawSample]] = [[] for _ in range(n_batches)]
-    for row in rows:
-        t = int(row[0])
-        if not 0 <= t < n_batches:
-            raise InvalidSpec(f"stream row references batch {t} outside 0..{n_batches - 1}")
-        batches[t].append(
-            RawSample(
-                values=row[2:].astype(float),
-                hidden_label=int(row[1]),
-                timestamp=t,
-            )
+        data = fh.read()
+    if len(data) < _STREAM_HEADER.size:
+        raise InvalidSpec(f"stream header truncated ({len(data)} bytes)")
+    magic, version, d_in, n_samples, n_batches = _STREAM_HEADER.unpack_from(data)
+    if magic != _STREAM_MAGIC:
+        raise InvalidSpec(f"not a stream file (magic {magic!r})")
+    if version != _STREAM_VERSION:
+        raise InvalidSpec(f"unsupported stream version {version}")
+    expected = _STREAM_HEADER.size + 4 * n_samples * (d_in + 2)
+    if len(data) != expected:
+        raise InvalidSpec(f"stream file is {len(data)} bytes, its header implies {expected}")
+    rows = np.frombuffer(data, "<f4", offset=_STREAM_HEADER.size).reshape(n_samples, d_in + 2)
+    stamps, labels = rows[:, 0], rows[:, 1]
+    valid = (stamps >= 0) & (stamps < n_batches) & (stamps == np.round(stamps))
+    valid &= np.isfinite(labels) & (labels == np.round(labels))
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise InvalidSpec(
+            f"stream row {i} has batch {stamps[i]:g}, label {labels[i]:g}: "
+            f"need integers, the batch in 0..{n_batches - 1}"
         )
-    return batches
+    stamps = stamps.astype(int)
+    counts = np.bincount(stamps, minlength=n_batches)
+    if not counts.all():
+        raise InvalidSpec(f"stream batch {int(np.argmin(counts))} has no rows")
+    rows = rows[np.argsort(stamps, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+    return [
+        Batch(rows[end - n : end, 2:], rows[end - n : end, 1])
+        for n, end in zip(counts.tolist(), ends)
+    ]
 
 
-def write_stream_csv(batches: Sequence[Sequence[RawSample]], path) -> None:
+def write_stream_csv(batches: Sequence[Batch], path) -> None:
     """Human-inspectable CSV mirror of a stream."""
-    d_in = len(batches[0][0].values)
+    d_in = batches[0].values.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("batch,hidden_label," + ",".join(f"v{i}" for i in range(d_in)) + "\n")
-        for batch in batches:
-            for sample in batch:
-                vals = ",".join(f"{v:.8g}" for v in sample.values)
-                fh.write(f"{sample.timestamp},{sample.hidden_label},{vals}\n")
+        for t, batch in enumerate(batches):
+            for label, row in zip(batch.hidden.tolist(), batch.values.tolist()):
+                vals = ",".join(f"{v:.8g}" for v in row)
+                fh.write(f"{t},{label},{vals}\n")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .adapter import embed_batch, init_adapter, sgd_momentum_step
+from .datagen import Batch
 from .errors import ConfigError
 from .metrics import (
     REJECT,
@@ -305,7 +306,7 @@ class Engine:
 
     # --- full run -------------------------------------------------------------------
 
-    def run(self, stream: Sequence[Sequence]) -> RunResult:
+    def run(self, stream: Iterable[Batch]) -> RunResult:
         """One pass over the stream; inference strictly precedes adaptation."""
         records: List[PredictionRecord] = []
         trace: List[TraceRow] = []
@@ -319,24 +320,19 @@ class Engine:
                     f"{self.config.batch_size}"
                 )
             try:
-                values = np.stack([sample.values for sample in batch])
-                features, scores, tau, predicted = self.inference_stage(values)
-                batch_records = [
-                    PredictionRecord(
-                        timestamp=t,
-                        index=i,
-                        predicted_label=int(predicted[i]),
-                        ood_score=float(scores[i]),
-                        threshold_used=tau,
-                        hidden_label=batch[i].hidden_label,
+                features, scores, tau, predicted = self.inference_stage(batch.values)
+                records.extend(
+                    PredictionRecord(t, i, label, score, tau, hidden)
+                    for i, (label, score, hidden) in enumerate(
+                        zip(predicted.tolist(), scores.tolist(), batch.hidden.tolist())
                     )
-                    for i in range(len(batch))
-                ]
-                records.extend(batch_records)
-                losses.append(self.adaptation_stage(values, features, scores, tau, predicted))
+                )
+                losses.append(
+                    self.adaptation_stage(batch.values, features, scores, tau, predicted)
+                )
             except Exception as exc:
                 raise StageFailure(t, records, trace, exc) from exc
-            running.update(batch_records)
+            running.update(predicted, batch.hidden)
             acc_s, acc_n, acc_h = running.snapshot()
             trace.append(
                 TraceRow(
@@ -349,25 +345,11 @@ class Engine:
                 )
             )
 
-        report = compute_metrics(records, self.num_known)
-        report.per_batch_trace = [(r.batch, r.acc_s, r.acc_n, r.acc_h) for r in trace]
         return RunResult(
             records=records,
             trace=trace,
-            report=report,
+            report=compute_metrics(records, self.num_known),
             losses=losses,
             num_known=self.num_known,
             engine=self,
         )
-
-
-def run_stream(
-    stream: Sequence[Sequence],
-    config: RunConfig,
-    source_values: np.ndarray,
-    source_labels: np.ndarray,
-    num_known: int,
-) -> RunResult:
-    """Build an engine from source data and run it over the stream."""
-    engine = Engine(config, source_values, source_labels, num_known)
-    return engine.run(stream)

@@ -9,6 +9,10 @@ class DegenerateEmbedding(OwttError):
     """Adapter output collapsed to (near) zero norm; the run cannot continue."""
 
 
+class NonFiniteInput(OwttError):
+    """An input row held a NaN or infinite value."""
+
+
 class NonFiniteGradient(OwttError):
     """A gradient contained NaN or inf entries."""
 

@@ -7,8 +7,8 @@ is distinguishable from a detector that rejected nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class MetricsReport:
     acc_h: Optional[float]
     n_weak: int
     n_strong: int
-    per_batch_trace: List[Tuple[int, Optional[float], Optional[float], Optional[float]]] = field(
-        default_factory=list
-    )
 
 
 def harmonic_mean(acc_s: float, acc_n: float) -> float:
@@ -37,7 +34,7 @@ def harmonic_mean(acc_s: float, acc_n: float) -> float:
 
 
 class RunningMetrics:
-    """O(1) cumulative counters over a stream of prediction records."""
+    """Cumulative counters over a stream of (predicted, hidden) label arrays."""
 
     def __init__(self, num_known: int):
         self.num_known = num_known
@@ -46,16 +43,13 @@ class RunningMetrics:
         self.n_strong = 0
         self.n_strong_rejected = 0
 
-    def update(self, records: Sequence) -> None:
-        for rec in records:
-            if rec.hidden_label < self.num_known:
-                self.n_weak += 1
-                if rec.predicted_label == rec.hidden_label:
-                    self.n_weak_correct += 1
-            else:
-                self.n_strong += 1
-                if rec.predicted_label == REJECT:
-                    self.n_strong_rejected += 1
+    def update(self, predicted: np.ndarray, hidden: np.ndarray) -> None:
+        weak = hidden < self.num_known
+        n_weak = int(np.count_nonzero(weak))
+        self.n_weak += n_weak
+        self.n_weak_correct += int(np.count_nonzero(weak & (predicted == hidden)))
+        self.n_strong += weak.size - n_weak
+        self.n_strong_rejected += int(np.count_nonzero(~weak & (predicted == REJECT)))
 
     def snapshot(self) -> Tuple[Optional[float], Optional[float], Optional[float]]:
         acc_s = self.n_weak_correct / self.n_weak if self.n_weak else None
@@ -69,7 +63,10 @@ def compute_metrics(records: Sequence, num_known: int) -> MetricsReport:
     if not records:
         raise EmptyRecords("no prediction records")
     running = RunningMetrics(num_known)
-    running.update(records)
+    running.update(
+        np.array([r.predicted_label for r in records]),
+        np.array([r.hidden_label for r in records]),
+    )
     acc_s, acc_n, acc_h = running.snapshot()
     return MetricsReport(
         acc_s=acc_s,
@@ -78,29 +75,6 @@ def compute_metrics(records: Sequence, num_known: int) -> MetricsReport:
         n_weak=running.n_weak,
         n_strong=running.n_strong,
     )
-
-
-def cumulative_trace(records: Sequence, num_known: int):
-    """Per-batch cumulative (batch, acc_s, acc_n, acc_h) rows.
-
-    Records must arrive in stream order (consecutive timestamps grouped).
-    """
-    if not records:
-        raise EmptyRecords("no prediction records")
-    running = RunningMetrics(num_known)
-    trace = []
-    current_batch = records[0].timestamp
-    pending = []
-    for rec in records:
-        if rec.timestamp != current_batch:
-            running.update(pending)
-            trace.append((current_batch, *running.snapshot()))
-            pending = []
-            current_batch = rec.timestamp
-        pending.append(rec)
-    running.update(pending)
-    trace.append((current_batch, *running.snapshot()))
-    return trace
 
 
 def score_separation(records: Sequence, num_known: int) -> Tuple[float, float, float]:

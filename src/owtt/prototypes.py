@@ -14,7 +14,7 @@ import numpy as np
 
 from .adapter import NORM_EPS
 from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool
-from .scoring import ScoreWindow, adaptive_threshold, batch_extended_scores
+from .scoring import ScoreWindow, adaptive_threshold, batch_ood_scores
 from .scoring import ood_score  # noqa: F401  (patched by the perfbench tracer)
 
 _POOL_MAGIC = b"OWTP"
@@ -108,7 +108,7 @@ def expand(
     batch_features = np.asarray(batch_features, dtype=float)
     if batch_features.shape[0] == 0:
         return 0
-    initial = batch_extended_scores(batch_features, pool)
+    initial = batch_ood_scores(batch_features, pool.all_matrix())
     window.push(initial)
     if fixed_threshold is not None:
         tau = fixed_threshold

@@ -7,7 +7,6 @@ total intra-cluster variance of the two resulting score groups.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -46,101 +45,70 @@ class ScoreWindow:
         if capacity < 1:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self._buffer: deque = deque(maxlen=capacity)
+        self._scores = np.empty(0)
 
     @property
     def count(self) -> int:
-        return len(self._buffer)
+        return self._scores.size
 
     def push(self, scores: Sequence[float]) -> "ScoreWindow":
         """Append scores (oldest evicted at capacity); values clamp to [0, 1]."""
-        for s in np.atleast_1d(np.asarray(scores, dtype=float)):
-            self._buffer.append(min(max(float(s), 0.0), 1.0))
+        clamped = np.clip(np.atleast_1d(np.asarray(scores, dtype=float)), 0.0, 1.0)
+        self._scores = np.concatenate((self._scores, clamped))[-self.capacity :]
         return self
 
     def values(self) -> np.ndarray:
-        return np.fromiter(self._buffer, dtype=float, count=len(self._buffer))
-
-
-def _as_matrix(prototypes) -> np.ndarray:
-    mat = np.asarray(prototypes, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    return mat
+        return self._scores.copy()
 
 
 def ood_score(feature: np.ndarray, source_prototypes) -> float:
     """Strong-OOD score: one minus the best cosine similarity to a source prototype."""
-    mat = _as_matrix(source_prototypes)
+    mat = np.asarray(source_prototypes, dtype=float)
     if mat.shape[0] == 0:
         raise EmptyPrototypeSet("no source prototypes")
     return float(1.0 - np.max(mat @ np.asarray(feature, dtype=float)))
 
 
-def batch_ood_scores(features: np.ndarray, prototypes) -> np.ndarray:
-    """Vectorized strong-OOD scores for a batch of unit-norm features."""
-    mat = _as_matrix(prototypes)
-    if mat.shape[0] == 0:
+def batch_ood_scores(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Strong-OOD scores of a batch of unit-norm features against prototype rows."""
+    if prototypes.shape[0] == 0:
         raise EmptyPrototypeSet("no source prototypes")
-    return 1.0 - np.max(np.asarray(features, dtype=float) @ mat.T, axis=1)
+    return 1.0 - np.max(np.asarray(features, dtype=float) @ prototypes.T, axis=1)
 
 
-def extended_ood_score(feature: np.ndarray, pool: "PrototypePool") -> float:
-    """Strong-OOD score extended over source plus novel prototypes."""
-    return ood_score(feature, pool.all_matrix())
-
-
-def batch_extended_scores(features: np.ndarray, pool: "PrototypePool") -> np.ndarray:
-    return batch_ood_scores(features, pool.all_matrix())
-
-
-def discrete_mode_score(
-    feature: np.ndarray, pool: "PrototypePool", top_m: int = DEFAULT_TOP_M
-) -> float:
+def batch_discrete_scores(
+    features: np.ndarray, pool: "PrototypePool", top_m: int = DEFAULT_TOP_M
+) -> np.ndarray:
     """Score variant weighing source affinity against mean top-m novel affinity.
 
     With similarity s to the best source prototype and u the mean of the
     top-m similarities to novel prototypes, the score is
-    (1-s)*s/(s+u) + u*u/(s+u). Falls back to the plain score while the
-    novel pool is empty; with fewer than top_m novel prototypes the mean
-    runs over all of them.
+    (1-s)*s/(s+u) + u*u/(s+u), and 0.5 where s+u < 1e-12 (no evidence
+    either way). Falls back to the plain score while the novel pool is
+    empty; with fewer than top_m novel prototypes the mean runs over all of
+    them. The top-m similarities are summed in descending order.
     """
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
     source = pool.source_matrix()
     if source.shape[0] == 0:
         raise EmptyPrototypeSet("no source prototypes")
-    feature = np.asarray(feature, dtype=float)
+    features = np.asarray(features, dtype=float)
+    best_source = np.max(features @ source.T, axis=1)
     novel = pool.novel_matrix()
     if novel.shape[0] == 0:
-        return float(1.0 - np.max(source @ feature))
-    s_s = float(np.clip(np.max(source @ feature), 0.0, 1.0))
-    sims = np.sort(novel @ feature)[::-1][: min(top_m, novel.shape[0])]
-    s_u = float(np.clip(np.mean(sims), 0.0, 1.0))
+        return 1.0 - best_source
+    m = min(top_m, novel.shape[0])
+    top = np.sort(features @ novel.T, axis=1)[:, : -m - 1 : -1]
+    total_u = top[:, 0].copy()
+    for j in range(1, m):
+        total_u += top[:, j]
+    s_s = np.clip(best_source, 0.0, 1.0)
+    s_u = np.clip(total_u / m, 0.0, 1.0)
     total = s_s + s_u
-    if total < 1e-12:
-        # Feature unrelated to both pools: no evidence either way.
-        return 0.5
-    return (1.0 - s_s) * s_s / total + s_u * s_u / total
-
-
-def batch_discrete_scores(
-    features: np.ndarray, pool: "PrototypePool", top_m: int = DEFAULT_TOP_M
-) -> np.ndarray:
-    return np.array([discrete_mode_score(f, pool, top_m) for f in np.asarray(features)])
-
-
-def split_objective(scores: np.ndarray, tau: float) -> Optional[float]:
-    """Total intra-cluster variance of the two score groups split at tau.
-
-    Returns None when either side of the split is empty (invalid candidate).
-    """
-    scores = np.asarray(scores, dtype=float)
-    upper = scores[scores > tau]
-    lower = scores[scores <= tau]
-    if upper.size == 0 or lower.size == 0:
-        return None
-    return float(np.var(upper) + np.var(lower))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = (1.0 - s_s) * s_s / total + s_u * s_u / total
+    return np.where(total < 1e-12, 0.5, scores)
 
 
 def adaptive_threshold(

@@ -201,3 +201,75 @@ def list_momentum_update(pool, feature, momentum):
             best = i
     blended = (1.0 - momentum) * pool.novel[best] + momentum * feature
     pool.novel[best] = blended / np.linalg.norm(blended)
+
+
+def embed(values, weight):
+    """One raw input vector mapped through weight and scaled to unit norm."""
+    raw = [sum(w * v for w, v in zip(row, values)) for row in weight]
+    norm = math.sqrt(sum(r * r for r in raw))
+    return np.array([r / norm for r in raw])
+
+
+def split_objective(scores, tau):
+    """Total intra-cluster variance of the two score groups split at tau.
+
+    Returns None when either side of the split is empty.
+    """
+    scores = np.asarray(scores, dtype=float)
+    upper = scores[scores > tau]
+    lower = scores[scores <= tau]
+    if upper.size == 0 or lower.size == 0:
+        return None
+    return float(np.var(upper) + np.var(lower))
+
+
+def cumulative_trace(records, num_known):
+    """Per-batch (batch, acc_s, acc_n, acc_h) rows, each a recount of every
+    record up to and including that batch."""
+    batches = sorted({r.timestamp for r in records})
+    return [
+        (t, *recount_metrics([r for r in records if r.timestamp <= t], num_known))
+        for t in batches
+    ]
+
+
+def discrete_scores(source_sims, novel_sims, top_m):
+    """Discrete-mode scores, one row of similarities at a time.
+
+    source_sims and novel_sims hold each feature's similarities to the
+    source and novel prototypes (one row per feature). With s the best
+    source similarity and u the mean of the top-m novel similarities, summed
+    in descending order and each clamped to [0, 1], the score is
+    (1-s)*s/(s+u) + u*u/(s+u), or 0.5 when s+u < 1e-12; with no novel
+    prototypes it is one minus the unclamped best source similarity.
+    """
+    scores = []
+    for source_row, novel_row in zip(source_sims.tolist(), novel_sims.tolist()):
+        best = max(source_row)
+        if not novel_row:
+            scores.append(1.0 - best)
+            continue
+        top = sorted(novel_row, reverse=True)[:top_m]
+        total_u = 0.0
+        for sim in top:
+            total_u += sim
+        s = min(max(best, 0.0), 1.0)
+        u = min(max(total_u / len(top), 0.0), 1.0)
+        total = s + u
+        if total < 1e-12:
+            scores.append(0.5)
+        else:
+            scores.append((1.0 - s) * s / total + u * u / total)
+    return np.array(scores)
+
+
+def fifo_window(pushes, capacity):
+    """Scores kept by a capacity-bounded FIFO after the given pushes, oldest
+    first, each clamped to [0, 1]."""
+    kept = []
+    for push in pushes:
+        for score in push:
+            kept.append(min(max(score, 0.0), 1.0))
+            if len(kept) > capacity:
+                kept.pop(0)
+    return kept

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from owtt.adapter import AdapterState, embed, embed_batch, init_adapter, sgd_momentum_step
-from owtt.errors import DegenerateEmbedding, NonFiniteGradient
+from oracles import embed
+from owtt.adapter import AdapterState, embed_batch, init_adapter, sgd_momentum_step
+from owtt.errors import DegenerateEmbedding, NonFiniteGradient, NonFiniteInput
 
 
 def make_adapter(weight, lr=0.1, momentum=0.9):
@@ -20,26 +21,26 @@ def make_adapter(weight, lr=0.1, momentum=0.9):
 
 def test_identity_map_keeps_unit_vector():
     adapter = make_adapter(np.eye(3))
-    values = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(embed(values, adapter), values)
+    values = np.array([[1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(embed_batch(values, adapter), values)
 
 
 def test_embed_normalizes_3_4_vector():
     adapter = make_adapter(np.eye(2))
-    np.testing.assert_allclose(embed(np.array([3.0, 4.0]), adapter), [0.6, 0.8])
+    np.testing.assert_allclose(embed_batch(np.array([[3.0, 4.0]]), adapter), [[0.6, 0.8]])
 
 
 def test_zero_weight_raises_degenerate():
     adapter = make_adapter(np.zeros((2, 2)))
     with pytest.raises(DegenerateEmbedding):
-        embed(np.array([1.0, 1.0]), adapter)
+        embed_batch(np.array([[1.0, 1.0]]), adapter)
 
 
 def test_embed_batch_matches_single_embed():
     rng = np.random.default_rng(7)
     adapter = make_adapter(rng.normal(size=(4, 6)))
     batch = rng.normal(size=(5, 6))
-    stacked = np.stack([embed(row, adapter) for row in batch])
+    stacked = np.stack([embed(row, adapter.weight) for row in batch])
     np.testing.assert_allclose(embed_batch(batch, adapter), stacked)
 
 
@@ -108,7 +109,16 @@ def test_embed_output_is_unit_norm(values, seed):
     rng = np.random.default_rng(seed)
     adapter = make_adapter(rng.normal(size=(3, values.shape[0])))
     try:
-        feature = embed(values, adapter)
+        feature = embed_batch(values[None, :], adapter)[0]
     except DegenerateEmbedding:
         return
     assert abs(np.linalg.norm(feature) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_naming_the_row(bad):
+    adapter = make_adapter(np.eye(3))
+    values = np.ones((4, 3))
+    values[2, 1] = bad
+    with pytest.raises(NonFiniteInput, match="row 2"):
+        embed_batch(values, adapter)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from owtt.datagen import (
     load_stream,
     rotation_matrix,
     strong_means,
-    with_overrides,
     write_stream_csv,
 )
 from owtt.errors import InvalidSpec
@@ -126,11 +127,12 @@ def test_rotation_matrix_is_orthogonal_and_fixes_offset():
 def test_null_shift_weak_samples_match_source_distribution():
     spec = small_spec(rotation_angle=0.0, bias_scale=0.0, noise_std=0.0, ratio=0.2)
     means = class_means(spec)
-    for sample in generate_batch(spec, 0):
-        if sample.hidden_label < spec.k_s:
-            dist = np.linalg.norm(sample.values - means[sample.hidden_label])
-            # pure within-class draw: distance concentrates near within_std*sqrt(d)
-            assert dist < 6 * spec.within_std * np.sqrt(spec.d_in)
+    batch = generate_batch(spec, 0)
+    weak = batch.hidden < spec.k_s
+    dist = np.linalg.norm(batch.values[weak] - means[batch.hidden[weak]], axis=1)
+    # pure within-class draw: distance concentrates near within_std*sqrt(d)
+    assert weak.any()
+    assert np.all(dist < 6 * spec.within_std * np.sqrt(spec.d_in))
 
 
 def test_equal_ratio_batch_counts():
@@ -150,23 +152,25 @@ def test_stream_bit_reproducible():
     a = generate_stream(small_spec())
     b = generate_stream(small_spec())
     for batch_a, batch_b in zip(a, b):
-        for sa, sb in zip(batch_a, batch_b):
-            assert np.array_equal(sa.values, sb.values)
-            assert sa.hidden_label == sb.hidden_label
+        assert np.array_equal(batch_a.values, batch_b.values)
+        assert np.array_equal(batch_a.hidden, batch_b.hidden)
 
 
 def test_stream_prefix_independent_of_length():
     short = generate_stream(small_spec(n_batches=3))
     long = generate_stream(small_spec(n_batches=10))
     for batch_s, batch_l in zip(short, long[:3]):
-        for sa, sb in zip(batch_s, batch_l):
-            assert np.array_equal(sa.values, sb.values)
+        assert np.array_equal(batch_s.values, batch_l.values)
 
 
-def test_timestamps_match_batch_index():
-    stream = generate_stream(small_spec(n_batches=4))
-    for t, batch in enumerate(stream):
-        assert all(s.timestamp == t for s in batch)
+def test_batches_hold_float_rows_and_int_labels():
+    spec = small_spec(n_batches=2)
+    for batch in generate_stream(spec):
+        assert len(batch) == spec.batch_size
+        assert batch.values.shape == (spec.batch_size, spec.d_in)
+        assert batch.values.dtype == np.float64
+        assert batch.hidden.shape == (spec.batch_size,)
+        assert batch.hidden.dtype.kind == "i"
 
 
 def test_uniform_noise_scores_above_weak():
@@ -176,10 +180,9 @@ def test_uniform_noise_scores_above_weak():
     protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
     weak_scores, strong_scores = [], []
     for batch in generate_stream(spec):
-        values = np.stack([s.values for s in batch])
-        scores = batch_ood_scores(embed_batch(values, adapter), protos)
-        for sample, score in zip(batch, scores):
-            (weak_scores if sample.hidden_label < spec.k_s else strong_scores).append(score)
+        scores = batch_ood_scores(embed_batch(batch.values, adapter), protos)
+        weak_scores.extend(scores[batch.hidden < spec.k_s])
+        strong_scores.extend(scores[batch.hidden >= spec.k_s])
     assert np.mean(strong_scores) > np.mean(weak_scores)
 
 
@@ -194,10 +197,9 @@ def test_near_clusters_interp_shrinks_pre_adaptation_gap():
         protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
         weak, strong = [], []
         for batch in generate_stream(spec):
-            values = np.stack([s.values for s in batch])
-            scores = batch_ood_scores(embed_batch(values, adapter), protos)
-            for sample, score in zip(batch, scores):
-                (weak if sample.hidden_label < spec.k_s else strong).append(score)
+            scores = batch_ood_scores(embed_batch(batch.values, adapter), protos)
+            weak.extend(scores[batch.hidden < spec.k_s])
+            strong.extend(scores[batch.hidden >= spec.k_s])
         gaps.append(np.mean(strong) - np.mean(weak))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -206,13 +208,6 @@ def test_near_interp_zero_equals_disjoint():
     near = WorldSpec(strong_mode="near_clusters", near_interp=0.0)
     disjoint = WorldSpec(strong_mode="disjoint_clusters")
     np.testing.assert_array_equal(strong_means(near), strong_means(disjoint))
-
-
-def test_with_overrides_validates():
-    spec = small_spec()
-    assert with_overrides(spec, ratio=0.4).ratio == 0.4
-    with pytest.raises(InvalidSpec):
-        with_overrides(spec, ratio=0.0)
 
 
 def test_bias_vector_orthogonal_to_offset():
@@ -231,16 +226,72 @@ def test_stream_roundtrip_binary(tmp_path):
     assert len(loaded) == 3
     for batch_a, batch_b in zip(stream, loaded):
         assert len(batch_a) == len(batch_b)
-        for sa, sb in zip(batch_a, batch_b):
-            np.testing.assert_allclose(sa.values, sb.values, atol=1e-6)
-            assert sa.hidden_label == sb.hidden_label
-            assert sa.timestamp == sb.timestamp
+        np.testing.assert_allclose(batch_a.values, batch_b.values, atol=1e-6)
+        assert np.array_equal(batch_a.hidden, batch_b.hidden)
+    # A row's first column is the index of the batch it belongs to.
+    rows = stream_rows(path)
+    assert rows[:, 0].tolist() == [t for t in range(3) for _ in range(16)]
 
 
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.owtt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(InvalidSpec):
+        load_stream(path)
+
+
+HEADER = struct.Struct("<4sIIII")
+
+
+def stream_rows(path):
+    """The float32 rows of a stream file, one per sample."""
+    data = path.read_bytes()
+    d_in = HEADER.unpack_from(data)[2]
+    return np.frombuffer(data, "<f4", offset=HEADER.size).reshape(-1, d_in + 2)
+
+
+def exported(tmp_path, n_batches=3):
+    path = tmp_path / "stream.owtt"
+    export_stream(generate_stream(small_spec(n_batches=n_batches, batch_size=8)), path)
+    return path
+
+
+def test_load_rejects_a_truncated_header(tmp_path):
+    path = exported(tmp_path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(InvalidSpec, match="header truncated"):
+        load_stream(path)
+
+
+@pytest.mark.parametrize("change", [-4, 4])
+def test_load_rejects_a_payload_the_header_does_not_describe(tmp_path, change):
+    path = exported(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+    with pytest.raises(InvalidSpec, match="header implies"):
+        load_stream(path)
+
+
+def test_load_rejects_a_batch_with_no_rows(tmp_path):
+    path = exported(tmp_path)
+    data = bytearray(path.read_bytes())
+    rows = stream_rows(path).copy()
+    rows[rows[:, 0] == 1, 0] = 2  # batch 1 loses every row to batch 2
+    data[HEADER.size :] = rows.tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidSpec, match="batch 1 has no rows"):
+        load_stream(path)
+
+
+@pytest.mark.parametrize("column, value", [(0, 3.0), (0, -1.0), (0, 0.5), (1, np.nan)])
+def test_load_rejects_a_bad_batch_index_or_label(tmp_path, column, value):
+    path = exported(tmp_path)
+    data = bytearray(path.read_bytes())
+    rows = stream_rows(path).copy()
+    rows[5, column] = value
+    data[HEADER.size :] = rows.tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidSpec, match="stream row 5"):
         load_stream(path)
 
 

@@ -1,14 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
-from owtt.datagen import RawSample, WorldSpec, generate_source, generate_stream
+from owtt.adapter import embed_batch
+from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
     NO_REJECT_TAU,
     Engine,
     RunConfig,
+    StageFailure,
     select_confident,
 )
-from owtt.errors import ConfigError
+from owtt.errors import ConfigError, NonFiniteInput
 from owtt.metrics import REJECT
 
 
@@ -77,15 +81,14 @@ def crafted_engine(**cfg_kw):
 
 
 def batch_of(vectors):
-    return [RawSample(values=np.asarray(v, dtype=float), hidden_label=0, timestamp=0) for v in vectors]
+    return Batch(np.asarray(vectors, dtype=float), np.zeros(len(vectors), dtype=int))
 
 
 def test_fixed_threshold_splits_scores():
     engine = crafted_engine(fixed_threshold=0.5)
     # scores: 1 - max cosine = 0.4 and 0.6
     batch = batch_of([[0.6, -0.8], [0.4, -np.sqrt(1 - 0.16)]])
-    values = np.stack([s.values for s in batch])
-    _, scores, tau, predicted = engine.inference_stage(values)
+    _, scores, tau, predicted = engine.inference_stage(batch.values)
     np.testing.assert_allclose(scores, [0.4, 0.6], atol=1e-9)
     assert tau == 0.5
     assert predicted[0] == 0 and predicted[1] == REJECT
@@ -111,8 +114,7 @@ def test_detection_off_forces_no_reject_threshold():
 def test_reject_iff_score_at_or_above_threshold():
     engine = crafted_engine(fixed_threshold=0.4)
     batch = batch_of([[0.6, -0.8]])  # score exactly 0.4
-    values = np.stack([s.values for s in batch])
-    _, scores, tau, predicted = engine.inference_stage(values)
+    _, scores, tau, predicted = engine.inference_stage(batch.values)
     assert scores[0] == pytest.approx(0.4)
     assert predicted[0] == REJECT  # strict: os >= tau rejects
 
@@ -181,13 +183,11 @@ def test_baseline_predictions_are_nearest_prototype():
     stream = generate_stream(spec)
     engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size, **BASELINE), src_x, src_y, spec.k_s)
     protos = engine.pool.source_matrix().copy()
-    adapter = engine.adapter.copy()
+    adapter = copy.deepcopy(engine.adapter)
     result = engine.run(stream)
-    from owtt.adapter import embed_batch
 
     for t, batch in enumerate(stream):
-        values = np.stack([s.values for s in batch])
-        nearest = np.argmax(embed_batch(values, adapter) @ protos.T, axis=1)
+        nearest = np.argmax(embed_batch(batch.values, adapter) @ protos.T, axis=1)
         for i, rec in enumerate([r for r in result.records if r.timestamp == t]):
             if rec.predicted_label != REJECT:
                 assert rec.predicted_label == nearest[i]
@@ -219,7 +219,9 @@ def test_rejected_samples_never_update_target_stats():
     spec = small_world(ratio=1.0, rotation_angle=0.0, noise_std=0.1)
     src_x, src_y = generate_source(spec)
     batches = generate_stream(spec)
-    strong_only = [[s for s in batch if s.hidden_label >= spec.k_s] for batch in batches]
+    strong_only = [
+        Batch(b.values[b.hidden >= spec.k_s], b.hidden[b.hidden >= spec.k_s]) for b in batches
+    ]
     cfg = RunConfig(seed=0, batch_size=None, fixed_threshold=0.35,
                     enable_expansion=False, enable_clustering=False)
     engine = Engine(cfg, src_x, src_y, spec.k_s)
@@ -233,9 +235,7 @@ def test_hidden_labels_do_not_influence_predictions():
     src_x, src_y = generate_source(spec)
     stream = generate_stream(spec)
     scrambled = [
-        [RawSample(values=s.values, hidden_label=(s.hidden_label + 3) % (spec.k_s + spec.k_t),
-                   timestamp=s.timestamp) for s in batch]
-        for batch in stream
+        Batch(batch.values, (batch.hidden + 3) % (spec.k_s + spec.k_t)) for batch in stream
     ]
     a = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(stream)
     b = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(scrambled)
@@ -279,3 +279,29 @@ def test_novel_momentum_mode_runs_end_to_end():
     spec = small_world()
     result = run_world(spec, novel_momentum=0.1)
     assert 0.0 <= result.report.acc_h <= 1.0
+
+
+# --- non-finite input -------------------------------------------------------------------
+
+
+def test_nan_in_a_stream_batch_aborts_with_a_typed_cause():
+    spec = WorldSpec(n_batches=20, seed=0)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    stream[3].values[0, 5] = np.nan
+    engine = Engine(RunConfig(seed=0), src_x, src_y, spec.k_s)
+    with pytest.raises(StageFailure) as err:
+        engine.run(stream)
+    assert err.value.batch_index == 3
+    assert isinstance(err.value.cause, NonFiniteInput)
+    assert "row 0" in str(err.value.cause)
+    assert len(err.value.records) == 3 * spec.batch_size
+    assert len(err.value.trace) == 3
+
+
+def test_inf_in_the_source_values_fails_engine_construction():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    src_x[7, 0] = np.inf
+    with pytest.raises(NonFiniteInput, match="row 7"):
+        Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s)

@@ -1,0 +1,54 @@
+"""Golden digests: refactors must leave the run and stream artifacts byte-identical.
+
+The sha256 digests below were recorded from the code before the whole-batch
+stream refactor. They pin floating-point results of this numpy/OpenBLAS
+build: another BLAS, numpy version or CPU kernel may round matrix products
+differently and change the digests without any change to owtt. Re-record
+them only for a change that is meant to alter results, and say so.
+"""
+import hashlib
+import json
+
+import pytest
+
+from owtt.cli import main
+from owtt.experiment import apply_axis_value, experiment_from_dict, run_experiment
+
+# Default world and run configuration, 8 batches.
+WORLD = {"n_batches": 8}
+
+RUN_DIGESTS = {
+    "full": {
+        "predictions.csv": "d2ff1104b05faa25c8d6e765ae8b184cda56d0d61fe89f5432cb7953a94f6608",
+        "trace.csv": "641b5d0adb18a8fa9a2c5bca3e68833a4c44d25210b40e907eb2ed702dbad923",
+        "summary.json": "7455e9c36b9e8f5b1d14b239baca62cdd17190d62b900e649c3ac33c122a4367",
+    },
+    "none": {
+        "predictions.csv": "512ac824fc729d707cfa9606fb899edef28f700f4a2983b18bbdbf855ae0dc90",
+        "trace.csv": "2dabbd8a98247d742cf3f1fb2fac11eda5ffc6e5b99c6b053befb5c1d7fb32a2",
+        "summary.json": "989198a2c2356b7205f9eeafa15aa84eb4561fb196c6f54546da6d203b46a4c7",
+    },
+}
+
+STREAM_DIGEST = "5851119b6d335534bc0fb0b1b87143f44f4a60579593d9f9dc083dca9c1b8bd4"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("ablation", sorted(RUN_DIGESTS))
+def test_run_artifacts_match_golden_digests(tmp_path, monkeypatch, ablation):
+    monkeypatch.delenv("OWTT_SEED", raising=False)
+    exp = experiment_from_dict({"world": WORLD, "output_dir": str(tmp_path)})
+    run_experiment(apply_axis_value(exp, "ablation", ablation))
+    digests = {name: sha256(tmp_path / name) for name in RUN_DIGESTS[ablation]}
+    assert digests == RUN_DIGESTS[ablation]
+
+
+def test_stream_file_matches_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OWTT_SEED", raising=False)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"world": WORLD, "output_dir": "out"}))
+    assert main(["stream", str(path), "--out", str(tmp_path / "stream.owtt")]) == 0
+    assert sha256(tmp_path / "stream.owtt") == STREAM_DIGEST

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import recount_metrics
+from oracles import cumulative_trace, recount_metrics
 from owtt.engine import PredictionRecord
 from owtt.errors import EmptyRecords, MissingPopulation
 from owtt.metrics import (
     REJECT,
+    RunningMetrics,
     compute_metrics,
-    cumulative_trace,
     harmonic_mean,
     score_histogram,
     score_separation,
@@ -117,9 +117,20 @@ def test_harmonic_mean_symmetric_and_bounded(acc_s, acc_n):
 
 
 def test_cumulative_trace_final_row_matches_whole_run():
+    # RunningMetrics fed one batch of label arrays at a time, as Engine.run
+    # feeds it, against a recount of each prefix.
     rng = np.random.default_rng(11)
     records = random_records(rng, 80, batches=6)
-    trace = cumulative_trace(records, K_S)
+    running = RunningMetrics(K_S)
+    trace = []
+    for t in sorted({r.timestamp for r in records}):
+        batch = [r for r in records if r.timestamp == t]
+        running.update(
+            np.array([r.predicted_label for r in batch]),
+            np.array([r.hidden_label for r in batch]),
+        )
+        trace.append((t, *running.snapshot()))
+    assert trace == cumulative_trace(records, K_S)
     report = compute_metrics(records, K_S)
     final = trace[-1]
     assert final[1:] == (report.acc_s, report.acc_n, report.acc_h)

@@ -15,7 +15,7 @@ from owtt.prototypes import (
     momentum_update_novel,
     save_pool,
 )
-from owtt.scoring import ScoreWindow, adaptive_threshold, batch_extended_scores
+from owtt.scoring import ScoreWindow, adaptive_threshold, batch_ood_scores
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -113,7 +113,7 @@ def test_added_prototypes_are_mutually_dissimilar():
     pool = PrototypePool(unit_rows(rng.normal(size=(3, 8))), novel_capacity=50)
     window = primed_window(rng.uniform(0, 0.2, size=16))
     batch = unit_rows(rng.normal(size=(40, 8)))
-    scores_before = batch_extended_scores(batch, pool)
+    scores_before = batch_ood_scores(batch, pool.all_matrix())
     window_preview = ScoreWindow(512).push(window.values()).push(scores_before)
     tau = adaptive_threshold(window_preview).tau
     start = pool.novel_count

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_threshold
+from oracles import brute_force_threshold, discrete_scores, fifo_window, split_objective
 from owtt.errors import EmptyPrototypeSet, EmptyWindow
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
+    DEFAULT_TOP_M,
     MIN_WINDOW_SCORES,
     ScoreWindow,
     adaptive_threshold,
-    batch_extended_scores,
+    batch_discrete_scores,
     batch_ood_scores,
-    discrete_mode_score,
-    extended_ood_score,
     ood_score,
 )
 
@@ -25,6 +24,20 @@ def make_pool(source, novel=(), capacity=100):
     for p in novel:
         pool.push_novel(np.asarray(p, dtype=float))
     return pool
+
+
+# Scores of one feature, as a one-row batch: against source plus novel
+# prototypes, in discrete mode, and against the source prototypes alone.
+def extended_score(feature, pool):
+    return batch_ood_scores(feature[None, :], pool.all_matrix())[0]
+
+
+def discrete_score(feature, pool, top_m=DEFAULT_TOP_M):
+    return batch_discrete_scores(feature[None, :], pool, top_m)[0]
+
+
+def plain_score(feature, pool):
+    return batch_ood_scores(feature[None, :], pool.source_matrix())[0]
 
 
 # --- plain and extended scores -------------------------------------------------
@@ -57,17 +70,17 @@ def test_extended_equals_plain_with_empty_novel_pool():
     for _ in range(20):
         v = rng.normal(size=2)
         v /= np.linalg.norm(v)
-        assert extended_ood_score(v, pool) == ood_score(v, pool.source_matrix())
+        assert extended_score(v, pool) == plain_score(v, pool)
 
 
 def test_extended_zero_on_novel_prototype():
     pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
-    assert extended_ood_score(np.array([0.0, 1.0]), pool) == pytest.approx(0.0)
+    assert extended_score(np.array([0.0, 1.0]), pool) == pytest.approx(0.0)
 
 
 def test_extended_hand_case():
     pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
-    assert extended_ood_score(np.array([SQ2, SQ2]), pool) == pytest.approx(1.0 - SQ2)
+    assert extended_score(np.array([SQ2, SQ2]), pool) == pytest.approx(1.0 - SQ2)
 
 
 def test_extended_never_exceeds_plain():
@@ -80,7 +93,7 @@ def test_extended_never_exceeds_plain():
     feats = rng.normal(size=(50, 6))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     plain = batch_ood_scores(feats, source)
-    extended = batch_extended_scores(feats, pool)
+    extended = batch_ood_scores(feats, pool.all_matrix())
     assert np.all(extended <= plain + 1e-12)
 
 
@@ -90,17 +103,17 @@ def test_extended_never_exceeds_plain():
 def test_discrete_falls_back_without_novel_prototypes():
     pool = make_pool([[1.0, 0.0], [0.0, 1.0]])
     v = np.array([SQ2, SQ2])
-    assert discrete_mode_score(v, pool) == ood_score(v, pool.source_matrix())
+    assert discrete_score(v, pool) == plain_score(v, pool)
 
 
 def test_discrete_zero_when_on_source_and_orthogonal_to_novel():
     pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
-    assert discrete_mode_score(np.array([1.0, 0.0]), pool) == pytest.approx(0.0)
+    assert discrete_score(np.array([1.0, 0.0]), pool) == pytest.approx(0.0)
 
 
 def test_discrete_one_when_on_novel_and_orthogonal_to_source():
     pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
-    assert discrete_mode_score(np.array([0.0, 1.0]), pool) == pytest.approx(1.0)
+    assert discrete_score(np.array([0.0, 1.0]), pool) == pytest.approx(1.0)
 
 
 def test_discrete_averages_available_novel_when_below_top_m():
@@ -109,7 +122,43 @@ def test_discrete_averages_available_novel_when_below_top_m():
     v = np.array([0.0, SQ2, SQ2])
     s_u = (SQ2 + SQ2) / 2.0
     expected = s_u * s_u / s_u  # s_s = 0
-    assert discrete_mode_score(v, pool) == pytest.approx(expected)
+    assert discrete_score(v, pool) == pytest.approx(expected)
+
+
+def unit(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_novel=st.integers(0, 20),
+    top_m=st.integers(1, 12),
+    batch=st.integers(1, 20),
+    dim=st.integers(2, 6),
+    orthogonal=st.booleans(),
+)
+def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, top_m, batch, dim, orthogonal):
+    # Covers an empty pool, fewer novel prototypes than top_m, more, and a
+    # full pool that has evicted its oldest rows (capacity 16).
+    rng = np.random.default_rng(seed)
+    source = unit(rng, 3, dim)
+    novel = unit(rng, n_novel, dim)
+    features = unit(rng, batch, dim)
+    if orthogonal:
+        # The first feature has no affinity to either pool: the total < 1e-12 branch.
+        source[:, 0], novel[:, 0] = 0.0, 0.0
+        source = np.abs(source) / np.linalg.norm(source, axis=1, keepdims=True)
+        novel = np.abs(novel) / np.linalg.norm(novel, axis=1, keepdims=True)
+        features[0] = np.eye(dim)[0]
+    pool = make_pool(source, novel=list(novel), capacity=16)
+    expected = discrete_scores(
+        features @ pool.source_matrix().T, features @ pool.novel_matrix().T, top_m
+    )
+    assert np.array_equal(batch_discrete_scores(features, pool, top_m), expected)
+    if orthogonal and n_novel:
+        assert expected[0] == 0.5
 
 
 # --- score window ---------------------------------------------------------------
@@ -132,6 +181,29 @@ def test_window_clamps_scores():
     window = ScoreWindow(4)
     window.push([1.3, -0.2])
     np.testing.assert_allclose(window.values(), [1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    pushes=st.lists(
+        st.lists(st.floats(-2.0, 3.0, allow_nan=False), max_size=20), max_size=8
+    ),
+)
+def test_window_matches_list_fifo_oracle(capacity, pushes):
+    window = ScoreWindow(capacity)
+    for push in pushes:
+        window.push(push)
+        assert window.count <= capacity
+    expected = fifo_window(pushes, capacity)
+    assert window.count == len(expected)
+    assert window.values().tolist() == expected
+
+
+def test_window_values_is_a_copy():
+    window = ScoreWindow(4).push([0.2, 0.4])
+    window.values()[0] = 0.9
+    assert window.values().tolist() == [0.2, 0.4]
 
 
 # --- adaptive threshold ----------------------------------------------------------
@@ -232,8 +304,6 @@ def test_threshold_invariant_under_permutation(scores, seed):
 
 
 def test_estimate_objective_agrees_with_direct_formula():
-    from owtt.scoring import split_objective
-
     rng = np.random.default_rng(41)
     for _ in range(50):
         scores = rng.uniform(0, 1, size=int(rng.integers(8, 64)))
