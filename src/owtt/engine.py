@@ -26,7 +26,7 @@ from .metrics import (
 from .objective import (
     GaussianStats,
     LossBundle,
-    clustering_loss,
+    clustering_loss,  # unused here; kept so that a patch of engine.clustering_loss resolves
     clustering_loss_gradient,
     fit_gaussian,
     kl_divergence,
@@ -90,14 +90,14 @@ class RunConfig:
             )
         if self.fixed_threshold is not None and self.threshold_clamp is not None:
             raise ConfigError("fixed_threshold and threshold_clamp are mutually exclusive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise ConfigError("momentum_coeff must lie in [0, 1)")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be non-negative")
+        if not 0.0 < self.temperature < math.inf:
+            raise ConfigError("temperature must be positive and finite")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be non-negative and finite")
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ConfigError("keep_ratio must lie in (0, 1]")
         if not 0.0 < self.beta <= 1.0:
@@ -265,10 +265,7 @@ class Engine:
             pseudo_labels = np.argmax(
                 features[selected] @ self.pool.all_matrix().T, axis=1
             )
-            clustering_value = clustering_loss(
-                features[selected], pseudo_labels, self.pool, cfg.temperature
-            )
-            gradient += clustering_loss_gradient(
+            clustering_value, clustering_grad = clustering_loss_gradient(
                 features[selected],
                 pseudo_labels,
                 self.pool,
@@ -276,6 +273,7 @@ class Engine:
                 self.adapter,
                 batch_values[selected],
             )
+            gradient += clustering_grad
 
         if cfg.enable_alignment:
             weak_mask = predicted != REJECT
@@ -283,17 +281,17 @@ class Engine:
             if weak_features.shape[0] > 0:
                 self.target_stats = update_target_stats(self.target_stats, weak_features)
                 self._target_samples += weak_features.shape[0]
-            if self.target_stats.initialized:
+            if weak_features.shape[0] and self._target_samples >= 2 * cfg.feature_dim:
+                alignment_value, alignment_grad = kl_gradient(
+                    self.source_stats,
+                    self.target_stats,
+                    weak_features,
+                    self.adapter,
+                    batch_values[weak_mask],
+                )
+                gradient += cfg.lam * alignment_grad
+            elif self.target_stats.initialized:
                 alignment_value = kl_divergence(self.source_stats, self.target_stats)
-                warmed_up = self._target_samples >= 2 * cfg.feature_dim
-                if weak_features.shape[0] > 0 and warmed_up:
-                    gradient += cfg.lam * kl_gradient(
-                        self.source_stats,
-                        self.target_stats,
-                        weak_features,
-                        self.adapter,
-                        batch_values[weak_mask],
-                    )
 
         if cfg.enable_clustering or cfg.enable_alignment:
             self.adapter = sgd_momentum_step(self.adapter, gradient)

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,20 +59,33 @@ class ExperimentConfig:
     stream_file: Optional[Path] = None
 
 
+def _checked_value(hint, value, name: str):
+    """One section value, checked against its field's type annotation."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in args if arg is not type(None))
+    if typing.get_origin(hint) is tuple:  # threshold_clamp
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a [lo, hi] pair of numbers, got {value!r}")
+        return tuple(float(_checked_value(float, v, name)) for v in value)
+    kinds = (int, float) if hint is float else hint
+    if not isinstance(value, kinds) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
+    return value
+
+
 def _build_section(cls, data: dict, section: str):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
-    if "threshold_clamp" in data and data["threshold_clamp"] is not None:
-        clamp = data["threshold_clamp"]
-        if not (isinstance(clamp, (list, tuple)) and len(clamp) == 2):
-            raise ConfigError("threshold_clamp must be a [lo, hi] pair")
-        data = dict(data, threshold_clamp=(float(clamp[0]), float(clamp[1])))
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        key: _checked_value(hints[key], value, f"{section}.{key}")
+        for key, value in data.items()
+    })
 
 
 def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:

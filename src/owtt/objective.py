@@ -7,7 +7,8 @@ receives gradients, propagated through the unit-normalization Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,9 +21,14 @@ from .prototypes import PrototypePool
 COV_EPS = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianStats:
-    """Streaming mean/covariance of one feature distribution."""
+    """Streaming mean/covariance of one feature distribution.
+
+    The regularized covariance (plus COV_EPS on the diagonal), its
+    log-determinant and its inverse are computed on first use and cached, so
+    the arrays must not be modified in place once any of them has been read.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -40,6 +46,23 @@ class GaussianStats:
             initialized=False,
             momentum=momentum,
         )
+
+    @cached_property
+    def regularized(self) -> np.ndarray:
+        return self.covariance + COV_EPS * np.eye(self.mean.shape[0])
+
+    @cached_property
+    def logdet(self) -> float:
+        try:
+            chol = np.linalg.cholesky(self.regularized)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure("covariance not positive-definite") from exc
+        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        self.logdet  # raises unless positive-definite
+        return np.linalg.inv(self.regularized)
 
 
 @dataclass
@@ -104,31 +127,19 @@ def update_target_stats(stats: GaussianStats, batch_features: np.ndarray) -> Gau
     )
 
 
-def _chol_logdet(matrix: np.ndarray, name: str) -> float:
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"{name} covariance not positive-definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def kl_divergence(source: GaussianStats, target: GaussianStats, eps: float = COV_EPS) -> float:
+def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     """Closed-form KL divergence from the source Gaussian to the target Gaussian.
 
-    Both covariances are regularized with eps on the diagonal before any
+    Both covariances are regularized with COV_EPS on the diagonal before any
     inversion or determinant. Small negative results (round-off) clamp to 0.
     """
     if not (source.initialized and target.initialized):
         raise ValueError("both Gaussian estimates must be initialized")
-    dim = source.mean.shape[0]
-    reg_s = source.covariance + eps * np.eye(dim)
-    reg_t = target.covariance + eps * np.eye(dim)
-    logdet_s = _chol_logdet(reg_s, "source")
-    logdet_t = _chol_logdet(reg_t, "target")
-    trace_term = float(np.trace(np.linalg.solve(reg_t, reg_s)))
+    t_inv = target.inverse
     delta = source.mean - target.mean
-    mahal = float(delta @ np.linalg.solve(reg_t, delta))
-    kl = 0.5 * (trace_term + mahal - dim + logdet_t - logdet_s)
+    trace_term = float(np.sum(t_inv * source.regularized.T))
+    mahal = float(delta @ t_inv @ delta)
+    kl = 0.5 * (trace_term + mahal - delta.shape[0] + target.logdet - source.logdet)
     if kl < 0.0:
         if kl < -1e-8:
             raise NumericalFailure(f"KL divergence {kl:.3e} below round-off tolerance")
@@ -156,36 +167,31 @@ def kl_gradient(
     batch_features: np.ndarray,
     adapter: AdapterState,
     raw_inputs: np.ndarray,
-    eps: float = COV_EPS,
-) -> np.ndarray:
-    """Gradient of the KL loss with respect to the adapter weight.
+) -> Tuple[float, np.ndarray]:
+    """KL divergence and its gradient with respect to the adapter weight.
 
     Differentiates only through the current batch's contribution to the
     target mean/covariance (target must already include this batch); the
     EMA history and the source statistics are constants.
     """
-    if not (source.initialized and target.initialized):
-        raise ValueError("both Gaussian estimates must be initialized")
+    kl = kl_divergence(source, target)
     batch_features = np.asarray(batch_features, dtype=float)
     n = batch_features.shape[0]
     if n == 0 or target.last_blend == 0.0:
-        return np.zeros_like(adapter.weight)
+        return kl, np.zeros_like(adapter.weight)
 
-    dim = source.mean.shape[0]
-    reg_s = source.covariance + eps * np.eye(dim)
-    reg_t = target.covariance + eps * np.eye(dim)
-    _chol_logdet(reg_t, "target")  # positive-definiteness check
-    t_inv = np.linalg.inv(reg_t)
+    t_inv = target.inverse
     delta = source.mean - target.mean
     grad_mean = t_inv @ (target.mean - source.mean)
-    grad_cov = 0.5 * (t_inv - t_inv @ reg_s @ t_inv - t_inv @ np.outer(delta, delta) @ t_inv)
-
+    grad_cov = 0.5 * (
+        t_inv - t_inv @ source.regularized @ t_inv - t_inv @ np.outer(delta, delta) @ t_inv
+    )
     centered = batch_features - batch_features.mean(axis=0)
     grad_features = np.tile(grad_mean / n, (n, 1))
     if n > 1:
         grad_features = grad_features + (2.0 / (n - 1)) * centered @ grad_cov
     grad_features *= target.last_blend
-    return _chain_to_weight(grad_features, batch_features, adapter, raw_inputs)
+    return kl, _chain_to_weight(grad_features, batch_features, adapter, raw_inputs)
 
 
 def _logsumexp(rows: np.ndarray) -> np.ndarray:
@@ -208,6 +214,40 @@ def _split_labels(pseudo_labels: Sequence[int], pool: PrototypePool):
     return labels, source_mask
 
 
+def _clustering_terms(features, pseudo_labels, pool: PrototypePool, temperature: float):
+    """Clustering loss and its per-feature gradient from one set of logits."""
+    n = features.shape[0]
+    grad_features = np.zeros_like(features)
+    if n == 0:
+        return 0.0, grad_features
+    labels, source_mask = _split_labels(pseudo_labels, pool)
+    protos = pool.source_matrix()
+    total = 0.0
+
+    if np.any(source_mask):
+        rows = features[source_mask] @ protos.T / temperature
+        lse = _logsumexp(rows)
+        picked = (np.arange(rows.shape[0]), labels[source_mask])
+        total += float(np.sum(lse - rows[picked]))
+        soft = np.exp(rows - lse[:, None])
+        soft[picked] -= 1.0
+        grad_features[source_mask] = soft @ protos / temperature
+    if np.any(~source_mask):
+        sel = ~source_mask
+        novel = pool.novel_matrix()[labels[sel] - pool.num_source]
+        rows = features[sel] @ protos.T / temperature
+        novel_logit = np.sum(features[sel] * novel, axis=1) / temperature
+        rows = np.hstack([rows, novel_logit[:, None]])
+        lse = _logsumexp(rows)
+        total += float(np.sum(lse - novel_logit))
+        soft = np.exp(rows - lse[:, None])
+        soft[:, -1] -= 1.0
+        grad_features[sel] = (soft[:, :-1] @ protos + soft[:, -1:] * novel) / temperature
+
+    grad_features /= n
+    return total / n, grad_features
+
+
 def clustering_loss(
     features: np.ndarray,
     pseudo_labels: Sequence[int],
@@ -222,24 +262,7 @@ def clustering_loss(
     prototype, with the novel logit in the numerator.
     """
     features = np.asarray(features, dtype=float)
-    if features.shape[0] == 0:
-        return 0.0
-    labels, source_mask = _split_labels(pseudo_labels, pool)
-    protos = pool.source_matrix()
-    logits_src = features @ protos.T / temperature
-
-    total = 0.0
-    if np.any(source_mask):
-        rows = logits_src[source_mask]
-        targets = labels[source_mask]
-        total += float(np.sum(_logsumexp(rows) - rows[np.arange(rows.shape[0]), targets]))
-    if np.any(~source_mask):
-        rows = logits_src[~source_mask]
-        novel = pool.novel_matrix()[labels[~source_mask] - pool.num_source]
-        novel_logit = np.sum(features[~source_mask] * novel, axis=1) / temperature
-        rows = np.hstack([rows, novel_logit[:, None]])
-        total += float(np.sum(_logsumexp(rows) - novel_logit))
-    return total / features.shape[0]
+    return _clustering_terms(features, pseudo_labels, pool, temperature)[0]
 
 
 def clustering_loss_gradient(
@@ -249,34 +272,12 @@ def clustering_loss_gradient(
     temperature: float,
     adapter: AdapterState,
     raw_inputs: np.ndarray,
-) -> np.ndarray:
-    """Exact gradient of clustering_loss with respect to the adapter weight.
+) -> Tuple[float, np.ndarray]:
+    """clustering_loss and its exact gradient with respect to the adapter weight.
 
     `features` must be the embeddings of `raw_inputs` under `adapter`;
     prototypes are treated as constants.
     """
     features = np.asarray(features, dtype=float)
-    if features.shape[0] == 0:
-        return np.zeros_like(adapter.weight)
-    labels, source_mask = _split_labels(pseudo_labels, pool)
-    protos = pool.source_matrix()
-    n = features.shape[0]
-    grad_features = np.zeros_like(features)
-
-    if np.any(source_mask):
-        rows = features[source_mask] @ protos.T / temperature
-        soft = np.exp(rows - _logsumexp(rows)[:, None])
-        soft[np.arange(soft.shape[0]), labels[source_mask]] -= 1.0
-        grad_features[source_mask] = soft @ protos / temperature
-    if np.any(~source_mask):
-        sel = ~source_mask
-        novel = pool.novel_matrix()[labels[sel] - pool.num_source]
-        rows = features[sel] @ protos.T / temperature
-        novel_logit = np.sum(features[sel] * novel, axis=1) / temperature
-        rows = np.hstack([rows, novel_logit[:, None]])
-        soft = np.exp(rows - _logsumexp(rows)[:, None])
-        soft[:, -1] -= 1.0
-        grad_features[sel] = (soft[:, :-1] @ protos + soft[:, -1:] * novel) / temperature
-
-    grad_features /= n
-    return _chain_to_weight(grad_features, features, adapter, raw_inputs)
+    loss, grad_features = _clustering_terms(features, pseudo_labels, pool, temperature)
+    return loss, _chain_to_weight(grad_features, features, adapter, raw_inputs)

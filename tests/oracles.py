@@ -273,3 +273,117 @@ def fifo_window(pushes, capacity):
             if len(kept) > capacity:
                 kept.pop(0)
     return kept
+
+
+# --- unfused objectives ----------------------------------------------------------
+#
+# The clustering and KL objectives as they were before the loss and its
+# gradient shared one pass: each value and each gradient is computed on its
+# own, with the same array operations in the same order as the package uses
+# for the gradients, so that the package's gradients must equal these
+# exactly and its losses agree to round-off.
+
+COV_EPS = 1e-4
+
+
+def _logsumexp_rows(rows):
+    peak = rows.max(axis=1, keepdims=True)
+    return (peak + np.log(np.sum(np.exp(rows - peak), axis=1, keepdims=True)))[:, 0]
+
+
+def _chain_to_weight(grad_features, features, weight, raw):
+    """Per-feature gradients through unit normalization to the weight."""
+    norms = np.linalg.norm(raw @ weight.T, axis=1)
+    radial = np.sum(features * grad_features, axis=1, keepdims=True)
+    return ((grad_features - features * radial) / norms[:, None]).T @ raw
+
+
+def unfused_clustering_loss(features, labels, source, novel, temperature):
+    """Mean softmax NLL from one whole-batch product with the source rows.
+
+    Labels below len(source) pick a source row from a softmax over the
+    source rows; a label k_s + j picks novel row j from a softmax over the
+    source rows plus that one row.
+    """
+    n = features.shape[0]
+    if n == 0:
+        return 0.0
+    labels = np.asarray(labels, dtype=int)
+    k_s = source.shape[0]
+    logits = features @ source.T / temperature
+    total = 0.0
+    src = labels < k_s
+    if np.any(src):
+        rows = logits[src]
+        total += float(np.sum(_logsumexp_rows(rows) - rows[np.arange(rows.shape[0]), labels[src]]))
+    if np.any(~src):
+        own = np.sum(features[~src] * novel[labels[~src] - k_s], axis=1) / temperature
+        rows = np.hstack([logits[~src], own[:, None]])
+        total += float(np.sum(_logsumexp_rows(rows) - own))
+    return total / n
+
+
+def unfused_clustering_gradient(features, labels, source, novel, temperature, weight, raw):
+    """Gradient of unfused_clustering_loss with respect to the adapter weight,
+    each label subset taking its own product with the source rows."""
+    n = features.shape[0]
+    if n == 0:
+        return np.zeros_like(weight)
+    labels = np.asarray(labels, dtype=int)
+    k_s = source.shape[0]
+    grad = np.zeros_like(features)
+    src = labels < k_s
+    if np.any(src):
+        rows = features[src] @ source.T / temperature
+        soft = np.exp(rows - _logsumexp_rows(rows)[:, None])
+        soft[np.arange(soft.shape[0]), labels[src]] -= 1.0
+        grad[src] = soft @ source / temperature
+    if np.any(~src):
+        own_rows = novel[labels[~src] - k_s]
+        rows = features[~src] @ source.T / temperature
+        own = np.sum(features[~src] * own_rows, axis=1) / temperature
+        rows = np.hstack([rows, own[:, None]])
+        soft = np.exp(rows - _logsumexp_rows(rows)[:, None])
+        soft[:, -1] -= 1.0
+        grad[~src] = (soft[:, :-1] @ source + soft[:, -1:] * own_rows) / temperature
+    grad /= n
+    return _chain_to_weight(grad, features, weight, raw)
+
+
+def unfused_kl_divergence(source, target):
+    """KL(source || target) of two Gaussians given as objects with mean and
+    covariance, each covariance plus COV_EPS on the diagonal; two Cholesky
+    factorizations for the log-determinants, two solves for the trace and
+    Mahalanobis terms, and small negative results clamped to 0. Raises
+    numpy's LinAlgError for a covariance that is not positive-definite."""
+    dim = source.mean.shape[0]
+    reg_s = source.covariance + COV_EPS * np.eye(dim)
+    reg_t = target.covariance + COV_EPS * np.eye(dim)
+    logdet_s = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(reg_s)))))
+    logdet_t = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(reg_t)))))
+    trace_term = float(np.trace(np.linalg.solve(reg_t, reg_s)))
+    delta = source.mean - target.mean
+    mahal = float(delta @ np.linalg.solve(reg_t, delta))
+    return max(0.5 * (trace_term + mahal - dim + logdet_t - logdet_s), 0.0)
+
+
+def unfused_kl_gradient(source, target, batch, weight, raw):
+    """Gradient of unfused_kl_divergence with respect to the adapter weight,
+    through the batch's share target.last_blend of the target mean and
+    covariance only."""
+    n = batch.shape[0]
+    if n == 0 or target.last_blend == 0.0:
+        return np.zeros_like(weight)
+    dim = source.mean.shape[0]
+    reg_s = source.covariance + COV_EPS * np.eye(dim)
+    reg_t = target.covariance + COV_EPS * np.eye(dim)
+    np.linalg.cholesky(reg_t)  # raises unless positive-definite
+    t_inv = np.linalg.inv(reg_t)
+    delta = source.mean - target.mean
+    grad_mean = t_inv @ (target.mean - source.mean)
+    grad_cov = 0.5 * (t_inv - t_inv @ reg_s @ t_inv - t_inv @ np.outer(delta, delta) @ t_inv)
+    grad = np.tile(grad_mean / n, (n, 1))
+    if n > 1:
+        grad = grad + (2.0 / (n - 1)) * (batch - batch.mean(axis=0)) @ grad_cov
+    grad *= target.last_blend
+    return _chain_to_weight(grad, batch, weight, raw)

@@ -90,7 +90,7 @@ def test_criterion_01_gradient_fidelity():
         labels = rng.integers(0, k_s + n_novel, size=batch)
 
         features = embed_batch(raw, adapter)
-        analytic = clustering_loss_gradient(features, labels, pool, 0.1, adapter, raw)
+        _, analytic = clustering_loss_gradient(features, labels, pool, 0.1, adapter, raw)
 
         def pc_loss(w, labels=labels, pool=pool, raw=raw):
             probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)
@@ -111,7 +111,7 @@ def test_criterion_01_gradient_fidelity():
                 warm / np.linalg.norm(warm, axis=1, keepdims=True),
             )
         target = update_target_stats(prior, features)
-        analytic_kl = kl_gradient(source_stats, target, features, adapter, raw)
+        _, analytic_kl = kl_gradient(source_stats, target, features, adapter, raw)
 
         def kl_loss(w, prior=prior, raw=raw):
             probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owtt.adapter import embed_batch
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
@@ -56,6 +58,13 @@ def test_bad_ranges_rejected():
         RunConfig(learning_rate=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(threshold_clamp=(0.9, 0.1)).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["learning_rate", "lam", "temperature"])
+def test_non_finite_hyper_parameters_rejected(name, value):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**{name: value}).validate()
 
 
 # --- crafted two-prototype world: direct threshold semantics ----------------------
@@ -305,3 +314,116 @@ def test_inf_in_the_source_values_fails_engine_construction():
     src_x[7, 0] = np.inf
     with pytest.raises(NonFiniteInput, match="row 7"):
         Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+
+
+# --- edge cases ---------------------------------------------------------------------
+
+
+def engine_state_is_finite(engine):
+    pool = engine.pool.all_matrix()
+    target = engine.target_stats
+    return (
+        np.all(np.isfinite(engine.adapter.weight))
+        and np.all(np.isfinite(engine.adapter.momentum_buffer))
+        and np.all(np.isfinite(pool))
+        and np.all(np.isfinite(target.mean))
+        and np.all(np.isfinite(target.covariance))
+    )
+
+
+def test_single_sample_batches_run_alignment_with_n_equal_one():
+    spec = small_world(n_batches=10, batch_size=8)
+    src_x, src_y = generate_source(spec)
+    singles = [
+        Batch(b.values[i:i + 1], b.hidden[i:i + 1])
+        for b in generate_stream(spec)
+        for i in range(len(b))
+    ]
+    cfg = RunConfig(seed=0, batch_size=1)
+    engine = Engine(cfg, src_x, src_y, spec.k_s)
+    result = engine.run(singles)
+    assert len(result.records) == len(singles)
+    # Past the warm-up the alignment gradient ran on one-sample batches.
+    assert engine._target_samples >= 2 * cfg.feature_dim
+    assert engine.target_stats.last_blend == cfg.beta
+    assert all(np.isfinite(b.total) for b in result.losses)
+    assert engine_state_is_finite(engine)
+
+
+def test_all_reject_stream_leaves_alignment_without_a_gradient():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    engine = Engine(
+        RunConfig(seed=0, batch_size=spec.batch_size, fixed_threshold=0.0),
+        src_x, src_y, spec.k_s,
+    )
+    result = engine.run(generate_stream(spec))
+    assert all(r.predicted_label == REJECT for r in result.records)
+    assert not engine.target_stats.initialized
+    assert all(b.alignment_loss == 0.0 for b in result.losses)
+    assert engine_state_is_finite(engine)
+
+
+def test_all_accept_stream_absorbs_every_sample_into_the_target():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    cfg = RunConfig(seed=0, batch_size=spec.batch_size,
+                    enable_ood_detection=False, enable_expansion=False)
+    engine = Engine(cfg, src_x, src_y, spec.k_s)
+    result = engine.run(generate_stream(spec))
+    assert all(r.predicted_label != REJECT for r in result.records)
+    assert all(t.tau == NO_REJECT_TAU for t in result.trace)
+    assert engine._target_samples == spec.n_batches * spec.batch_size
+    assert all(b.alignment_loss > 0.0 for b in result.losses)
+    assert engine_state_is_finite(engine)
+
+
+@pytest.mark.parametrize("adapt", [False, True])
+def test_all_equal_score_window_gives_the_degenerate_threshold(adapt):
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    row = generate_stream(spec)[0].values[0]
+    same = [
+        Batch(np.tile(row, (spec.batch_size, 1)), np.zeros(spec.batch_size, dtype=int))
+        for _ in range(spec.n_batches)
+    ]
+    cfg_kw = {} if adapt else BASELINE
+    engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size, **cfg_kw),
+                    src_x, src_y, spec.k_s)
+    result = engine.run(same)
+    assert result.trace[0].tau == 1.0
+    if not adapt:
+        # The adapter never moves, so every window holds one repeated score.
+        assert len({r.ood_score for r in result.records}) == 1
+        assert all(t.tau == 1.0 for t in result.trace)
+    assert engine_state_is_finite(engine)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    batch_size=st.integers(1, 24),
+    n_batches=st.integers(1, 6),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.floats(-5.0, 5.0),
+    discrete_mode=st.booleans(),
+    novel_momentum=st.sampled_from([None, 0.1]),
+)
+def test_finite_stream_leaves_finite_engine_state(
+    seed, batch_size, n_batches, scale, offset, discrete_mode, novel_momentum
+):
+    spec = WorldSpec(n_source=200, seed=seed)
+    src_x, src_y = generate_source(spec)
+    rng = np.random.default_rng(seed)
+    stream = [
+        Batch(rng.normal(size=(batch_size, spec.d_in)) * scale + offset,
+              rng.integers(0, spec.k_s + spec.k_t, size=batch_size))
+        for _ in range(n_batches)
+    ]
+    cfg = RunConfig(seed=seed, batch_size=batch_size, discrete_mode=discrete_mode,
+                    novel_momentum=novel_momentum)
+    engine = Engine(cfg, src_x, src_y, spec.k_s)
+    result = engine.run(stream)
+    assert len(result.records) == batch_size * n_batches
+    assert all(np.isfinite(b.total) for b in result.losses)
+    assert engine_state_is_finite(engine)

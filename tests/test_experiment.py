@@ -78,6 +78,51 @@ def test_threshold_clamp_parsed_from_list(tmp_path):
     assert exp.run.threshold_clamp == (0.4, 1.0)
 
 
+def run_value_error(tmp_path, key, value):
+    data = experiment_dict(tmp_path)
+    data["run"][key] = value
+    with pytest.raises(ConfigError, match=f"run.{key}") as err:
+        experiment_from_dict(data)
+    return str(err.value)
+
+
+def test_threshold_clamp_with_a_string_rejected(tmp_path):
+    run_value_error(tmp_path, "threshold_clamp", ["a", 1])
+
+
+def test_threshold_clamp_with_a_null_bound_rejected(tmp_path):
+    run_value_error(tmp_path, "threshold_clamp", [0.2, None])
+
+
+def test_integer_field_given_a_string_rejected(tmp_path):
+    assert "int" in run_value_error(tmp_path, "feature_dim", "16")
+
+
+def test_integer_field_given_a_fraction_rejected(tmp_path):
+    assert "int" in run_value_error(tmp_path, "novel_capacity", 2.5)
+
+
+def test_integer_field_given_a_bool_rejected(tmp_path):
+    assert "int" in run_value_error(tmp_path, "window_length", True)
+
+
+def test_float_field_given_a_string_rejected(tmp_path):
+    assert "float" in run_value_error(tmp_path, "lam", "0.2")
+
+
+def test_world_integer_field_given_a_string_rejected(tmp_path):
+    data = experiment_dict(tmp_path)
+    data["world"]["d_in"] = "32"
+    with pytest.raises(ConfigError, match="world.d_in"):
+        experiment_from_dict(data)
+
+
+def test_integer_valued_float_field_kept_as_given(tmp_path):
+    data = experiment_dict(tmp_path)
+    data["run"]["beta"] = 1
+    assert experiment_from_dict(data).run.beta == 1
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("OWTT_SEED", "77")
     exp = experiment_from_dict(experiment_dict(tmp_path))

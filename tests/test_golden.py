@@ -30,6 +30,32 @@ RUN_DIGESTS = {
     },
 }
 
+# Wider adapters and the pool-reading paths, recorded before the objective
+# layer fused each loss with its gradient: the benchmark's `wide-saturated`
+# world and config at 4 batches, and its `pool-readers` config (discrete
+# scores, novel-prototype momentum) on the default world at 8 batches.
+CONFIG_DIGESTS = {
+    "wide-saturated": (
+        {"d_in": 128, "signal_dims": 64, "k_s": 10, "k_t": 10, "batch_size": 512,
+         "n_batches": 4},
+        {"feature_dim": 64, "batch_size": 512},
+        {
+            "predictions.csv": "e6dcca37681c90be4f00ca2222da0ee56c251eaefa12e1f249c1e346083ed5a6",
+            "trace.csv": "7f51d284f9f528d93a57f7d2051194b738ad9685a232812389eddadb591afe6f",
+            "summary.json": "c39f538984aace49236fb13aaeb337d140e9abf2f9e48dc3ffc7a7940cc3b57c",
+        },
+    ),
+    "pool-readers": (
+        WORLD,
+        {"discrete_mode": True, "novel_momentum": 0.1},
+        {
+            "predictions.csv": "de18e4e9f65f12905c328119650977ed0ab8ebb708812a408717837b0fff61b2",
+            "trace.csv": "b565d13c04e717ff0cc4c18e8907a349b48a7143db21029325dec8d7807dbcf3",
+            "summary.json": "da867c981cc5ae89c4e0c01d2b59cd3cdae69c0a9b0fbb67029885fa7963e968",
+        },
+    ),
+}
+
 STREAM_DIGEST = "5851119b6d335534bc0fb0b1b87143f44f4a60579593d9f9dc083dca9c1b8bd4"
 
 
@@ -44,6 +70,14 @@ def test_run_artifacts_match_golden_digests(tmp_path, monkeypatch, ablation):
     run_experiment(apply_axis_value(exp, "ablation", ablation))
     digests = {name: sha256(tmp_path / name) for name in RUN_DIGESTS[ablation]}
     assert digests == RUN_DIGESTS[ablation]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_DIGESTS))
+def test_config_artifacts_match_golden_digests(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("OWTT_SEED", raising=False)
+    world, run, expected = CONFIG_DIGESTS[name]
+    run_experiment(experiment_from_dict({"world": world, "run": run, "output_dir": str(tmp_path)}))
+    assert {f: sha256(tmp_path / f) for f in expected} == expected
 
 
 def test_stream_file_matches_golden_digest(tmp_path, monkeypatch, capsys):

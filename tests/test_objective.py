@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import finite_difference_gradient, relative_error
+from oracles import (
+    finite_difference_gradient,
+    relative_error,
+    unfused_clustering_gradient,
+    unfused_clustering_loss,
+    unfused_kl_divergence,
+    unfused_kl_gradient,
+)
 from owtt.adapter import AdapterState, embed_batch
 from owtt.errors import NumericalFailure, UnknownLabel
 from owtt.objective import (
@@ -102,14 +111,14 @@ def test_gradient_vanishes_at_exact_minimum():
     raw = np.array([[2.0, 0.0]])
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
     feats = embed_batch(raw, adapter)
-    grad = clustering_loss_gradient(feats, [0], pool, DELTA, adapter, raw)
+    _, grad = clustering_loss_gradient(feats, [0], pool, DELTA, adapter, raw)
     assert np.linalg.norm(grad) < 1e-8
 
 
 def test_gradient_empty_batch_is_zero_matrix():
     adapter = make_adapter(np.eye(2))
     pool = PrototypePool(np.eye(2), novel_capacity=4)
-    grad = clustering_loss_gradient(
+    _, grad = clustering_loss_gradient(
         np.empty((0, 2)), [], pool, DELTA, adapter, np.empty((0, 2))
     )
     np.testing.assert_array_equal(grad, np.zeros((2, 2)))
@@ -118,7 +127,7 @@ def test_gradient_empty_batch_is_zero_matrix():
 def test_gradient_matches_finite_differences():
     adapter, raw, pool, labels = random_instance(seed=0)
     feats = embed_batch(raw, adapter)
-    analytic = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
+    _, analytic = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
 
     def loss_of(weight):
         probe = make_adapter(weight)
@@ -238,7 +247,7 @@ def test_kl_gradient_matches_finite_differences_fresh_stats():
 
     feats = embed_batch(raw, adapter)
     target = update_target_stats(prev, feats)
-    analytic = kl_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
         lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
     )
@@ -257,7 +266,7 @@ def test_kl_gradient_matches_finite_differences_running_stats():
     feats = embed_batch(raw, adapter)
     target = update_target_stats(prev, feats)
     assert target.last_blend == 0.05
-    analytic = kl_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
         lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
     )
@@ -277,7 +286,7 @@ def test_kl_gradient_zero_when_target_equals_source():
         momentum=0.05,
         last_blend=0.05,
     )
-    grad = kl_gradient(source, target, feats, adapter, raw)
+    _, grad = kl_gradient(source, target, feats, adapter, raw)
     assert np.linalg.norm(grad) < 1e-6
 
 
@@ -285,7 +294,7 @@ def test_kl_gradient_empty_batch_is_zero():
     rng = np.random.default_rng(7)
     adapter = make_adapter(rng.normal(size=(3, 5)))
     source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))), momentum=0.05)
-    grad = kl_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
+    _, grad = kl_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -303,8 +312,123 @@ def test_total_gradient_additivity():
     rng = np.random.default_rng(9)
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.05)
     target = update_target_stats(GaussianStats.empty(4, momentum=0.05), feats)
-    g_pc = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
-    g_kl = kl_gradient(source, target, feats, adapter, raw)
+    _, g_pc = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
+    _, g_kl = kl_gradient(source, target, feats, adapter, raw)
     lam = 0.7
     np.testing.assert_allclose(g_pc + lam * g_kl, g_pc + lam * g_kl)
     np.testing.assert_array_equal(g_pc + 0.0 * g_kl, g_pc)
+
+
+# --- fused loss and gradient against the unfused oracles -------------------------------
+
+
+def agrees_within_1e12(value, reference):
+    return abs(value - reference) <= 1e-12 * max(abs(reference), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    k_s=st.integers(1, 4),
+    n_novel=st.integers(0, 3),
+    mode=st.sampled_from(["source", "novel", "mixed"]),
+    temperature=st.sampled_from([0.05, 0.1, 1.0]),
+)
+@example(seed=0, n=0, k_s=2, n_novel=1, mode="mixed", temperature=0.1)
+@example(seed=0, n=1, k_s=2, n_novel=1, mode="source", temperature=0.1)
+@example(seed=0, n=1, k_s=2, n_novel=1, mode="novel", temperature=0.1)
+def test_fused_clustering_matches_unfused_oracle(seed, n, k_s, n_novel, mode, temperature):
+    if mode != "source" and n_novel == 0:
+        n_novel = 1
+    adapter, raw, pool, _ = random_instance(seed, k_s=k_s, n=n, n_novel=n_novel)
+    rng = np.random.default_rng(seed)
+    low, high = {"source": (0, k_s), "novel": (k_s, k_s + n_novel),
+                 "mixed": (0, k_s + n_novel)}[mode]
+    labels = rng.integers(low, high, size=n)
+    feats = embed_batch(raw, adapter)
+    source, novel = pool.source_matrix(), pool.novel_matrix()
+
+    loss, grad = clustering_loss_gradient(feats, labels, pool, temperature, adapter, raw)
+    expected_loss = unfused_clustering_loss(feats, labels, source, novel, temperature)
+    expected_grad = unfused_clustering_gradient(
+        feats, labels, source, novel, temperature, adapter.weight, raw
+    )
+    assert np.array_equal(grad, expected_grad)
+    assert agrees_within_1e12(loss, expected_loss)
+    assert clustering_loss(feats, labels, pool, temperature) == loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    dim=st.integers(1, 6),
+    history=st.sampled_from(["fresh", "running", "no_blend"]),
+)
+@example(seed=0, n=0, dim=3, history="running")
+@example(seed=0, n=1, dim=3, history="fresh")
+@example(seed=0, n=1, dim=3, history="running")
+@example(seed=0, n=5, dim=3, history="no_blend")
+def test_fused_kl_matches_unfused_oracle(seed, n, dim, history):
+    rng = np.random.default_rng(seed)
+    adapter = make_adapter(rng.normal(size=(dim, 5)))
+    raw = rng.normal(size=(n, 5)) * 2.0
+    feats = embed_batch(raw, adapter)
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))), momentum=0.1)
+    prior = GaussianStats.empty(dim, momentum=0.1)
+    if history != "fresh" or n == 0:
+        prior = update_target_stats(prior, unit_rows(rng.normal(size=(10, dim))))
+    target = update_target_stats(prior, feats)
+    if history == "no_blend":
+        target = GaussianStats(target.mean, target.covariance, True, 0.1, last_blend=0.0)
+
+    kl, grad = kl_gradient(source, target, feats, adapter, raw)
+    expected_kl = unfused_kl_divergence(source, target)
+    assert np.array_equal(grad, unfused_kl_gradient(source, target, feats, adapter.weight, raw))
+    assert agrees_within_1e12(kl, expected_kl)
+    assert kl_divergence(source, target) == kl
+    if n == 0 or history == "no_blend":
+        assert np.array_equal(grad, np.zeros_like(adapter.weight))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), negative=st.floats(-5.0, -0.01))
+def test_non_positive_definite_target_raises_in_fused_and_oracle(seed, dim, negative):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigs = rng.uniform(0.1, 2.0, size=dim)
+    eigs[rng.integers(dim)] = negative
+    bad = GaussianStats(rng.normal(size=dim), (q * eigs) @ q.T, True, 0.1, last_blend=0.1)
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))), momentum=0.1)
+    adapter = make_adapter(rng.normal(size=(dim, 5)))
+    raw = rng.normal(size=(4, 5))
+    with pytest.raises(NumericalFailure):
+        kl_divergence(source, bad)
+    with pytest.raises(NumericalFailure):
+        kl_gradient(source, bad, embed_batch(raw, adapter), adapter, raw)
+    with pytest.raises(np.linalg.LinAlgError):
+        unfused_kl_divergence(source, bad)
+
+
+def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
+    rng = np.random.default_rng(5)
+    adapter = make_adapter(rng.normal(size=(4, 6)))
+    raw = rng.normal(size=(8, 6))
+    feats = embed_batch(raw, adapter)
+    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.1)
+    target = update_target_stats(GaussianStats.empty(4, momentum=0.1), feats)
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(matrix, name=name, original=original):
+            calls[name] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    first = kl_gradient(source, target, feats, adapter, raw)
+    second = kl_gradient(source, target, feats, adapter, raw)
+    kl_divergence(source, target)
+    assert calls == {"cholesky": 2, "inv": 1}
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
