@@ -27,16 +27,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        exp = load_experiment(args.experiment)
-    except ConfigError as exc:
-        return _fail(exc, 2)
-    try:
-        summary = run_experiment(exp)
-    except StageFailure as exc:
-        return _fail(exc, 1)
-    except OwttError as exc:
-        return _fail(exc, 1)
+    summary = run_experiment(load_experiment(args.experiment))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -56,38 +47,25 @@ def _parse_values(axis: str, raw):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        exp = load_experiment(args.experiment)
-        values = _parse_values(args.axis, args.values)
-        summaries = run_sweep(exp, args.axis, values, jobs=args.jobs)
-    except ConfigError as exc:
-        return _fail(exc, 2)
-    except StageFailure as exc:
-        return _fail(exc, 1)
-    except OwttError as exc:
-        return _fail(exc, 1)
+    exp = load_experiment(args.experiment)
+    values = _parse_values(args.axis, args.values)
+    summaries = run_sweep(exp, args.axis, values, jobs=args.jobs)
     print(json.dumps({"points": len(summaries), "output_dir": str(exp.output_dir)}))
     return 0
 
 
 def cmd_report(args) -> int:
-    try:
-        written = write_report(Path(args.directory))
-    except OwttError as exc:
-        return _fail(exc, 1)
+    written = write_report(Path(args.directory))
     print(json.dumps({"written": [str(p) for p in written]}))
     return 0
 
 
 def cmd_stream(args) -> int:
-    try:
-        exp = load_experiment(args.experiment)
-        stream = generate_stream(exp.world)
-        export_stream(stream, args.out)
-        if args.csv:
-            write_stream_csv(stream, args.csv)
-    except OwttError as exc:
-        return _fail(exc, 2 if isinstance(exc, ConfigError) else 1)
+    exp = load_experiment(args.experiment)
+    stream = generate_stream(exp.world)
+    export_stream(stream, args.out)
+    if args.csv:
+        write_stream_csv(stream, args.csv)
     print(json.dumps({"stream": str(args.out), "batches": len(stream)}))
     return 0
 
@@ -126,8 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ConfigError exits 2, any other OwttError or StageFailure 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _fail(exc, 2)
+    except (OwttError, StageFailure) as exc:
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

@@ -17,12 +17,7 @@ import numpy as np
 from .adapter import embed_batch, init_adapter, sgd_momentum_step
 from .datagen import Batch
 from .errors import ConfigError
-from .metrics import (
-    REJECT,
-    MetricsReport,
-    RunningMetrics,
-    compute_metrics,
-)
+from .metrics import REJECT, MetricsReport, RunningMetrics
 from .objective import (
     GaussianStats,
     LossBundle,
@@ -173,6 +168,23 @@ def select_confident(scores: np.ndarray, tau: float, keep_ratio: float) -> np.nd
     return np.sort(order[:count])
 
 
+def next_threshold(
+    window: ScoreWindow,
+    scores: np.ndarray,
+    clamp_range: Optional[Tuple[float, float]],
+    fixed_threshold: Optional[float],
+) -> float:
+    """Push a batch's scores into its window, then return that window's threshold.
+
+    One policy serves both thresholds: the fixed value when one is set,
+    otherwise the (optionally clamped) minimum-variance split of the window.
+    """
+    window.push(scores)
+    if fixed_threshold is not None:
+        return fixed_threshold
+    return adaptive_threshold(window, clamp_range).tau
+
+
 class Engine:
     """Holds all mutable state for one sequential run."""
 
@@ -211,23 +223,17 @@ class Engine:
 
     # --- inference stage ---------------------------------------------------------
 
-    def _inference_threshold(self) -> float:
-        if not self.config.enable_ood_detection:
-            return NO_REJECT_TAU
-        if self.config.fixed_threshold is not None:
-            return self.config.fixed_threshold
-        return adaptive_threshold(self.plain_window, self.config.threshold_clamp).tau
-
     def inference_stage(self, batch_values: np.ndarray):
         """Score and predict one batch; returns (features, scores, tau, predicted)."""
+        cfg = self.config
         features = embed_batch(batch_values, self.adapter)
-        if self.config.discrete_mode:
+        if cfg.discrete_mode:
             raw = batch_discrete_scores(features, self.pool)
         else:
             raw = batch_ood_scores(features, self.pool.source_matrix())
         scores = np.clip(raw, 0.0, 1.0)
-        self.plain_window.push(scores)
-        tau = self._inference_threshold()
+        fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
+        tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
         nearest = np.argmax(features @ self.pool.source_matrix().T, axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, scores, tau, predicted
@@ -245,13 +251,14 @@ class Engine:
         """Expansion, self-training, and alignment updates for one batch."""
         cfg = self.config
         if cfg.enable_expansion:
-            expand(
-                self.pool,
-                features,
+            extended = batch_ood_scores(features, self.pool.all_matrix())
+            expansion_tau = next_threshold(
                 self.extended_window,
-                clamp_range=cfg.threshold_clamp or EXPANSION_CLAMP,
-                fixed_threshold=cfg.fixed_threshold,
+                extended,
+                cfg.threshold_clamp or EXPANSION_CLAMP,
+                cfg.fixed_threshold,
             )
+            expand(self.pool, features, extended, expansion_tau)
         if cfg.novel_momentum is not None and self.pool.novel_count:
             for i in np.flatnonzero(predicted == REJECT):
                 momentum_update_novel(self.pool, features[i], cfg.novel_momentum)
@@ -346,7 +353,7 @@ class Engine:
         return RunResult(
             records=records,
             trace=trace,
-            report=compute_metrics(records, self.num_known),
+            report=running.report(),
             losses=losses,
             num_known=self.num_known,
             engine=self,

@@ -54,7 +54,7 @@ class MissingPopulation(OwttError):
 
 
 class InvalidSpec(OwttError):
-    """A world specification failed validation."""
+    """A world specification, stream file or pool checkpoint failed validation."""
 
 
 class ConfigError(OwttError):

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure
-from .errors import ConfigError, MissingArtifacts
+from .errors import ConfigError, MissingArtifacts, MissingPopulation
 from .metrics import score_histogram, score_separation
 from .prototypes import save_pool
 
@@ -187,17 +187,21 @@ def _provenance(exp: ExperimentConfig) -> str:
     return f"# config={config_hash(exp)} seed={exp.run.seed}"
 
 
-def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) -> dict:
-    prov = _provenance(exp)
+def _write_predictions(path: Path, provenance: str, records) -> None:
     _write_csv(
-        out / "predictions.csv",
-        prov,
+        path,
+        provenance,
         ["batch", "index", "predicted", "hidden", "score", "threshold"],
         (
             (r.timestamp, r.index, r.predicted_label, r.hidden_label, r.ood_score, r.threshold_used)
-            for r in result.records
+            for r in records
         ),
     )
+
+
+def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) -> dict:
+    prov = _provenance(exp)
+    _write_predictions(out / "predictions.csv", prov, result.records)
     _write_csv(
         out / "trace.csv",
         prov,
@@ -222,7 +226,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
     report = result.report
     try:
         sep = score_separation(result.records, result.num_known)
-    except Exception:
+    except MissingPopulation:
         sep = (None, None, None)
     summary = {
         "config_hash": config_hash(exp),
@@ -263,16 +267,7 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
         result = engine.run(stream)
         save_pool(engine.pool, out / "pool.owtp")
     except StageFailure as failure:
-        prov = _provenance(exp)
-        _write_csv(
-            out / "predictions.csv",
-            prov,
-            ["batch", "index", "predicted", "hidden", "score", "threshold"],
-            (
-                (r.timestamp, r.index, r.predicted_label, r.hidden_label, r.ood_score, r.threshold_used)
-                for r in failure.records
-            ),
-        )
+        _write_predictions(out / "predictions.csv", _provenance(exp), failure.records)
         error = {
             "error": type(failure.cause).__name__,
             "message": str(failure.cause),

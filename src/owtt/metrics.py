@@ -57,24 +57,21 @@ class RunningMetrics:
         acc_h = None if acc_s is None or acc_n is None else harmonic_mean(acc_s, acc_n)
         return acc_s, acc_n, acc_h
 
+    def report(self) -> MetricsReport:
+        """Whole-stream accuracies and population sizes of everything counted."""
+        if self.n_weak + self.n_strong == 0:
+            raise EmptyRecords("no prediction records")
+        return MetricsReport(*self.snapshot(), n_weak=self.n_weak, n_strong=self.n_strong)
+
 
 def compute_metrics(records: Sequence, num_known: int) -> MetricsReport:
-    """Whole-run accuracies from a prediction log."""
-    if not records:
-        raise EmptyRecords("no prediction records")
+    """Whole-run accuracies recounted from a prediction log."""
     running = RunningMetrics(num_known)
     running.update(
         np.array([r.predicted_label for r in records]),
         np.array([r.hidden_label for r in records]),
     )
-    acc_s, acc_n, acc_h = running.snapshot()
-    return MetricsReport(
-        acc_s=acc_s,
-        acc_n=acc_n,
-        acc_h=acc_h,
-        n_weak=running.n_weak,
-        n_strong=running.n_strong,
-    )
+    return running.report()
 
 
 def score_separation(records: Sequence, num_known: int) -> Tuple[float, float, float]:

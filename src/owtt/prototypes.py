@@ -8,14 +8,12 @@ pool cannot grow without bound.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
 
 import numpy as np
 
 from .adapter import NORM_EPS
-from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool
-from .scoring import ScoreWindow, adaptive_threshold, batch_ood_scores
-from .scoring import ood_score  # noqa: F401  (patched by the perfbench tracer)
+from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec
+from .scoring import adaptive_threshold, ood_score  # noqa: F401  (patched by the perfbench tracer)
 
 _POOL_MAGIC = b"OWTP"
 _POOL_VERSION = 1
@@ -87,36 +85,21 @@ def build_source_prototypes(
 
 
 def expand(
-    pool: PrototypePool,
-    batch_features: np.ndarray,
-    window: ScoreWindow,
-    clamp_range: Optional[Tuple[float, float]] = None,
-    fixed_threshold: Optional[float] = None,
+    pool: PrototypePool, batch_features: np.ndarray, scores: np.ndarray, tau: float
 ) -> int:
     """Incrementally add batch features as novel prototypes; returns count added.
 
-    Extended scores for the whole batch feed the dedicated window first and
-    the threshold is estimated once. Candidates are then visited in
-    descending initial-score order, and each is re-scored against the
-    current (growing) pool before insertion, so near-duplicates from the
-    same batch cannot all enter.
+    ``scores`` are the batch's extended OOD scores against the pool as the
+    batch found it. Candidates are visited in descending score order, and
+    each is re-scored against the current (growing) pool before insertion,
+    so near-duplicates from the same batch cannot all enter.
 
     The visit stops at the first candidate whose initial score is <= tau:
     such candidates are never visited, even when an eviction later in the
     batch would raise their score above tau.
     """
-    batch_features = np.asarray(batch_features, dtype=float)
-    if batch_features.shape[0] == 0:
-        return 0
-    initial = batch_ood_scores(batch_features, pool.all_matrix())
-    window.push(initial)
-    if fixed_threshold is not None:
-        tau = fixed_threshold
-    else:
-        tau = adaptive_threshold(window, clamp_range).tau
-
-    order = np.argsort(-initial, kind="stable")
-    candidates = batch_features[order[: np.count_nonzero(initial > tau)]]
+    order = np.argsort(-scores, kind="stable")
+    candidates = batch_features[order[: np.count_nonzero(scores > tau)]]
     # Every candidate scores above tau against the pool the batch found, so a
     # re-score need only check the prototypes this batch added that are still
     # in the pool: the last novel_capacity of them. sims[i, j % width] holds
@@ -152,21 +135,25 @@ def save_pool(pool: PrototypePool, path) -> None:
 
 
 def load_pool(path) -> PrototypePool:
+    """Read a checkpoint written by ``save_pool``; a malformed one raises InvalidSpec."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _POOL_HEADER.size:
-        raise ValueError(f"pool checkpoint header truncated ({len(data)} bytes)")
+        raise InvalidSpec(f"pool checkpoint header truncated ({len(data)} bytes)")
     magic, version, dim, n_source, n_novel, capacity = _POOL_HEADER.unpack_from(data)
     if magic != _POOL_MAGIC:
-        raise ValueError(f"not a pool checkpoint (magic {magic!r})")
+        raise InvalidSpec(f"not a pool checkpoint (magic {magic!r})")
     if version != _POOL_VERSION:
-        raise ValueError(f"unsupported pool checkpoint version {version}")
+        raise InvalidSpec(f"unsupported pool checkpoint version {version}")
     if capacity < 1 or n_novel > capacity:
-        raise ValueError(f"pool checkpoint holds {n_novel} novel rows at capacity {capacity}")
+        raise InvalidSpec(f"pool checkpoint holds {n_novel} novel rows at capacity {capacity}")
     expected = _POOL_HEADER.size + 8 * dim * (n_source + n_novel)
     if len(data) != expected:
-        raise ValueError(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")
+        raise InvalidSpec(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")
     rows = np.frombuffer(data, "<f8", offset=_POOL_HEADER.size).reshape(n_source + n_novel, dim)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise InvalidSpec(f"pool checkpoint row {bad[0]} holds a NaN or infinite value")
     pool = PrototypePool(rows[:n_source], novel_capacity=capacity)
     pool._rows[n_source : n_source + n_novel] = rows[n_source:]
     pool.novel_count = n_novel

@@ -12,10 +12,12 @@ from owtt.engine import (
     Engine,
     RunConfig,
     StageFailure,
+    next_threshold,
     select_confident,
 )
-from owtt.errors import ConfigError, NonFiniteInput
-from owtt.metrics import REJECT
+from owtt.errors import ConfigError, EmptyRecords, NonFiniteInput
+from owtt.metrics import REJECT, compute_metrics
+from owtt.scoring import ScoreWindow, adaptive_threshold
 
 
 def small_world(**kw):
@@ -126,6 +128,17 @@ def test_reject_iff_score_at_or_above_threshold():
     _, scores, tau, predicted = engine.inference_stage(batch.values)
     assert scores[0] == pytest.approx(0.4)
     assert predicted[0] == REJECT  # strict: os >= tau rejects
+
+
+@pytest.mark.parametrize("clamp", [None, (0.4, 1.0)])
+def test_next_threshold_pushes_the_scores_then_applies_the_policy(clamp):
+    scores = np.array([0.05, 0.1, 0.7, 0.8, 0.9])
+    fixed_window, window = ScoreWindow(8).push([0.2]), ScoreWindow(8).push([0.2])
+    assert next_threshold(fixed_window, scores, clamp, 0.3) == 0.3
+    assert fixed_window.count == 6
+    tau = next_threshold(window, scores, clamp, None)
+    assert window.count == 6
+    assert tau == adaptive_threshold(window, clamp).tau
 
 
 # --- confidence-based selection -----------------------------------------------------
@@ -268,6 +281,18 @@ def test_trace_matches_report_at_final_batch():
     assert final.acc_s == result.report.acc_s
     assert final.acc_n == result.report.acc_n
     assert final.acc_h == result.report.acc_h
+
+
+def test_report_equals_a_recount_of_the_records():
+    result = run_world(small_world())
+    assert result.report == compute_metrics(result.records, result.num_known)
+
+
+def test_empty_stream_raises_empty_records():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    with pytest.raises(EmptyRecords):
+        Engine(RunConfig(seed=0), src_x, src_y, spec.k_s).run([])
 
 
 def test_losses_recorded_per_batch():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from owtt.cli import main
-from owtt.datagen import export_stream, generate_stream
+from owtt.datagen import Batch, export_stream, generate_stream
 from owtt.errors import ConfigError, MissingArtifacts
 from owtt.experiment import (
     ABLATION_VARIANTS,
@@ -198,6 +198,23 @@ def test_run_from_exported_stream_matches_generated(tmp_path):
     assert replay["acc_h"] == pytest.approx(direct["acc_h"], abs=0.02)
 
 
+def test_weak_only_stream_writes_null_score_separation(tmp_path):
+    exp = experiment_from_dict(experiment_dict(tmp_path))
+    k_s = exp.world.k_s
+    weak_only = [
+        Batch(batch.values[batch.hidden < k_s], batch.hidden[batch.hidden < k_s])
+        for batch in generate_stream(exp.world)
+    ]
+    stream_path = tmp_path / "weak.owtt"
+    export_stream(weak_only, stream_path)
+    data = experiment_dict(tmp_path, run={"batch_size": None}, stream_file=str(stream_path))
+    run_experiment(experiment_from_dict(data))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["n_strong"] == 0
+    for key in ("mean_weak_score", "mean_strong_score", "score_gap"):
+        assert summary[key] is None, key
+
+
 # --- sweeps ---------------------------------------------------------------------------
 
 
@@ -309,6 +326,18 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
+
+
+def test_cli_run_and_sweep_exit_2_on_a_batch_size_mismatch(tmp_path, capsys):
+    # The stream file holds 32-sample batches; the run expects 64.
+    stream_path = tmp_path / "stream.owtt"
+    export_stream(generate_stream(experiment_from_dict(experiment_dict(
+        tmp_path, world=dict(SMALL_WORLD, batch_size=32))).world), stream_path)
+    path = write_experiment(tmp_path, run={"batch_size": 64}, stream_file=str(stream_path))
+    for argv in (["run", str(path)], ["sweep", str(path), "--axis", "keep_ratio", "--values", "0.5"]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

@@ -54,6 +54,28 @@ CONFIG_DIGESTS = {
             "summary.json": "da867c981cc5ae89c4e0c01d2b59cd3cdae69c0a9b0fbb67029885fa7963e968",
         },
     ),
+    # Both non-adaptive threshold variants on the default world at 8 batches,
+    # recorded before the threshold policy moved into one engine function: a
+    # fixed threshold (the pool ends at 67) and a clamped adaptive split (the
+    # pool fills to its capacity of 100 and evicts).
+    "fixed-threshold": (
+        WORLD,
+        {"fixed_threshold": 0.3},
+        {
+            "predictions.csv": "c1a62b4c350784e9087668798274e860c9115a99628f5db224d9aba40d594572",
+            "trace.csv": "3fe4c7886e9033e2fa566240c273499f31f2a7678820880188e9e21295d6d854",
+            "summary.json": "39173f593c007027c1e72a02bef110d9ea0faf1a192e4f70bd694df17336b432",
+        },
+    ),
+    "threshold-clamp": (
+        WORLD,
+        {"threshold_clamp": [0.2, 0.8]},
+        {
+            "predictions.csv": "289f630f3e4f2d8f77d781eea74b9c24fc59308c42fd4a5ff1ddf862cf5af2f8",
+            "trace.csv": "0a7569c98a4f1c0a78dbcd0e86d98eb10ba2eb79a6ba314af97f41a15be8257b",
+            "summary.json": "043802b6a93ded892f0ee5945979725163d6abbfea517d97e1bf7d03979ef4a0",
+        },
+    ),
 }
 
 STREAM_DIGEST = "5851119b6d335534bc0fb0b1b87143f44f4a60579593d9f9dc083dca9c1b8bd4"

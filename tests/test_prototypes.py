@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ListPool, brute_force_expand, list_momentum_update
-from owtt.errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool
+from owtt.engine import next_threshold
+from owtt.errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec
 from owtt.prototypes import (
     PrototypePool,
     build_source_prototypes,
@@ -15,7 +16,7 @@ from owtt.prototypes import (
     momentum_update_novel,
     save_pool,
 )
-from owtt.scoring import ScoreWindow, adaptive_threshold, batch_ood_scores
+from owtt.scoring import ScoreWindow, batch_ood_scores
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -60,11 +61,18 @@ def primed_window(scores):
     return ScoreWindow(512).push(scores)
 
 
+def scored_expand(pool, batch, window, clamp_range=None, fixed_threshold=None):
+    """Expansion as the engine runs it: extended scores, the window's tau, then expand."""
+    scores = batch_ood_scores(batch, pool.all_matrix())
+    tau = next_threshold(window, scores, clamp_range, fixed_threshold)
+    return expand(pool, batch, scores, tau)
+
+
 def test_expand_adds_nothing_for_source_lookalikes():
     pool = PrototypePool(np.eye(3), novel_capacity=10)
     window = primed_window([0.05] * 4 + [0.8] * 4)
     batch = np.eye(3)  # every feature sits exactly on a source prototype
-    added = expand(pool, batch, window)
+    added = scored_expand(pool, batch, window)
     assert added == 0
     assert pool.novel_count == 0
 
@@ -76,7 +84,7 @@ def test_expand_fifo_eviction_at_capacity():
     oldest = pool.novel_at(0).copy()
     window = primed_window([0.0] * 8)
     candidate = unit_rows([[-1.0, 0.0, 0.0]])
-    added = expand(pool, candidate, window)
+    added = scored_expand(pool, candidate, window)
     assert added == 1
     assert pool.novel_count == 3
     for i in range(pool.novel_count):
@@ -87,7 +95,7 @@ def test_expand_adds_exactly_one_of_two_identical_candidates():
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=10)
     window = primed_window([0.0] * 8)
     batch = np.array([[0.0, 1.0], [0.0, 1.0]])
-    added = expand(pool, batch, window)
+    added = scored_expand(pool, batch, window)
     assert added == 1
     assert pool.novel_count == 1
     np.testing.assert_allclose(pool.novel_at(0), [0.0, 1.0])
@@ -96,7 +104,7 @@ def test_expand_adds_exactly_one_of_two_identical_candidates():
 def test_expand_empty_batch_is_noop():
     pool = PrototypePool(np.eye(2), novel_capacity=4)
     window = primed_window([0.1] * 8)
-    assert expand(pool, np.empty((0, 2)), window) == 0
+    assert scored_expand(pool, np.empty((0, 2)), window) == 0
     assert window.count == 8
 
 
@@ -104,8 +112,17 @@ def test_expand_respects_fixed_threshold():
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
     window = primed_window([0.0] * 8)
     batch = unit_rows([[SQ2, SQ2]])  # extended score 1 - sqrt(2)/2 ~ 0.293
-    assert expand(pool, batch, window, fixed_threshold=0.5) == 0
-    assert expand(pool, batch, window, fixed_threshold=0.2) == 1
+    assert scored_expand(pool, batch, window, fixed_threshold=0.5) == 0
+    assert scored_expand(pool, batch, window, fixed_threshold=0.2) == 1
+
+
+def test_expand_skips_a_candidate_scoring_exactly_tau():
+    pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
+    batch = np.array([[0.6, 0.8]])  # extended score exactly 1 - 0.6 = 0.4
+    scores = batch_ood_scores(batch, pool.all_matrix())
+    assert scores[0] == 0.4
+    assert expand(pool, batch, scores, 0.4) == 0
+    assert expand(pool, batch, scores, np.nextafter(0.4, 0.0)) == 1
 
 
 def test_added_prototypes_are_mutually_dissimilar():
@@ -113,11 +130,10 @@ def test_added_prototypes_are_mutually_dissimilar():
     pool = PrototypePool(unit_rows(rng.normal(size=(3, 8))), novel_capacity=50)
     window = primed_window(rng.uniform(0, 0.2, size=16))
     batch = unit_rows(rng.normal(size=(40, 8)))
-    scores_before = batch_ood_scores(batch, pool.all_matrix())
-    window_preview = ScoreWindow(512).push(window.values()).push(scores_before)
-    tau = adaptive_threshold(window_preview).tau
+    scores = batch_ood_scores(batch, pool.all_matrix())
+    tau = next_threshold(window, scores, None, None)
     start = pool.novel_count
-    expand(pool, batch, window)
+    expand(pool, batch, scores, tau)
     new = [pool.novel_at(i) for i in range(start, pool.novel_count)]
     for i in range(len(new)):
         for j in range(i + 1, len(new)):
@@ -132,7 +148,7 @@ def test_novel_count_never_exceeds_capacity(seed, batches):
     window = ScoreWindow(64)
     for _ in range(batches):
         batch = unit_rows(rng.normal(size=(12, 4)))
-        expand(pool, batch, window)
+        scored_expand(pool, batch, window)
         assert pool.novel_count <= 5
 
 
@@ -143,7 +159,9 @@ def test_expand_early_stop_skips_candidates_an_eviction_would_admit():
     e1, e2, e3 = np.eye(3)
     pool = PrototypePool(e1[None, :], novel_capacity=1)
     pool.push_novel(e2)
-    added = expand(pool, np.stack([e3, e2]), primed_window([0.0] * 8), fixed_threshold=0.5)
+    added = scored_expand(
+        pool, np.stack([e3, e2]), primed_window([0.0] * 8), fixed_threshold=0.5
+    )
     assert added == 1
     np.testing.assert_array_equal(pool.novel_matrix(), [e3])
 
@@ -154,7 +172,9 @@ def test_expand_rescore_ignores_prototypes_evicted_within_the_batch():
     e1, e2, e3, _ = np.eye(4)
     c = np.array([0.0, 0.9, 0.0, 0.43589])
     pool = PrototypePool(e1[None, :], novel_capacity=1)
-    added = expand(pool, np.stack([e2, e3, c]), primed_window([0.0] * 8), fixed_threshold=0.5)
+    added = scored_expand(
+        pool, np.stack([e2, e3, c]), primed_window([0.0] * 8), fixed_threshold=0.5
+    )
     assert added == 3
     np.testing.assert_array_equal(pool.novel_matrix(), [c])
 
@@ -207,7 +227,10 @@ def test_expand_matches_brute_force_oracle(
         batch = unit_rows(rng.normal(size=(size, dim)))
         if size > 1:
             batch[-1] = batch[0]  # an in-batch duplicate must enter at most once
-        added = expand(pool, batch, window, clamp_range, fixed_threshold)
+        # The oracle returns 0 for an empty batch before it touches its
+        # window; in the engine the inference stage has already raised
+        # EmptyWindow for an empty first batch, so one composes nothing.
+        added = scored_expand(pool, batch, window, clamp_range, fixed_threshold) if size else 0
         expected = brute_force_expand(
             model, list(batch), model_window, 16, clamp_range, fixed_threshold
         )
@@ -278,7 +301,7 @@ def test_pool_checkpoint_roundtrip(tmp_path):
 def test_pool_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.owtp"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         load_pool(path)
 
 
@@ -293,7 +316,7 @@ def saved_pool_bytes(tmp_path):
 def test_pool_checkpoint_rejects_short_header(tmp_path):
     path, data = saved_pool_bytes(tmp_path)
     path.write_bytes(data[:20])
-    with pytest.raises(ValueError, match="header truncated"):
+    with pytest.raises(InvalidSpec, match="header truncated"):
         load_pool(path)
 
 
@@ -301,7 +324,7 @@ def test_pool_checkpoint_rejects_short_header(tmp_path):
 def test_pool_checkpoint_rejects_truncated_payload(tmp_path, cut):
     path, data = saved_pool_bytes(tmp_path)
     path.write_bytes(data[:-cut])
-    with pytest.raises(ValueError, match="header implies"):
+    with pytest.raises(InvalidSpec, match="header implies"):
         load_pool(path)
 
 
@@ -310,5 +333,18 @@ def test_pool_checkpoint_rejects_novel_count_over_capacity(tmp_path, n_novel, ca
     path = tmp_path / "pool.owtp"
     header = struct.pack("<4sIIIII", b"OWTP", 1, 3, 1, n_novel, capacity)
     path.write_bytes(header + np.zeros((1 + n_novel) * 3, dtype="<f8").tobytes())
-    with pytest.raises(ValueError, match="capacity"):
+    with pytest.raises(InvalidSpec, match="capacity"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [1, 3])
+def test_pool_checkpoint_rejects_a_non_finite_row(tmp_path, value, row):
+    # Rows 0-2 are the source prototypes, row 3 the one novel prototype.
+    pool = PrototypePool(np.eye(3), novel_capacity=4)
+    pool.push_novel(np.array([0.0, SQ2, SQ2]))
+    pool.all_matrix()[row, 2] = value
+    path = tmp_path / "pool.owtp"
+    save_pool(pool, path)
+    with pytest.raises(InvalidSpec, match=f"row {row} holds a NaN or infinite value"):
         load_pool(path)
