@@ -6,7 +6,7 @@ Gaussian distribution alignment, plus a synthetic open-world benchmark
 generator and an experiment CLI.
 """
 
-from .adapter import AdapterState, embed_batch, init_adapter, sgd_momentum_step
+from .adapter import AdapterState, embed_backward, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import (
     Batch,
     WorldSpec,

@@ -2,7 +2,8 @@
 
 The adapter owns the only parameters updated during test-time training.
 Everything downstream (prototypes, scores, losses) consumes the unit-norm
-embeddings it produces.
+embeddings it produces, and losses hand their feature gradients back to
+`embed_backward`, the one place that knows the map's form.
 """
 from __future__ import annotations
 
@@ -70,6 +71,19 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
             f"embedding norm {norms[bad]:.3e} below {NORM_EPS:.0e} at row {bad}"
         )
     return raw / norms[:, None]
+
+
+def embed_backward(grad_features, features, values, adapter: AdapterState) -> np.ndarray:
+    """Backward of `embed_batch`: per-feature gradients, through the unit
+    normalization and the linear map, to the adapter weight.
+
+    `features` must be `embed_batch(values, adapter)`.
+    """
+    values = np.asarray(values, dtype=float)
+    norms = np.linalg.norm(values @ adapter.weight.T, axis=1)
+    radial = np.sum(features * grad_features, axis=1, keepdims=True)
+    grad_pre = (grad_features - features * radial) / norms[:, None]
+    return grad_pre.T @ values
 
 
 def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterState:

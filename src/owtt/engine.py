@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .adapter import embed_batch, init_adapter, sgd_momentum_step
+from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import Batch
 from .errors import ConfigError
 from .metrics import REJECT, MetricsReport, RunningMetrics
@@ -28,7 +28,9 @@ from .objective import (
     kl_gradient,
     update_target_stats,
 )
-from .prototypes import PrototypePool, build_source_prototypes, expand, momentum_update_novel
+from .prototypes import (
+    PrototypePool, build_source_prototypes, check_source, expand, momentum_update_novel
+)
 from .scoring import (
     ScoreWindow,
     adaptive_threshold,
@@ -197,6 +199,7 @@ class Engine:
     ):
         config.validate()
         source_values = np.asarray(source_values, dtype=float)
+        source_labels = check_source(source_values, source_labels, num_known)
         self.config = config
         self.num_known = num_known
         self.adapter = init_adapter(
@@ -269,18 +272,14 @@ class Engine:
 
         if cfg.enable_clustering:
             selected = select_confident(scores, tau, cfg.keep_ratio)
-            pseudo_labels = np.argmax(
-                features[selected] @ self.pool.all_matrix().T, axis=1
-            )
+            confident = features[selected]
+            pseudo_labels = np.argmax(confident @ self.pool.all_matrix().T, axis=1)
             clustering_value, clustering_grad = clustering_loss_gradient(
-                features[selected],
-                pseudo_labels,
-                self.pool,
-                cfg.temperature,
-                self.adapter,
-                batch_values[selected],
+                confident, pseudo_labels, self.pool, cfg.temperature
             )
-            gradient += clustering_grad
+            gradient += embed_backward(
+                clustering_grad, confident, batch_values[selected], self.adapter
+            )
 
         if cfg.enable_alignment:
             weak_mask = predicted != REJECT
@@ -290,13 +289,11 @@ class Engine:
                 self._target_samples += weak_features.shape[0]
             if weak_features.shape[0] and self._target_samples >= 2 * cfg.feature_dim:
                 alignment_value, alignment_grad = kl_gradient(
-                    self.source_stats,
-                    self.target_stats,
-                    weak_features,
-                    self.adapter,
-                    batch_values[weak_mask],
+                    self.source_stats, self.target_stats, weak_features
                 )
-                gradient += cfg.lam * alignment_grad
+                gradient += cfg.lam * embed_backward(
+                    alignment_grad, weak_features, batch_values[weak_mask], self.adapter
+                )
             elif self.target_stats.initialized:
                 alignment_value = kl_divergence(self.source_stats, self.target_stats)
 

@@ -305,21 +305,14 @@ def apply_axis_value(exp: ExperimentConfig, axis: str, value) -> ExperimentConfi
     raise ConfigError(f"unknown sweep axis {axis!r}")
 
 
-def _sweep_point(payload):
-    exp_dict, axis, value, out_dir = payload
-    exp = experiment_from_dict(exp_dict)
-    point = apply_axis_value(exp, axis, value)
-    summary = run_experiment(point, Path(out_dir))
-    return value, summary
-
-
 def run_sweep(
     exp: ExperimentConfig,
     axis: str,
     values: Optional[Sequence] = None,
     jobs: int = 1,
 ) -> List[dict]:
-    """One experiment per axis value; collates sweep.csv under output_dir."""
+    """One experiment per axis value, in ``jobs`` worker processes when
+    ``jobs`` > 1; collates sweep.csv under output_dir."""
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if axis == "ratio" and exp.stream_file is not None:
@@ -329,26 +322,22 @@ def run_sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep values must be non-empty")
-    for value in values:
-        apply_axis_value(exp, axis, value)  # validate all points up front
+    points = [apply_axis_value(exp, axis, value) for value in values]  # validates all
 
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (experiment_to_dict(exp), axis, value, str(out / f"{axis}_{value}"))
-        for value in values
-    ]
+    dirs = [out / f"{axis}_{value}" for value in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            summaries = list(pool.map(run_experiment, points, dirs))
     else:
-        results = [_sweep_point(task) for task in tasks]
+        summaries = list(map(run_experiment, points, dirs))
 
     # str(value) must match the per-value directory suffix so reports can
     # join the collated rows back to their artifacts.
     rows = [
         (str(value), summary["acc_s"], summary["acc_n"], summary["acc_h"])
-        for value, summary in results
+        for value, summary in zip(values, summaries)
     ]
     _write_csv(
         out / "sweep.csv",
@@ -356,7 +345,7 @@ def run_sweep(
         ["value", "acc_s", "acc_n", "acc_h"],
         rows,
     )
-    return [summary for _, summary in results]
+    return summaries
 
 
 # --- reports --------------------------------------------------------------------------

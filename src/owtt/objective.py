@@ -1,8 +1,10 @@
 """Training objectives: prototype-clustering loss, Gaussian alignment loss,
-their analytic gradients through the adapter, and streaming target statistics.
+their analytic gradients with respect to the features, and streaming target
+statistics.
 
-Prototypes are constants for gradient purposes; only the adapter weight
-receives gradients, propagated through the unit-normalization Jacobian.
+Prototypes and source statistics are constants for gradient purposes. Each
+gradient is per feature row; `embed_backward` carries it back through the
+feature map to the trainable weight.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .adapter import AdapterState
 from .errors import NumericalFailure, UnknownLabel
 from .prototypes import PrototypePool
 
@@ -147,28 +148,12 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     return kl
 
 
-def _chain_to_weight(
-    grad_features: np.ndarray,
-    features: np.ndarray,
-    adapter: AdapterState,
-    raw_inputs: np.ndarray,
-) -> np.ndarray:
-    """Propagate per-feature gradients through unit normalization to the weight."""
-    raw_inputs = np.asarray(raw_inputs, dtype=float)
-    norms = np.linalg.norm(raw_inputs @ adapter.weight.T, axis=1)
-    radial = np.sum(features * grad_features, axis=1, keepdims=True)
-    grad_pre = (grad_features - features * radial) / norms[:, None]
-    return grad_pre.T @ raw_inputs
-
-
 def kl_gradient(
     source: GaussianStats,
     target: GaussianStats,
     batch_features: np.ndarray,
-    adapter: AdapterState,
-    raw_inputs: np.ndarray,
 ) -> Tuple[float, np.ndarray]:
-    """KL divergence and its gradient with respect to the adapter weight.
+    """KL divergence and its gradient with respect to each batch feature row.
 
     Differentiates only through the current batch's contribution to the
     target mean/covariance (target must already include this batch); the
@@ -178,7 +163,7 @@ def kl_gradient(
     batch_features = np.asarray(batch_features, dtype=float)
     n = batch_features.shape[0]
     if n == 0 or target.last_blend == 0.0:
-        return kl, np.zeros_like(adapter.weight)
+        return kl, np.zeros_like(batch_features)
 
     t_inv = target.inverse
     delta = source.mean - target.mean
@@ -191,7 +176,7 @@ def kl_gradient(
     if n > 1:
         grad_features = grad_features + (2.0 / (n - 1)) * centered @ grad_cov
     grad_features *= target.last_blend
-    return kl, _chain_to_weight(grad_features, batch_features, adapter, raw_inputs)
+    return kl, grad_features
 
 
 def _logsumexp(rows: np.ndarray) -> np.ndarray:
@@ -214,8 +199,21 @@ def _split_labels(pseudo_labels: Sequence[int], pool: PrototypePool):
     return labels, source_mask
 
 
-def _clustering_terms(features, pseudo_labels, pool: PrototypePool, temperature: float):
-    """Clustering loss and its per-feature gradient from one set of logits."""
+def clustering_loss_gradient(
+    features: np.ndarray,
+    pseudo_labels: Sequence[int],
+    pool: PrototypePool,
+    temperature: float,
+) -> Tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of temperature-scaled cosine logits, and
+    its gradient with respect to each feature row, from one set of logits.
+
+    Samples pseudo-labeled with a source class form a softmax over the
+    source prototypes only. Samples pseudo-labeled with a novel prototype
+    form a softmax over the source prototypes plus that one novel
+    prototype, with the novel logit in the numerator.
+    """
+    features = np.asarray(features, dtype=float)
     n = features.shape[0]
     grad_features = np.zeros_like(features)
     if n == 0:
@@ -254,30 +252,5 @@ def clustering_loss(
     pool: PrototypePool,
     temperature: float,
 ) -> float:
-    """Mean negative log-likelihood of temperature-scaled cosine logits.
-
-    Samples pseudo-labeled with a source class form a softmax over the
-    source prototypes only. Samples pseudo-labeled with a novel prototype
-    form a softmax over the source prototypes plus that one novel
-    prototype, with the novel logit in the numerator.
-    """
-    features = np.asarray(features, dtype=float)
-    return _clustering_terms(features, pseudo_labels, pool, temperature)[0]
-
-
-def clustering_loss_gradient(
-    features: np.ndarray,
-    pseudo_labels: Sequence[int],
-    pool: PrototypePool,
-    temperature: float,
-    adapter: AdapterState,
-    raw_inputs: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """clustering_loss and its exact gradient with respect to the adapter weight.
-
-    `features` must be the embeddings of `raw_inputs` under `adapter`;
-    prototypes are treated as constants.
-    """
-    features = np.asarray(features, dtype=float)
-    loss, grad_features = _clustering_terms(features, pseudo_labels, pool, temperature)
-    return loss, _chain_to_weight(grad_features, features, adapter, raw_inputs)
+    """The loss alone of `clustering_loss_gradient`."""
+    return clustering_loss_gradient(features, pseudo_labels, pool, temperature)[0]

@@ -47,9 +47,6 @@ class PrototypePool:
     def all_matrix(self) -> np.ndarray:
         return self._rows[: self.num_source + self.novel_count]
 
-    def novel_at(self, index: int) -> np.ndarray:
-        return self.novel_matrix()[index]
-
     def push_novel(self, feature: np.ndarray) -> None:
         """Append a novel prototype; the oldest is evicted at capacity."""
         if self.novel_count == self.novel_capacity:
@@ -57,6 +54,23 @@ class PrototypePool:
         else:
             self.novel_count += 1
         self._rows[self.num_source + self.novel_count - 1] = feature
+
+
+def check_source(rows: np.ndarray, labels, num_classes: int) -> np.ndarray:
+    """The source labels as ints. Raises InvalidSpec unless ``rows`` is 2-D and
+    ``labels`` holds one integral class id in 0..num_classes-1 per row."""
+    if rows.ndim != 2:
+        raise InvalidSpec(f"source rows must form a 2-D array, got shape {rows.shape}")
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != rows.shape[:1]:
+        raise InvalidSpec(f"{labels.shape} source labels for {rows.shape[0]} source rows")
+    valid = (labels == np.round(labels)) & (labels >= 0) & (labels < num_classes)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise InvalidSpec(
+            f"source label {i} is {labels[i]:g}: need an integer in 0..{num_classes - 1}"
+        )
+    return labels.astype(int)
 
 
 def build_source_prototypes(
@@ -68,9 +82,7 @@ def build_source_prototypes(
     changes no decision while keeping every prototype on the unit sphere.
     """
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels must lie in [0, num_classes)")
+    labels = check_source(features, labels, num_classes)
     prototypes = np.zeros((num_classes, features.shape[1]))
     for k in range(num_classes):
         members = features[labels == k]
@@ -115,23 +127,27 @@ def expand(
     return added
 
 
+def _check_finite(rows: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise InvalidSpec(f"{what} row {bad[0]} holds a NaN or infinite value")
+
+
 def save_pool(pool: PrototypePool, path) -> None:
-    """Checkpoint the pool: prototype-count header, then flat float64 rows."""
-    source = pool.source_matrix()
-    novel = pool.novel_matrix()
+    """Checkpoint the pool: prototype-count header, then flat float64 rows.
+
+    A NaN or inf row raises InvalidSpec before the file is opened, because
+    ``load_pool`` would refuse the checkpoint.
+    """
+    rows = pool.all_matrix()  # the source rows, then the novel rows
+    _check_finite(rows, "pool")
+    header = _POOL_HEADER.pack(
+        _POOL_MAGIC, _POOL_VERSION, rows.shape[1], pool.num_source, pool.novel_count,
+        pool.novel_capacity,
+    )
     with open(path, "wb") as fh:
-        fh.write(
-            _POOL_HEADER.pack(
-                _POOL_MAGIC,
-                _POOL_VERSION,
-                source.shape[1],
-                source.shape[0],
-                novel.shape[0],
-                pool.novel_capacity,
-            )
-        )
-        fh.write(np.ascontiguousarray(source, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(novel, dtype="<f8").tobytes())
+        fh.write(header)
+        fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
 
 def load_pool(path) -> PrototypePool:
@@ -151,9 +167,7 @@ def load_pool(path) -> PrototypePool:
     if len(data) != expected:
         raise InvalidSpec(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")
     rows = np.frombuffer(data, "<f8", offset=_POOL_HEADER.size).reshape(n_source + n_novel, dim)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise InvalidSpec(f"pool checkpoint row {bad[0]} holds a NaN or infinite value")
+    _check_finite(rows, "pool checkpoint")
     pool = PrototypePool(rows[:n_source], novel_capacity=capacity)
     pool._rows[n_source : n_source + n_novel] = rows[n_source:]
     pool.novel_count = n_novel

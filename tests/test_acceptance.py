@@ -15,7 +15,7 @@ from oracles import (
     recount_metrics,
     relative_error,
 )
-from owtt.adapter import AdapterState, embed_batch
+from owtt.adapter import AdapterState, embed_backward, embed_batch
 from owtt.datagen import WorldSpec, generate_source, generate_stream
 from owtt.engine import Engine, PredictionRecord, RunConfig
 from owtt.metrics import REJECT, compute_metrics, score_separation
@@ -90,7 +90,8 @@ def test_criterion_01_gradient_fidelity():
         labels = rng.integers(0, k_s + n_novel, size=batch)
 
         features = embed_batch(raw, adapter)
-        _, analytic = clustering_loss_gradient(features, labels, pool, 0.1, adapter, raw)
+        _, grad_features = clustering_loss_gradient(features, labels, pool, 0.1)
+        analytic = embed_backward(grad_features, features, raw, adapter)
 
         def pc_loss(w, labels=labels, pool=pool, raw=raw):
             probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)
@@ -111,7 +112,8 @@ def test_criterion_01_gradient_fidelity():
                 warm / np.linalg.norm(warm, axis=1, keepdims=True),
             )
         target = update_target_stats(prior, features)
-        _, analytic_kl = kl_gradient(source_stats, target, features, adapter, raw)
+        _, grad_kl = kl_gradient(source_stats, target, features)
+        analytic_kl = embed_backward(grad_kl, features, raw, adapter)
 
         def kl_loss(w, prior=prior, raw=raw):
             probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import embed
-from owtt.adapter import AdapterState, embed_batch, init_adapter, sgd_momentum_step
+from oracles import _chain_to_weight, embed, finite_difference_gradient, relative_error
+from owtt.adapter import (
+    AdapterState,
+    embed_backward,
+    embed_batch,
+    init_adapter,
+    sgd_momentum_step,
+)
 from owtt.errors import DegenerateEmbedding, NonFiniteGradient, NonFiniteInput
 
 
@@ -122,3 +128,32 @@ def test_non_finite_input_raises_naming_the_row(bad):
     values[2, 1] = bad
     with pytest.raises(NonFiniteInput, match="row 2"):
         embed_batch(values, adapter)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    d_out=st.integers(1, 5),
+    d_in=st.integers(1, 6),
+)
+@example(seed=0, n=0, d_out=3, d_in=4)
+@example(seed=0, n=1, d_out=1, d_in=2)
+def test_embed_backward_is_the_backward_of_embed_batch(seed, n, d_out, d_in):
+    rng = np.random.default_rng(seed)
+    adapter = make_adapter(rng.normal(size=(d_out, d_in)))
+    values = rng.normal(size=(n, d_in)) * 2.0
+    grad_features = rng.normal(size=(n, d_out))
+    features = embed_batch(values, adapter)
+
+    grad = embed_backward(grad_features, features, values, adapter)
+    assert grad.shape == adapter.weight.shape
+    assert np.array_equal(
+        grad, _chain_to_weight(grad_features, features, adapter.weight, values)
+    )
+
+    def pairing(weight):
+        return float(np.sum(grad_features * embed_batch(values, make_adapter(weight))))
+
+    numeric = finite_difference_gradient(pairing, adapter.weight, step=1e-5)
+    assert relative_error(grad, numeric) < 1e-4

@@ -15,7 +15,7 @@ from owtt.engine import (
     next_threshold,
     select_confident,
 )
-from owtt.errors import ConfigError, EmptyRecords, NonFiniteInput
+from owtt.errors import ConfigError, EmptyRecords, InvalidSpec, NonFiniteInput
 from owtt.metrics import REJECT, compute_metrics
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
@@ -339,6 +339,35 @@ def test_inf_in_the_source_values_fails_engine_construction():
     src_x[7, 0] = np.inf
     with pytest.raises(NonFiniteInput, match="row 7"):
         Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda x, y, k: (x, np.where(np.arange(y.size) == 5, k, y)), "source label 5 is 5: need an integer in 0..4"),
+        (lambda x, y, k: (x, np.where(np.arange(y.size) == 0, -1, y)), "source label 0 is -1"),
+        (lambda x, y, k: (x, y + 0.6), "source label 0 is"),
+        (lambda x, y, k: (x, y.astype(float).tolist()[:-1] + [np.nan]), "is nan"),
+        (lambda x, y, k: (x, y[:990]), r"\(990,\) source labels for 1000 source rows"),
+        (lambda x, y, k: (x[:, 0], y), "must form a 2-D array"),
+    ],
+    ids=["label_k", "label_negative", "fractional", "nan", "short_labels", "values_1d"],
+)
+def test_malformed_source_arrays_raise_invalid_spec(corrupt, message):
+    spec = WorldSpec(seed=0)
+    src_x, src_y = generate_source(spec)
+    assert src_x.shape[0] == 1000 and spec.k_s == 5
+    bad_x, bad_y = corrupt(src_x, src_y, spec.k_s)
+    with pytest.raises(InvalidSpec, match=message):
+        Engine(RunConfig(seed=0), bad_x, bad_y, spec.k_s)
+
+
+def test_integral_float_source_labels_match_int_labels():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    as_int = Engine(RunConfig(seed=0), src_x, src_y, spec.k_s)
+    as_float = Engine(RunConfig(seed=0), src_x, src_y.astype(float), spec.k_s)
+    np.testing.assert_array_equal(as_float.pool.all_matrix(), as_int.pool.all_matrix())
 
 
 # --- edge cases ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from oracles import (
     unfused_kl_divergence,
     unfused_kl_gradient,
 )
-from owtt.adapter import AdapterState, embed_batch
+from owtt.adapter import AdapterState, embed_backward, embed_batch
 from owtt.errors import NumericalFailure, UnknownLabel
 from owtt.objective import (
     GaussianStats,
@@ -41,6 +41,18 @@ def make_adapter(weight):
 def unit_rows(mat):
     mat = np.asarray(mat, dtype=float)
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+def clustering_weight_gradient(feats, labels, pool, temperature, adapter, raw):
+    """The clustering loss and its feature gradient carried to the weight."""
+    loss, grad_features = clustering_loss_gradient(feats, labels, pool, temperature)
+    return loss, embed_backward(grad_features, feats, raw, adapter)
+
+
+def kl_weight_gradient(source, target, feats, adapter, raw):
+    """The KL divergence and its feature gradient carried to the weight."""
+    kl, grad_features = kl_gradient(source, target, feats)
+    return kl, embed_backward(grad_features, feats, raw, adapter)
 
 
 def random_instance(seed, d_in=6, d_out=4, k_s=3, n=8, n_novel=2):
@@ -98,7 +110,7 @@ def test_loss_rotation_invariant():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     rotated_pool = PrototypePool(pool.source_matrix() @ q.T, novel_capacity=10)
     for i in range(pool.novel_count):
-        rotated_pool.push_novel(q @ pool.novel_at(i))
+        rotated_pool.push_novel(q @ pool.novel_matrix()[i])
     rotated = clustering_loss(feats @ q.T, labels, rotated_pool, DELTA)
     assert rotated == pytest.approx(base, rel=1e-12)
 
@@ -111,14 +123,16 @@ def test_gradient_vanishes_at_exact_minimum():
     raw = np.array([[2.0, 0.0]])
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
     feats = embed_batch(raw, adapter)
-    _, grad = clustering_loss_gradient(feats, [0], pool, DELTA, adapter, raw)
+    _, grad = clustering_weight_gradient(feats, [0], pool, DELTA, adapter, raw)
     assert np.linalg.norm(grad) < 1e-8
 
 
 def test_gradient_empty_batch_is_zero_matrix():
     adapter = make_adapter(np.eye(2))
     pool = PrototypePool(np.eye(2), novel_capacity=4)
-    _, grad = clustering_loss_gradient(
+    _, grad_features = clustering_loss_gradient(np.empty((0, 2)), [], pool, DELTA)
+    np.testing.assert_array_equal(grad_features, np.zeros((0, 2)))
+    _, grad = clustering_weight_gradient(
         np.empty((0, 2)), [], pool, DELTA, adapter, np.empty((0, 2))
     )
     np.testing.assert_array_equal(grad, np.zeros((2, 2)))
@@ -127,7 +141,7 @@ def test_gradient_empty_batch_is_zero_matrix():
 def test_gradient_matches_finite_differences():
     adapter, raw, pool, labels = random_instance(seed=0)
     feats = embed_batch(raw, adapter)
-    _, analytic = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
+    _, analytic = clustering_weight_gradient(feats, labels, pool, DELTA, adapter, raw)
 
     def loss_of(weight):
         probe = make_adapter(weight)
@@ -247,7 +261,7 @@ def test_kl_gradient_matches_finite_differences_fresh_stats():
 
     feats = embed_batch(raw, adapter)
     target = update_target_stats(prev, feats)
-    _, analytic = kl_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
         lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
     )
@@ -266,7 +280,7 @@ def test_kl_gradient_matches_finite_differences_running_stats():
     feats = embed_batch(raw, adapter)
     target = update_target_stats(prev, feats)
     assert target.last_blend == 0.05
-    _, analytic = kl_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
         lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
     )
@@ -286,7 +300,7 @@ def test_kl_gradient_zero_when_target_equals_source():
         momentum=0.05,
         last_blend=0.05,
     )
-    _, grad = kl_gradient(source, target, feats, adapter, raw)
+    _, grad = kl_weight_gradient(source, target, feats, adapter, raw)
     assert np.linalg.norm(grad) < 1e-6
 
 
@@ -294,7 +308,9 @@ def test_kl_gradient_empty_batch_is_zero():
     rng = np.random.default_rng(7)
     adapter = make_adapter(rng.normal(size=(3, 5)))
     source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))), momentum=0.05)
-    _, grad = kl_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
+    _, grad_features = kl_gradient(source, source, np.empty((0, 3)))
+    np.testing.assert_array_equal(grad_features, np.zeros((0, 3)))
+    _, grad = kl_weight_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -312,8 +328,8 @@ def test_total_gradient_additivity():
     rng = np.random.default_rng(9)
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.05)
     target = update_target_stats(GaussianStats.empty(4, momentum=0.05), feats)
-    _, g_pc = clustering_loss_gradient(feats, labels, pool, DELTA, adapter, raw)
-    _, g_kl = kl_gradient(source, target, feats, adapter, raw)
+    _, g_pc = clustering_weight_gradient(feats, labels, pool, DELTA, adapter, raw)
+    _, g_kl = kl_weight_gradient(source, target, feats, adapter, raw)
     lam = 0.7
     np.testing.assert_allclose(g_pc + lam * g_kl, g_pc + lam * g_kl)
     np.testing.assert_array_equal(g_pc + 0.0 * g_kl, g_pc)
@@ -349,7 +365,7 @@ def test_fused_clustering_matches_unfused_oracle(seed, n, k_s, n_novel, mode, te
     feats = embed_batch(raw, adapter)
     source, novel = pool.source_matrix(), pool.novel_matrix()
 
-    loss, grad = clustering_loss_gradient(feats, labels, pool, temperature, adapter, raw)
+    loss, grad = clustering_weight_gradient(feats, labels, pool, temperature, adapter, raw)
     expected_loss = unfused_clustering_loss(feats, labels, source, novel, temperature)
     expected_grad = unfused_clustering_gradient(
         feats, labels, source, novel, temperature, adapter.weight, raw
@@ -383,7 +399,7 @@ def test_fused_kl_matches_unfused_oracle(seed, n, dim, history):
     if history == "no_blend":
         target = GaussianStats(target.mean, target.covariance, True, 0.1, last_blend=0.0)
 
-    kl, grad = kl_gradient(source, target, feats, adapter, raw)
+    kl, grad = kl_weight_gradient(source, target, feats, adapter, raw)
     expected_kl = unfused_kl_divergence(source, target)
     assert np.array_equal(grad, unfused_kl_gradient(source, target, feats, adapter.weight, raw))
     assert agrees_within_1e12(kl, expected_kl)
@@ -406,7 +422,7 @@ def test_non_positive_definite_target_raises_in_fused_and_oracle(seed, dim, nega
     with pytest.raises(NumericalFailure):
         kl_divergence(source, bad)
     with pytest.raises(NumericalFailure):
-        kl_gradient(source, bad, embed_batch(raw, adapter), adapter, raw)
+        kl_weight_gradient(source, bad, embed_batch(raw, adapter), adapter, raw)
     with pytest.raises(np.linalg.LinAlgError):
         unfused_kl_divergence(source, bad)
 
@@ -427,8 +443,8 @@ def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
             return original(matrix)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    first = kl_gradient(source, target, feats, adapter, raw)
-    second = kl_gradient(source, target, feats, adapter, raw)
+    first = kl_weight_gradient(source, target, feats, adapter, raw)
+    second = kl_weight_gradient(source, target, feats, adapter, raw)
     kl_divergence(source, target)
     assert calls == {"cholesky": 2, "inv": 1}
     assert first[0] == second[0] and np.array_equal(first[1], second[1])

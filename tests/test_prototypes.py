@@ -43,7 +43,7 @@ def test_class_mean_is_normalized():
 
 def test_out_of_range_label_rejected():
     feats = np.eye(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         build_source_prototypes(feats, [0, 1, 3], 3)
 
 
@@ -81,14 +81,14 @@ def test_expand_fifo_eviction_at_capacity():
     pool = PrototypePool(np.array([[1.0, 0.0, 0.0]]), novel_capacity=3)
     for v in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, SQ2, -SQ2]):
         pool.push_novel(np.array(v))
-    oldest = pool.novel_at(0).copy()
+    oldest = pool.novel_matrix()[0].copy()
     window = primed_window([0.0] * 8)
     candidate = unit_rows([[-1.0, 0.0, 0.0]])
     added = scored_expand(pool, candidate, window)
     assert added == 1
     assert pool.novel_count == 3
     for i in range(pool.novel_count):
-        assert not np.allclose(pool.novel_at(i), oldest)
+        assert not np.allclose(pool.novel_matrix()[i], oldest)
 
 
 def test_expand_adds_exactly_one_of_two_identical_candidates():
@@ -98,7 +98,7 @@ def test_expand_adds_exactly_one_of_two_identical_candidates():
     added = scored_expand(pool, batch, window)
     assert added == 1
     assert pool.novel_count == 1
-    np.testing.assert_allclose(pool.novel_at(0), [0.0, 1.0])
+    np.testing.assert_allclose(pool.novel_matrix()[0], [0.0, 1.0])
 
 
 def test_expand_empty_batch_is_noop():
@@ -134,7 +134,7 @@ def test_added_prototypes_are_mutually_dissimilar():
     tau = next_threshold(window, scores, None, None)
     start = pool.novel_count
     expand(pool, batch, scores, tau)
-    new = [pool.novel_at(i) for i in range(start, pool.novel_count)]
+    new = [pool.novel_matrix()[i] for i in range(start, pool.novel_count)]
     for i in range(len(new)):
         for j in range(i + 1, len(new)):
             assert float(new[i] @ new[j]) < 1.0 - tau + 1e-12
@@ -197,7 +197,7 @@ def test_pool_matches_list_model(seed, capacity, pushes):
         np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
         np.testing.assert_array_equal(pool.source_matrix(), source)
         for i, expected in enumerate(model.novel):
-            np.testing.assert_array_equal(pool.novel_at(i), expected)
+            np.testing.assert_array_equal(pool.novel_matrix()[i], expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,14 +250,14 @@ def test_momentum_one_replaces_prototype():
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
     pool.push_novel(np.array([0.0, 1.0]))
     momentum_update_novel(pool, np.array([SQ2, SQ2]), momentum=1.0)
-    np.testing.assert_allclose(pool.novel_at(0), [SQ2, SQ2])
+    np.testing.assert_allclose(pool.novel_matrix()[0], [SQ2, SQ2])
 
 
 def test_momentum_half_blends_and_renormalizes():
     pool = PrototypePool(np.array([[0.0, -1.0]]), novel_capacity=4)
     pool.push_novel(np.array([1.0, 0.0]))
     momentum_update_novel(pool, np.array([0.0, 1.0]), momentum=0.5)
-    np.testing.assert_allclose(pool.novel_at(0), [SQ2, SQ2])
+    np.testing.assert_allclose(pool.novel_matrix()[0], [SQ2, SQ2])
 
 
 def test_momentum_picks_most_similar_prototype():
@@ -265,8 +265,8 @@ def test_momentum_picks_most_similar_prototype():
     pool.push_novel(np.array([0.0, 1.0, 0.0]))
     pool.push_novel(np.array([0.0, 0.0, 1.0]))
     momentum_update_novel(pool, np.array([0.0, 0.9, 0.43589]), momentum=1.0)
-    np.testing.assert_allclose(pool.novel_at(0), [0.0, 0.9, 0.43589], atol=1e-6)
-    np.testing.assert_allclose(pool.novel_at(1), [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(pool.novel_matrix()[0], [0.0, 0.9, 0.43589], atol=1e-6)
+    np.testing.assert_allclose(pool.novel_matrix()[1], [0.0, 0.0, 1.0])
 
 
 def test_momentum_on_empty_pool_raises():
@@ -341,10 +341,24 @@ def test_pool_checkpoint_rejects_novel_count_over_capacity(tmp_path, n_novel, ca
 @pytest.mark.parametrize("row", [1, 3])
 def test_pool_checkpoint_rejects_a_non_finite_row(tmp_path, value, row):
     # Rows 0-2 are the source prototypes, row 3 the one novel prototype.
+    rows = np.vstack([np.eye(3), [0.0, SQ2, SQ2]])
+    rows[row, 2] = value
+    path = tmp_path / "pool.owtp"
+    header = struct.pack("<4sIIIII", b"OWTP", 1, 3, 3, 1, 4)
+    path.write_bytes(header + rows.astype("<f8").tobytes())
+    with pytest.raises(InvalidSpec, match=f"row {row} holds a NaN or infinite value"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("row", [1, 3])
+def test_save_pool_refuses_a_non_finite_row_and_writes_nothing(tmp_path, value, row):
+    # Row 1 is a source prototype, row 3 the one novel prototype; neither
+    # came from embed_batch, which would have refused a non-finite input.
     pool = PrototypePool(np.eye(3), novel_capacity=4)
     pool.push_novel(np.array([0.0, SQ2, SQ2]))
     pool.all_matrix()[row, 2] = value
     path = tmp_path / "pool.owtp"
-    save_pool(pool, path)
-    with pytest.raises(InvalidSpec, match=f"row {row} holds a NaN or infinite value"):
-        load_pool(path)
+    with pytest.raises(InvalidSpec, match=f"pool row {row} holds a NaN or infinite value"):
+        save_pool(pool, path)
+    assert not path.exists()
