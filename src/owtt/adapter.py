@@ -60,12 +60,12 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     Raises NonFiniteInput naming the first row that holds a NaN or inf.
     """
     values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=1)
         raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
     raw = values @ adapter.weight.T
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < NORM_EPS):
+    norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
+    if (norms < NORM_EPS).any():
         bad = int(np.argmin(norms))
         raise DegenerateEmbedding(
             f"embedding norm {norms[bad]:.3e} below {NORM_EPS:.0e} at row {bad}"
@@ -80,8 +80,9 @@ def embed_backward(grad_features, features, values, adapter: AdapterState) -> np
     `features` must be `embed_batch(values, adapter)`.
     """
     values = np.asarray(values, dtype=float)
-    norms = np.linalg.norm(values @ adapter.weight.T, axis=1)
-    radial = np.sum(features * grad_features, axis=1, keepdims=True)
+    raw = values @ adapter.weight.T
+    norms = np.sqrt((raw * raw).sum(axis=1))
+    radial = (features * grad_features).sum(axis=1, keepdims=True)
     grad_pre = (grad_features - features * radial) / norms[:, None]
     return grad_pre.T @ values
 
@@ -93,7 +94,7 @@ def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterSta
         raise ValueError(
             f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}"
         )
-    if not np.all(np.isfinite(gradient)):
+    if not np.isfinite(gradient).all():
         raise NonFiniteGradient("gradient contains NaN or inf entries")
     buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient
     weight = adapter.weight - adapter.learning_rate * buffer

@@ -103,6 +103,8 @@ class WorldSpec:
             raise InvalidSpec("n_source must cover every class")
         if self.n_batches < 1 or self.batch_size < 2:
             raise InvalidSpec("need at least one batch of size >= 2")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be non-negative")
         return self
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -111,6 +112,8 @@ class RunConfig:
             raise ConfigError("novel_momentum must lie in (0, 1]")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         return self
 
 
@@ -125,7 +128,7 @@ class StageFailure(Exception):
         self.cause = cause
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRecord:
     """One finalized prediction; append-only once its batch closes."""
 
@@ -323,12 +326,9 @@ class Engine:
                 )
             try:
                 features, scores, tau, predicted = self.inference_stage(batch.values)
-                records.extend(
-                    PredictionRecord(t, i, label, score, tau, hidden)
-                    for i, (label, score, hidden) in enumerate(
-                        zip(predicted.tolist(), scores.tolist(), batch.hidden.tolist())
-                    )
-                )
+                n = len(batch)
+                records.extend(map(PredictionRecord, repeat(t, n), range(n), predicted.tolist(),
+                                   scores.tolist(), repeat(tau, n), batch.hidden.tolist()))
                 losses.append(
                     self.adaptation_stage(batch.values, features, scores, tau, predicted)
                 )

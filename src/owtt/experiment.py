@@ -99,8 +99,13 @@ def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> Experim
     if "output_dir" not in data:
         raise ConfigError("output_dir is required")
 
-    world = _build_section(WorldSpec, dict(data.get("world", {})), "world")
-    run = _build_section(RunConfig, dict(data.get("run", {})), "run")
+    kinds = {"world": dict, "run": dict, "output_dir": str, "stream_file": (str, type(None))}
+    for key, kind in kinds.items():
+        if key in data and not isinstance(data[key], kind):
+            what = "an object" if kind is dict else "a path string"
+            raise ConfigError(f"{key} must be {what}, got {data[key]!r}")
+    world = _build_section(WorldSpec, data.get("world", {}), "world")
+    run = _build_section(RunConfig, data.get("run", {}), "run")
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
@@ -108,11 +113,13 @@ def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> Experim
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+        if seed < 0:
+            raise ConfigError(f"{SEED_ENV_VAR} must be non-negative, got {seed}")
         world = dataclasses.replace(world, seed=seed)
         run = dataclasses.replace(run, seed=seed)
 
     formats = data.get("report_formats", list(REPORT_FORMATS))
-    if not isinstance(formats, list) or not set(formats) <= set(REPORT_FORMATS):
+    if not isinstance(formats, list) or not all(f in REPORT_FORMATS for f in formats):
         raise ConfigError(f"report_formats must be a subset of {REPORT_FORMATS}")
 
     world.validate()
@@ -315,6 +322,8 @@ def run_sweep(
     ``jobs`` > 1; collates sweep.csv under output_dir."""
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if axis == "ratio" and exp.stream_file is not None:
         raise ConfigError("a ratio sweep regenerates the stream; drop stream_file")
     if values is None:

@@ -58,7 +58,7 @@ class GaussianStats:
             chol = np.linalg.cholesky(self.regularized)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("covariance not positive-definite") from exc
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return 2.0 * float(np.log(np.diag(chol)).sum())
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -138,7 +138,7 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
         raise ValueError("both Gaussian estimates must be initialized")
     t_inv = target.inverse
     delta = source.mean - target.mean
-    trace_term = float(np.sum(t_inv * source.regularized.T))
+    trace_term = float((t_inv * source.regularized.T).sum())
     mahal = float(delta @ t_inv @ delta)
     kl = 0.5 * (trace_term + mahal - delta.shape[0] + target.logdet - source.logdet)
     if kl < 0.0:
@@ -166,37 +166,21 @@ def kl_gradient(
         return kl, np.zeros_like(batch_features)
 
     t_inv = target.inverse
-    delta = source.mean - target.mean
     grad_mean = t_inv @ (target.mean - source.mean)
-    grad_cov = 0.5 * (
-        t_inv - t_inv @ source.regularized @ t_inv - t_inv @ np.outer(delta, delta) @ t_inv
-    )
-    centered = batch_features - batch_features.mean(axis=0)
-    grad_features = np.tile(grad_mean / n, (n, 1))
+    grad_features = (grad_mean / n)[None, :]  # the mean term, shared by every row
     if n > 1:
-        grad_features = grad_features + (2.0 / (n - 1)) * centered @ grad_cov
+        delta = source.mean - target.mean
+        outer = delta[:, None] * delta
+        grad_cov = 0.5 * (t_inv - t_inv @ source.regularized @ t_inv - t_inv @ outer @ t_inv)
+        centered = batch_features - batch_features.mean(axis=0)
+        grad_features = (2.0 / (n - 1)) * centered @ grad_cov + grad_features
     grad_features *= target.last_blend
     return kl, grad_features
 
 
 def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    peak = rows.max(axis=1, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(rows - peak), axis=1, keepdims=True)))[:, 0]
-
-
-def _split_labels(pseudo_labels: Sequence[int], pool: PrototypePool):
-    labels = np.asarray(pseudo_labels, dtype=int)
-    k_s = pool.num_source
-    source_mask = labels < k_s
-    novel_idx = labels[~source_mask] - k_s
-    if labels.size and labels.min() < 0:
-        raise UnknownLabel("negative pseudo-label")
-    if novel_idx.size and novel_idx.max() >= pool.novel_count:
-        raise UnknownLabel(
-            f"novel prototype index {int(novel_idx.max())} outside pool of "
-            f"{pool.novel_count}"
-        )
-    return labels, source_mask
+    peak = rows.max(axis=1)
+    return peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
 
 
 def clustering_loss_gradient(
@@ -215,29 +199,40 @@ def clustering_loss_gradient(
     """
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
-    grad_features = np.zeros_like(features)
     if n == 0:
-        return 0.0, grad_features
-    labels, source_mask = _split_labels(pseudo_labels, pool)
+        return 0.0, np.zeros_like(features)
+    labels = np.asarray(pseudo_labels, dtype=int)
+    low, top = int(labels.min()), int(labels.max())
+    k_s = pool.num_source
+    if low < 0:
+        raise UnknownLabel("negative pseudo-label")
+    if top >= k_s + pool.novel_count:
+        raise UnknownLabel(
+            f"novel prototype index {top - k_s} outside pool of {pool.novel_count}"
+        )
     protos = pool.source_matrix()
+    grad_features = np.empty_like(features)  # every row is source or novel
     total = 0.0
+    source = slice(None) if top < k_s else labels < k_s  # a slice copies no rows
 
-    if np.any(source_mask):
-        rows = features[source_mask] @ protos.T / temperature
+    if low < k_s:
+        rows = features[source] @ protos.T / temperature
         lse = _logsumexp(rows)
-        picked = (np.arange(rows.shape[0]), labels[source_mask])
-        total += float(np.sum(lse - rows[picked]))
+        picked = (np.arange(rows.shape[0]), labels[source])
+        total += float((lse - rows[picked]).sum())
         soft = np.exp(rows - lse[:, None])
         soft[picked] -= 1.0
-        grad_features[source_mask] = soft @ protos / temperature
-    if np.any(~source_mask):
-        sel = ~source_mask
-        novel = pool.novel_matrix()[labels[sel] - pool.num_source]
-        rows = features[sel] @ protos.T / temperature
-        novel_logit = np.sum(features[sel] * novel, axis=1) / temperature
-        rows = np.hstack([rows, novel_logit[:, None]])
+        grad_features[source] = soft @ protos / temperature
+    if top >= k_s:
+        sel = ~source
+        subset = features[sel]
+        novel = pool.novel_matrix()[labels[sel] - k_s]
+        # The source logits, then the novel logit in the last column.
+        rows = np.empty((subset.shape[0], k_s + 1))
+        np.divide(subset @ protos.T, temperature, out=rows[:, :-1])
+        np.divide((subset * novel).sum(axis=1), temperature, out=rows[:, -1])
         lse = _logsumexp(rows)
-        total += float(np.sum(lse - novel_logit))
+        total += float((lse - rows[:, -1]).sum())
         soft = np.exp(rows - lse[:, None])
         soft[:, -1] -= 1.0
         grad_features[sel] = (soft[:, :-1] @ protos + soft[:, -1:] * novel) / temperature

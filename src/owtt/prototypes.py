@@ -110,8 +110,11 @@ def expand(
     such candidates are never visited, even when an eviction later in the
     batch would raise their score above tau.
     """
+    count = np.count_nonzero(scores > tau)
+    if not count:
+        return 0
     order = np.argsort(-scores, kind="stable")
-    candidates = batch_features[order[: np.count_nonzero(scores > tau)]]
+    candidates = batch_features[order[:count]]
     # Every candidate scores above tau against the pool the batch found, so a
     # re-score need only check the prototypes this batch added that are still
     # in the pool: the last novel_capacity of them. sims[i, j % width] holds

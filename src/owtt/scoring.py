@@ -7,6 +7,7 @@ total intra-cluster variance of the two resulting score groups.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -19,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Candidate thresholds: 0.00, 0.01, ..., 1.00.
 THRESHOLD_GRID = np.arange(101) / 100.0
+_GRID = tuple(THRESHOLD_GRID.tolist())
 
 # Below this many stored scores the two-cluster objective is noise, so the
 # estimator reports a degenerate threshold (reject nothing).
@@ -73,7 +75,7 @@ def batch_ood_scores(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray
     """Strong-OOD scores of a batch of unit-norm features against prototype rows."""
     if prototypes.shape[0] == 0:
         raise EmptyPrototypeSet("no source prototypes")
-    return 1.0 - np.max(np.asarray(features, dtype=float) @ prototypes.T, axis=1)
+    return 1.0 - (np.asarray(features, dtype=float) @ prototypes.T).max(axis=1)
 
 
 def batch_discrete_scores(
@@ -129,29 +131,32 @@ def adaptive_threshold(
         return ThresholdEstimate(tau=1.0, objective=None, degenerate=True)
 
     scores = np.sort(window.values())
-    csum = np.concatenate(([0.0], np.cumsum(scores)))
-    csq = np.concatenate(([0.0], np.cumsum(scores * scores)))
-
-    k = np.searchsorted(scores, THRESHOLD_GRID, side="right")  # lower-side counts
-    valid = (k >= 1) & (k <= n - 1)
+    # Candidate g leaves a score on each side when scores[0] <= g < scores[-1],
+    # so the valid candidates are one run of the grid, start..stop-1.
+    start = bisect_left(_GRID, scores[0])
+    stop = bisect_left(_GRID, scores[-1])
     if clamp_range is not None:
         lo, hi = clamp_range
-        valid &= (THRESHOLD_GRID >= lo - 1e-12) & (THRESHOLD_GRID <= hi + 1e-12)
-    if not np.any(valid):
+        start = max(start, bisect_left(_GRID, lo - 1e-12))
+        stop = min(stop, bisect_right(_GRID, hi + 1e-12))
+    if start >= stop:
         return ThresholdEstimate(tau=1.0, objective=None, degenerate=True)
 
-    k_safe = np.clip(k, 1, n - 1)
-    n_lo = k_safe.astype(float)
-    n_hi = (n - k_safe).astype(float)
-    var_lo = np.maximum(csq[k_safe] / n_lo - (csum[k_safe] / n_lo) ** 2, 0.0)
+    csum = np.cumsum(scores)
+    csq = np.cumsum(scores * scores)
+    k = scores.searchsorted(THRESHOLD_GRID[start:stop], side="right")  # 1..n-1 below
+    below = k - 1
+    n_lo = k.astype(float)
+    n_hi = (n - k).astype(float)
+    var_lo = np.maximum(csq[below] / n_lo - (csum[below] / n_lo) ** 2, 0.0)
     var_hi = np.maximum(
-        (csq[n] - csq[k_safe]) / n_hi - ((csum[n] - csum[k_safe]) / n_hi) ** 2, 0.0
+        (csq[-1] - csq[below]) / n_hi - ((csum[-1] - csum[below]) / n_hi) ** 2, 0.0
     )
-    objective = np.where(valid, var_lo + var_hi, np.inf)
+    objective = var_lo + var_hi
 
-    best = int(np.argmin(objective))  # argmin takes the first (smallest) candidate
+    best = int(objective.argmin())  # argmin takes the first (smallest) candidate
     return ThresholdEstimate(
-        tau=float(THRESHOLD_GRID[best]),
+        tau=_GRID[start + best],
         objective=float(objective[best]),
         degenerate=False,
     )

@@ -41,6 +41,44 @@ def brute_force_threshold(scores, clamp_range=None, min_scores=8):
     return best_tau, best_obj, False
 
 
+def sorted_cumsum_threshold(scores, clamp_range=None, min_scores=8):
+    """The sort-and-cumsum threshold search scored over all 101 candidates.
+
+    The threshold estimator's former body, kept verbatim: every grid point
+    is evaluated and invalid ones are masked to inf, where the package
+    bisects the run of valid candidates. ``scores`` are the window's
+    (already clamped) values. Returns (tau, objective, degenerate).
+    """
+    grid = np.arange(101) / 100.0
+    n = len(scores)
+    if n < min_scores:
+        return 1.0, None, True
+
+    scores = np.sort(np.asarray(scores, dtype=float))
+    csum = np.concatenate(([0.0], np.cumsum(scores)))
+    csq = np.concatenate(([0.0], np.cumsum(scores * scores)))
+
+    k = np.searchsorted(scores, grid, side="right")  # lower-side counts
+    valid = (k >= 1) & (k <= n - 1)
+    if clamp_range is not None:
+        lo, hi = clamp_range
+        valid &= (grid >= lo - 1e-12) & (grid <= hi + 1e-12)
+    if not np.any(valid):
+        return 1.0, None, True
+
+    k_safe = np.clip(k, 1, n - 1)
+    n_lo = k_safe.astype(float)
+    n_hi = (n - k_safe).astype(float)
+    var_lo = np.maximum(csq[k_safe] / n_lo - (csum[k_safe] / n_lo) ** 2, 0.0)
+    var_hi = np.maximum(
+        (csq[n] - csq[k_safe]) / n_hi - ((csum[n] - csum[k_safe]) / n_hi) ** 2, 0.0
+    )
+    objective = np.where(valid, var_lo + var_hi, np.inf)
+
+    best = int(np.argmin(objective))  # argmin takes the first (smallest) candidate
+    return float(grid[best]), float(objective[best]), False
+
+
 def grid_split_minimizer(scores, clamp_range=None, min_scores=8):
     """Exhaustive grid minimizer via direct masked means (no sorting).
 

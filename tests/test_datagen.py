@@ -56,6 +56,11 @@ def test_signal_dims_bounded_by_input_dims():
         small_spec(d_in=8, signal_dims=16).validate()
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidSpec, match="seed"):
+        small_spec(seed=-1).validate()
+
+
 # --- source generation --------------------------------------------------------------
 
 

@@ -62,6 +62,11 @@ def test_bad_ranges_rejected():
         RunConfig(threshold_clamp=(0.9, 0.1)).validate()
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1).validate()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", ["learning_rate", "lam", "temperature"])
 def test_non_finite_hyper_parameters_rejected(name, value):

@@ -135,6 +135,12 @@ def test_bad_seed_env_rejected(tmp_path, monkeypatch):
         experiment_from_dict(experiment_dict(tmp_path))
 
 
+def test_negative_seed_env_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("OWTT_SEED", "-3")
+    with pytest.raises(ConfigError, match="OWTT_SEED"):
+        experiment_from_dict(experiment_dict(tmp_path))
+
+
 def test_config_hash_ignores_output_dir(tmp_path):
     a = experiment_from_dict(experiment_dict(tmp_path))
     b = experiment_from_dict(experiment_dict(tmp_path, output_dir=str(tmp_path / "elsewhere")))
@@ -338,6 +344,28 @@ def test_cli_run_and_sweep_exit_2_on_a_batch_size_mismatch(tmp_path, capsys):
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("report_formats", [["csv"]]),
+    ("output_dir", 5),
+    ("stream_file", 7),
+    ("world", [1]),
+    ("run", "x"),
+])
+def test_cli_run_exits_2_on_a_mistyped_top_level_value(tmp_path, capsys, key, value):
+    assert main(["run", str(write_experiment(tmp_path, **{key: value}))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_sweep_exits_2_below_one_job(tmp_path, capsys, jobs):
+    path = write_experiment(tmp_path)
+    assert main(["sweep", str(path), "--axis", "keep_ratio", "--values", "0.5", "--jobs", jobs]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "jobs" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

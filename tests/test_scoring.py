@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_threshold, discrete_scores, fifo_window, split_objective
+from oracles import (
+    brute_force_threshold,
+    discrete_scores,
+    fifo_window,
+    sorted_cumsum_threshold,
+    split_objective,
+)
 from owtt.errors import EmptyPrototypeSet, EmptyWindow
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
     DEFAULT_TOP_M,
     MIN_WINDOW_SCORES,
+    THRESHOLD_GRID,
     ScoreWindow,
     adaptive_threshold,
     batch_discrete_scores,
@@ -313,3 +320,52 @@ def test_estimate_objective_agrees_with_direct_formula():
         direct = split_objective(scores, est.tau)
         assert direct is not None
         assert est.objective == pytest.approx(direct, abs=1e-12)
+
+
+@st.composite
+def threshold_windows(draw):
+    """A filled score window and a clamp, built to hit the grid search's edges:
+    scores on grid points, all-equal and two-valued windows, scores outside
+    [0, 1] before the window clamps them, and clamp bounds on the grid or
+    1e-13 or 1e-12 off it (the clamp's own tolerance)."""
+    window = ScoreWindow(draw(st.integers(8, 512)))
+    size = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "grid", "equal", "two-valued", "wide", "bimodal"]))
+    if kind == "uniform":
+        scores = rng.uniform(0.0, 1.0, size)
+    elif kind == "grid":
+        scores = rng.choice(THRESHOLD_GRID, size)
+    elif kind == "equal":
+        scores = np.full(size, rng.choice(THRESHOLD_GRID) if rng.random() < 0.5 else rng.random())
+    elif kind == "two-valued":
+        scores = rng.choice(rng.choice(THRESHOLD_GRID, 2), size)
+    elif kind == "wide":
+        scores = rng.uniform(-0.5, 1.5, size)
+    else:
+        centers = rng.uniform(0.0, 1.0, 2)
+        scores = rng.normal(centers[rng.integers(0, 2, size)], 0.05)
+    window.push(scores)
+
+    grid_point = st.sampled_from(THRESHOLD_GRID.tolist())
+    bound = st.one_of(
+        grid_point,
+        st.builds(lambda g, off: min(max(g + off, 0.0), 1.0), grid_point,
+                  st.sampled_from([-1e-12, -1e-13, 1e-13, 1e-12])),
+        st.floats(0.0, 1.0),
+    )
+    clamp = draw(st.one_of(
+        st.sampled_from([None, (0.4, 1.0), (0.0, 0.0), (1.0, 1.0)]),
+        bound.map(lambda lo: (lo, lo)),
+        st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair))),
+    ))
+    return window, clamp
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=threshold_windows())
+def test_threshold_equals_sorted_cumsum_oracle_exactly(case):
+    window, clamp = case
+    est = adaptive_threshold(window, clamp)
+    expected = sorted_cumsum_threshold(window.values(), clamp, MIN_WINDOW_SCORES)
+    assert (est.tau, est.objective, est.degenerate) == expected
