@@ -10,7 +10,7 @@ class DegenerateEmbedding(OwttError):
 
 
 class NonFiniteInput(OwttError):
-    """An input row held a NaN or infinite value."""
+    """An input row or a score held a NaN or infinite value."""
 
 
 class NonFiniteGradient(OwttError):

@@ -26,6 +26,9 @@ class PrototypePool:
     All rows live in one preallocated array: the source rows, then the novel
     rows oldest-first. The matrix accessors return views of it, so they cost
     no copy, and a view taken before a later push or update sees the change.
+    ``push_novel`` is the one writer of novel rows: it takes a block, so
+    ``expand`` writes one batch's admissions with a single FIFO shift, and
+    ``load_pool`` writes a checkpoint's rows the same way.
     """
 
     def __init__(self, source: np.ndarray, novel_capacity: int):
@@ -47,13 +50,19 @@ class PrototypePool:
     def all_matrix(self) -> np.ndarray:
         return self._rows[: self.num_source + self.novel_count]
 
-    def push_novel(self, feature: np.ndarray) -> None:
-        """Append a novel prototype; the oldest is evicted at capacity."""
-        if self.novel_count == self.novel_capacity:
-            self._rows[self.num_source : -1] = self._rows[self.num_source + 1 :]
-        else:
-            self.novel_count += 1
-        self._rows[self.num_source + self.novel_count - 1] = feature
+    def push_novel(self, rows: np.ndarray) -> None:
+        """Append novel prototypes, oldest first (one 1-D row or a 2-D block).
+
+        The result equals pushing the rows one at a time and evicting the
+        oldest at capacity, but the surviving rows are shifted once per call.
+        """
+        rows = rows[None] if rows.ndim == 1 else rows[-self.novel_capacity :]
+        n, start, count = len(rows), self.num_source, self.novel_count
+        keep = min(count, self.novel_capacity - n)  # the newest old rows survive
+        if keep < count:
+            self._rows[start : start + keep] = self._rows[start + count - keep : start + count]
+        self._rows[start + keep : start + keep + n] = rows
+        self.novel_count = keep + n
 
 
 def check_source(rows: np.ndarray, labels, num_classes: int) -> np.ndarray:
@@ -103,8 +112,11 @@ def expand(
 
     ``scores`` are the batch's extended OOD scores against the pool as the
     batch found it. Candidates are visited in descending score order, and
-    each is re-scored against the current (growing) pool before insertion,
-    so near-duplicates from the same batch cannot all enter.
+    each is re-scored against the pool as the batch found it plus this
+    batch's admissions that are still live, read from a table, so
+    near-duplicates from the same batch cannot all enter. The admissions
+    enter the pool after the visit as one block, oldest first, which leaves
+    the same FIFO queue as pushing each on admission.
 
     The visit stops at the first candidate whose initial score is <= tau:
     such candidates are never visited, even when an eviction later in the
@@ -119,15 +131,16 @@ def expand(
     # re-score need only check the prototypes this batch added that are still
     # in the pool: the last novel_capacity of them. sims[i, j % width] holds
     # candidate i's similarity to the j-th one added (-inf before it exists).
+    # The loop never reads the pool, so the admissions can wait for one push.
     width = min(pool.novel_capacity, candidates.shape[0])
     sims = np.full((candidates.shape[0], width), -np.inf)
-    added = 0
+    admitted = []
     for i, feature in enumerate(candidates):
-        if 1.0 - sims[i].max() > tau:
-            pool.push_novel(feature)
-            sims[i + 1 :, added % width] = candidates[i + 1 :] @ feature
-            added += 1
-    return added
+        if 1.0 - np.maximum.reduce(sims[i]) > tau:
+            sims[i + 1 :, len(admitted) % width] = candidates[i + 1 :] @ feature
+            admitted.append(i)
+    pool.push_novel(candidates[admitted])
+    return len(admitted)
 
 
 def _check_finite(rows: np.ndarray, what: str) -> None:
@@ -172,8 +185,7 @@ def load_pool(path) -> PrototypePool:
     rows = np.frombuffer(data, "<f8", offset=_POOL_HEADER.size).reshape(n_source + n_novel, dim)
     _check_finite(rows, "pool checkpoint")
     pool = PrototypePool(rows[:n_source], novel_capacity=capacity)
-    pool._rows[n_source : n_source + n_novel] = rows[n_source:]
-    pool.novel_count = n_novel
+    pool.push_novel(rows[n_source:])
     return pool
 
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyPrototypeSet, EmptyWindow
+from .errors import EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .prototypes import PrototypePool
@@ -41,7 +41,7 @@ class ThresholdEstimate:
 
 
 class ScoreWindow:
-    """Fixed-capacity FIFO buffer of recent scores, clamped to [0, 1]."""
+    """Fixed-capacity FIFO buffer of recent finite scores, clamped to [0, 1]."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -54,8 +54,18 @@ class ScoreWindow:
         return self._scores.size
 
     def push(self, scores: Sequence[float]) -> "ScoreWindow":
-        """Append scores (oldest evicted at capacity); values clamp to [0, 1]."""
-        clamped = np.clip(np.atleast_1d(np.asarray(scores, dtype=float)), 0.0, 1.0)
+        """Append scores (oldest evicted at capacity); finite values clamp to [0, 1].
+
+        A NaN or inf score raises NonFiniteInput naming its position, before
+        the window changes.
+        """
+        scores = np.atleast_1d(np.asarray(scores, dtype=float))
+        finite = np.isfinite(scores)
+        if finite.size:
+            i = int(finite.argmin())  # the first NaN or inf, if there is one
+            if not finite[i]:
+                raise NonFiniteInput(f"score {i} is {scores[i]}")
+        clamped = np.clip(scores, 0.0, 1.0)
         self._scores = np.concatenate((self._scores, clamped))[-self.capacity :]
         return self
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owtt import engine as engine_module
 from owtt.adapter import embed_batch
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
@@ -17,6 +18,7 @@ from owtt.engine import (
 )
 from owtt.errors import ConfigError, EmptyRecords, InvalidSpec, NonFiniteInput
 from owtt.metrics import REJECT, compute_metrics
+from owtt.prototypes import PrototypePool
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
 
@@ -239,6 +241,32 @@ def test_pool_bounded_by_capacity():
     spec = small_world(n_batches=20)
     result = run_world(spec, novel_capacity=7)
     assert all(t.pn_size <= 7 for t in result.trace)
+
+
+def test_expansion_pushes_the_pool_at_most_once_per_batch(monkeypatch):
+    # A wide-saturated world admits more prototypes per batch than the pool
+    # holds, so eviction happens inside a batch; the admissions still reach
+    # the pool through one push_novel call.
+    pushes, added = [], []
+    push_novel, expand = PrototypePool.push_novel, engine_module.expand
+
+    def counting_push(pool, rows):
+        pushes.append(len(np.atleast_2d(rows)))
+        push_novel(pool, rows)
+
+    def counting_expand(*args):
+        before = len(pushes)
+        added.append(expand(*args))
+        assert len(pushes) - before <= 1
+        return added[-1]
+
+    monkeypatch.setattr(PrototypePool, "push_novel", counting_push)
+    monkeypatch.setattr(engine_module, "expand", counting_expand)
+    spec = WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
+                     n_batches=3, seed=0)
+    run_world(spec, feature_dim=64)
+    assert len(added) == 3 and len(pushes) <= 3
+    assert sum(added) == sum(pushes) > RunConfig().novel_capacity
 
 
 def test_rejected_samples_never_update_target_stats():

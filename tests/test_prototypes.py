@@ -201,6 +201,25 @@ def test_pool_matches_list_model(seed, capacity, pushes):
 
 
 @settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 5), data=st.data())
+def test_block_push_matches_list_model_pushed_row_by_row(seed, capacity, data):
+    rng = np.random.default_rng(seed)
+    source = unit_rows(rng.normal(size=(2, 3)))
+    pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
+    sizes = data.draw(st.lists(st.integers(0, 2 * capacity), min_size=1, max_size=6))
+    for size in sizes:  # the pool starts empty and then runs partial or full
+        block = unit_rows(rng.normal(size=(size, 3))) if size else np.empty((0, 3))
+        if size == 1 and data.draw(st.booleans()):
+            block = block[0]  # a single 1-D row
+        pool.push_novel(block)
+        for row in np.atleast_2d(block):
+            model.push(row)
+        block[...] = np.nan  # the pool holds copies of the pushed rows
+        assert pool.novel_count == len(model.novel)
+        assert np.array_equal(pool.all_matrix(), model.matrix())
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(2, 5),

@@ -10,7 +10,7 @@ from oracles import (
     sorted_cumsum_threshold,
     split_objective,
 )
-from owtt.errors import EmptyPrototypeSet, EmptyWindow
+from owtt.errors import EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
     DEFAULT_TOP_M,
@@ -188,6 +188,21 @@ def test_window_clamps_scores():
     window = ScoreWindow(4)
     window.push([1.3, -0.2])
     np.testing.assert_allclose(window.values(), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_window_push_refuses_a_non_finite_score_and_keeps_its_values(value):
+    # Eight 0.1s, eight 0.9s and a NaN once gave a silent, degenerate tau=1.0.
+    window = ScoreWindow(32)
+    with pytest.raises(NonFiniteInput, match="score 16 "):
+        window.push([0.1] * 8 + [0.9] * 8 + [value])
+    assert window.count == 0
+    window.push([0.1] * 8 + [0.9] * 8)
+    before = window.values()
+    with pytest.raises(NonFiniteInput, match="score 1 "):
+        window.push([0.5, value, 0.3, value])
+    np.testing.assert_array_equal(window.values(), before)
+    assert adaptive_threshold(window).tau == 0.1
 
 
 @settings(max_examples=200, deadline=None)
