@@ -37,6 +37,7 @@ from .scoring import (
     adaptive_threshold,
     batch_discrete_scores,
     batch_ood_scores,
+    clamp_scores,
 )
 
 # Threshold forced when OOD detection is disabled: clamped scores never
@@ -237,7 +238,7 @@ class Engine:
             raw = batch_discrete_scores(features, self.pool)
         else:
             raw = batch_ood_scores(features, self.pool.source_matrix())
-        scores = np.clip(raw, 0.0, 1.0)
+        scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
         tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
         nearest = np.argmax(features @ self.pool.source_matrix().T, axis=1)
@@ -266,8 +267,7 @@ class Engine:
             )
             expand(self.pool, features, extended, expansion_tau)
         if cfg.novel_momentum is not None and self.pool.novel_count:
-            for i in np.flatnonzero(predicted == REJECT):
-                momentum_update_novel(self.pool, features[i], cfg.novel_momentum)
+            momentum_update_novel(self.pool, features[predicted == REJECT], cfg.novel_momentum)
 
         clustering_value = 0.0
         alignment_value = 0.0

@@ -7,12 +7,13 @@ pool cannot grow without bound.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .adapter import NORM_EPS
-from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec
+from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
 from .scoring import adaptive_threshold, ood_score  # noqa: F401  (patched by the perfbench tracer)
 
 _POOL_MAGIC = b"OWTP"
@@ -66,8 +67,11 @@ class PrototypePool:
 
 
 def check_source(rows: np.ndarray, labels, num_classes: int) -> np.ndarray:
-    """The source labels as ints. Raises InvalidSpec unless ``rows`` is 2-D and
-    ``labels`` holds one integral class id in 0..num_classes-1 per row."""
+    """The source labels as ints. Raises InvalidSpec unless ``num_classes`` is
+    positive, ``rows`` is 2-D and ``labels`` holds one integral class id in
+    0..num_classes-1 per row."""
+    if num_classes < 1:
+        raise InvalidSpec(f"need at least one source class, got {num_classes}")
     if rows.ndim != 2:
         raise InvalidSpec(f"source rows must form a 2-D array, got shape {rows.shape}")
     labels = np.asarray(labels, dtype=float)
@@ -143,10 +147,10 @@ def expand(
     return len(admitted)
 
 
-def _check_finite(rows: np.ndarray, what: str) -> None:
+def _check_finite(rows: np.ndarray, what: str, error=InvalidSpec) -> None:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise InvalidSpec(f"{what} row {bad[0]} holds a NaN or infinite value")
+        raise error(f"{what} row {bad[0]} holds a NaN or infinite value")
 
 
 def save_pool(pool: PrototypePool, path) -> None:
@@ -189,17 +193,32 @@ def load_pool(path) -> PrototypePool:
     return pool
 
 
-def momentum_update_novel(
-    pool: PrototypePool, feature: np.ndarray, momentum: float
-) -> None:
-    """Blend the most similar novel prototype toward feature and renormalize."""
+def momentum_update_novel(pool: PrototypePool, rows: np.ndarray, momentum: float) -> None:
+    """Blend novel prototypes toward a block of feature rows, one row at a time.
+
+    For each row in block order (a 1-D row is a block of one), the first most
+    similar novel prototype becomes ``(1 - momentum) * prototype + momentum *
+    row``, renormalized; each row sees the updates of the rows before it. The
+    engine calls this once per batch with the batch's rejected rows.
+
+    A block with a NaN or inf row raises NonFiniteInput naming the first
+    such row, and a block whose width is not the pool's raises InvalidSpec;
+    either refusal leaves the pool unchanged. A blend that collapses to zero
+    norm raises DegenerateEmbedding with the block's earlier rows applied.
+    """
     if pool.novel_count == 0:
         raise EmptyNovelPool("no novel prototypes to update")
-    feature = np.asarray(feature, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    rows = rows[None] if rows.ndim == 1 else rows
     novel = pool.novel_matrix()
-    idx = int(np.argmax(novel @ feature))
-    blended = (1.0 - momentum) * novel[idx] + momentum * feature
-    norm = np.linalg.norm(blended)
-    if norm < NORM_EPS:
-        raise DegenerateEmbedding("momentum blend collapsed to zero norm")
-    novel[idx] = blended / norm
+    if rows.ndim != 2 or rows.shape[1] != novel.shape[1]:
+        raise InvalidSpec(f"momentum rows of shape {rows.shape} for pool width {novel.shape[1]}")
+    _check_finite(rows, "momentum", NonFiniteInput)
+    keep = 1.0 - momentum
+    for row, pull in zip(rows, momentum * rows):
+        idx = (novel @ row).argmax()
+        blended = keep * novel[idx] + pull
+        norm = math.sqrt(blended.dot(blended))  # what np.linalg.norm computes for a 1-D row
+        if norm < NORM_EPS:
+            raise DegenerateEmbedding("momentum blend collapsed to zero norm")
+        np.divide(blended, norm, out=novel[idx])

@@ -40,6 +40,15 @@ class ThresholdEstimate:
     degenerate: bool
 
 
+def clamp_scores(scores: np.ndarray) -> np.ndarray:
+    """``np.clip(scores, 0.0, 1.0)``, bit for bit, without np.clip's Python wrapper.
+
+    The argument order keeps -0.0 as np.clip does: ``np.maximum(0.0, -0.0)``
+    is -0.0, while ``np.maximum(-0.0, 0.0)`` is +0.0.
+    """
+    return np.minimum(np.maximum(0.0, scores), 1.0)
+
+
 class ScoreWindow:
     """Fixed-capacity FIFO buffer of recent finite scores, clamped to [0, 1]."""
 
@@ -65,8 +74,7 @@ class ScoreWindow:
             i = int(finite.argmin())  # the first NaN or inf, if there is one
             if not finite[i]:
                 raise NonFiniteInput(f"score {i} is {scores[i]}")
-        clamped = np.clip(scores, 0.0, 1.0)
-        self._scores = np.concatenate((self._scores, clamped))[-self.capacity :]
+        self._scores = np.concatenate((self._scores, clamp_scores(scores)))[-self.capacity :]
         return self
 
     def values(self) -> np.ndarray:

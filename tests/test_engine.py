@@ -269,6 +269,29 @@ def test_expansion_pushes_the_pool_at_most_once_per_batch(monkeypatch):
     assert sum(added) == sum(pushes) > RunConfig().novel_capacity
 
 
+def test_novel_momentum_refreshes_the_pool_at_most_once_per_batch(monkeypatch):
+    # The benchmark's pool-readers config on the default world: the
+    # rejected rows of a batch reach momentum_update_novel as one block.
+    blocks, per_batch = [], []
+    update, stage = engine_module.momentum_update_novel, Engine.adaptation_stage
+
+    def counting_update(pool, rows, momentum):
+        blocks.append(len(rows))
+        update(pool, rows, momentum)
+
+    def counting_stage(self, *args):
+        before = len(blocks)
+        losses = stage(self, *args)
+        per_batch.append(len(blocks) - before)
+        return losses
+
+    monkeypatch.setattr(engine_module, "momentum_update_novel", counting_update)
+    monkeypatch.setattr(Engine, "adaptation_stage", counting_stage)
+    run_world(WorldSpec(n_batches=20, seed=0), discrete_mode=True, novel_momentum=0.1)
+    assert len(per_batch) == 20 and max(per_batch) == 1
+    assert max(blocks) >= 2
+
+
 def test_rejected_samples_never_update_target_stats():
     # all-strong stream: everything rejected, so alignment never initializes
     spec = small_world(ratio=1.0, rotation_angle=0.0, noise_std=0.1)
@@ -393,6 +416,11 @@ def test_malformed_source_arrays_raise_invalid_spec(corrupt, message):
     bad_x, bad_y = corrupt(src_x, src_y, spec.k_s)
     with pytest.raises(InvalidSpec, match=message):
         Engine(RunConfig(seed=0), bad_x, bad_y, spec.k_s)
+
+
+def test_an_empty_source_raises_invalid_spec_before_any_statistic():
+    with pytest.raises(InvalidSpec, match="at least one source class, got 0"):
+        Engine(RunConfig(), np.zeros((0, 32)), np.zeros(0), 0)
 
 
 def test_integral_float_source_labels_match_int_labels():

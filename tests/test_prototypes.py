@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import ListPool, brute_force_expand, list_momentum_update
 from owtt.engine import next_threshold
-from owtt.errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec
+from owtt.errors import (
+    DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
+)
 from owtt.prototypes import (
     PrototypePool,
     build_source_prototypes,
@@ -299,6 +301,105 @@ def test_momentum_blend_collapse_raises():
     pool.push_novel(np.array([1.0, 0.0]))
     with pytest.raises(DegenerateEmbedding):
         momentum_update_novel(pool, np.array([-1.0, 0.0]), momentum=0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capacity=st.integers(1, 5),
+    dim=st.integers(2, 5),
+    blocks=st.lists(
+        st.tuples(st.integers(0, 12), st.booleans(), st.booleans()), min_size=1, max_size=4
+    ),
+    momentum=st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_momentum_block_matches_row_by_row_oracle(seed, capacity, dim, blocks, momentum):
+    # The random prototypes are distinct: two prototypes an ulp apart can
+    # rank differently under the pool's matrix-vector product and the
+    # oracle's per-row dot, which is the similarity kernel, not the block
+    # logic. Exact ties are pinned by the next test.
+    rng = np.random.default_rng(seed)
+    source = unit_rows(rng.normal(size=(2, dim)))
+    pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
+    prefill = unit_rows(rng.normal(size=(capacity, dim)))
+    pool.push_novel(prefill)
+    for row in prefill:
+        model.push(row)
+    for size, on_prototype, flat in blocks:
+        block = unit_rows(rng.normal(size=(size, dim))) if size else np.empty((0, dim))
+        if size > 1:
+            block[-1] = block[0]  # a duplicate row sees the update of its first copy
+        if size and on_prototype:
+            block[size // 2] = pool.novel_matrix()[rng.integers(pool.novel_count)]
+        momentum_update_novel(pool, block[0] if size == 1 and flat else block, momentum)
+        for row in block:
+            list_momentum_update(model, row, momentum)
+        assert np.array_equal(pool.all_matrix(), model.matrix())
+
+
+@pytest.mark.parametrize("momentum", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("repeats", [0, 1, 2])
+def test_momentum_tie_refreshes_the_first_equal_prototype(repeats, momentum):
+    # Novel rows 0 and 2 are the same prototype and score 0.8 exactly, so
+    # the tie goes to row 0; row 2 is left as it was. repeats=0 passes 1-D.
+    e0, e1 = np.eye(3)[:2]
+    pool = PrototypePool(np.array([[0.0, 0.0, 1.0]]), novel_capacity=3)
+    pool.push_novel(np.array([e1, e0, e1]))
+    model = ListPool(pool.source_matrix(), 3)
+    for row in (e1, e0, e1):
+        model.push(row)
+    row = np.array([0.6, 0.8, 0.0])
+    block = np.array([row] * repeats) if repeats else row
+    momentum_update_novel(pool, block, momentum)
+    for _ in range(max(repeats, 1)):
+        list_momentum_update(model, row, momentum)
+    assert np.array_equal(pool.all_matrix(), model.matrix())
+    assert not np.array_equal(pool.novel_matrix()[0], e1)
+    assert np.array_equal(pool.novel_matrix()[1:], [e0, e1])
+
+
+def test_momentum_block_updates_each_row_against_the_refreshed_pool():
+    # Against the pool as the block found it, row 1 is closest to [1, 0]. Row
+    # 0 first moves [0, 1] onto itself at momentum 1, and that prototype is
+    # closer to row 1, so row 1 refreshes it again.
+    pool = PrototypePool(np.array([[-1.0, 0.0]]), novel_capacity=4)
+    pool.push_novel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    momentum_update_novel(pool, np.array([[0.6, 0.8], [0.8, 0.6]]), momentum=1.0)
+    np.testing.assert_allclose(pool.novel_matrix(), [[0.8, 0.6], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "block, error, message",
+    [
+        (np.array([np.nan, 0.0]), NonFiniteInput, "momentum row 0 holds a NaN"),
+        (np.array([[1.0, 0.0], [0.0, np.inf], [np.nan, 0.0]]), NonFiniteInput, "momentum row 1"),
+        (np.array([1.0, 0.0, 0.0]), InvalidSpec, r"shape \(1, 3\) for pool width 2"),
+        (np.zeros((2, 1)), InvalidSpec, r"shape \(2, 1\) for pool width 2"),
+        (np.zeros((1, 2, 2)), InvalidSpec, r"shape \(1, 2, 2\)"),
+    ],
+    ids=["nan_row", "inf_after_a_good_row", "wide_row", "narrow_block", "3d_block"],
+)
+def test_momentum_refuses_a_bad_block_and_leaves_the_pool_unchanged(block, error, message):
+    pool = PrototypePool(np.array([[0.0, -1.0]]), novel_capacity=4)
+    pool.push_novel(np.array([1.0, 0.0]))
+    before = pool.all_matrix().copy()
+    with pytest.raises(error, match=message):
+        momentum_update_novel(pool, block, momentum=0.5)
+    np.testing.assert_array_equal(pool.all_matrix(), before)
+
+
+def test_momentum_collapse_mid_block_keeps_the_earlier_rows_applied():
+    # Row 0 turns the one novel prototype into r; row 1 is -r, so its blend
+    # at momentum 0.5 is exactly zero. Row 0 stays applied, row 2 never runs.
+    pool = PrototypePool(np.array([[0.0, -1.0]]), novel_capacity=4)
+    pool.push_novel(np.array([1.0, 0.0]))
+    expected = ListPool(pool.source_matrix(), 4)
+    expected.push(np.array([1.0, 0.0]))
+    list_momentum_update(expected, np.array([0.0, 1.0]), 0.5)
+    block = np.array([[0.0, 1.0], -expected.novel[0], [0.0, 1.0]])
+    with pytest.raises(DegenerateEmbedding):
+        momentum_update_novel(pool, block, momentum=0.5)
+    assert np.array_equal(pool.all_matrix(), expected.matrix())
 
 
 # --- checkpoint roundtrip ---------------------------------------------------------

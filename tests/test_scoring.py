@@ -20,6 +20,7 @@ from owtt.scoring import (
     adaptive_threshold,
     batch_discrete_scores,
     batch_ood_scores,
+    clamp_scores,
     ood_score,
 )
 
@@ -188,6 +189,25 @@ def test_window_clamps_scores():
     window = ScoreWindow(4)
     window.push([1.3, -0.2])
     np.testing.assert_allclose(window.values(), [1.0, 0.0])
+
+
+CLAMP_EDGES = [-0.0, 0.0, -1e-300, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0, -3.0]
+
+
+def test_clamp_matches_np_clip_bytes_at_the_edges():
+    edges = np.array(CLAMP_EDGES)
+    assert clamp_scores(edges).tobytes() == np.clip(edges, 0.0, 1.0).tobytes()
+    assert np.signbit(clamp_scores(edges)[0])  # -0.0 stays -0.0, as np.clip keeps it
+    window = ScoreWindow(16)
+    window.push(edges)
+    assert window.values().tobytes() == np.clip(edges, 0.0, 1.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_clamp_matches_np_clip_bytes(values):
+    scores = np.array(values, dtype=float)
+    assert clamp_scores(scores).tobytes() == np.clip(scores, 0.0, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
