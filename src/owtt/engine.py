@@ -218,15 +218,10 @@ class Engine:
             build_source_prototypes(source_features, source_labels, num_known),
             novel_capacity=config.novel_capacity,
         )
-        self.source_stats = fit_gaussian(source_features, momentum=config.beta)
-        self.target_stats = GaussianStats.empty(config.feature_dim, momentum=config.beta)
+        self.source_stats = fit_gaussian(source_features)
+        self.target_stats = GaussianStats.empty(config.feature_dim)
         self.plain_window = ScoreWindow(config.window_length)
         self.extended_window = ScoreWindow(config.window_length)
-        # Samples absorbed into the target estimate so far; the alignment
-        # gradient stays off until the covariance can be full-rank, because
-        # a rank-deficient estimate at the regularization floor produces
-        # gradients orders of magnitude above the real signal.
-        self._target_samples = 0
 
     # --- inference stage ---------------------------------------------------------
 
@@ -234,14 +229,15 @@ class Engine:
         """Score and predict one batch; returns (features, scores, tau, predicted)."""
         cfg = self.config
         features = embed_batch(batch_values, self.adapter)
+        source_similarities = features @ self.pool.source_matrix().T
         if cfg.discrete_mode:
             raw = batch_discrete_scores(features, self.pool)
         else:
-            raw = batch_ood_scores(features, self.pool.source_matrix())
+            raw = batch_ood_scores(source_similarities)
         scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
         tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
-        nearest = np.argmax(features @ self.pool.source_matrix().T, axis=1)
+        nearest = np.argmax(source_similarities, axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, scores, tau, predicted
 
@@ -258,7 +254,7 @@ class Engine:
         """Expansion, self-training, and alignment updates for one batch."""
         cfg = self.config
         if cfg.enable_expansion:
-            extended = batch_ood_scores(features, self.pool.all_matrix())
+            extended = batch_ood_scores(features @ self.pool.all_matrix().T)
             expansion_tau = next_threshold(
                 self.extended_window,
                 extended,
@@ -288,16 +284,20 @@ class Engine:
             weak_mask = predicted != REJECT
             weak_features = features[weak_mask]
             if weak_features.shape[0] > 0:
-                self.target_stats = update_target_stats(self.target_stats, weak_features)
-                self._target_samples += weak_features.shape[0]
-            if weak_features.shape[0] and self._target_samples >= 2 * cfg.feature_dim:
+                self.target_stats = update_target_stats(
+                    self.target_stats, weak_features, cfg.beta
+                )
+            # The gradient stays off until the covariance can be full-rank: a
+            # rank-deficient estimate at the regularization floor produces
+            # gradients orders of magnitude above the real signal.
+            if weak_features.shape[0] and self.target_stats.count >= 2 * cfg.feature_dim:
                 alignment_value, alignment_grad = kl_gradient(
-                    self.source_stats, self.target_stats, weak_features
+                    self.source_stats, self.target_stats
                 )
                 gradient += cfg.lam * embed_backward(
                     alignment_grad, weak_features, batch_values[weak_mask], self.adapter
                 )
-            elif self.target_stats.initialized:
+            elif self.target_stats.count:
                 alignment_value = kl_divergence(self.source_stats, self.target_stats)
 
         if cfg.enable_clustering or cfg.enable_alignment:

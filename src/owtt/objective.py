@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,20 +33,17 @@ class GaussianStats:
 
     mean: np.ndarray
     covariance: np.ndarray
-    initialized: bool
-    momentum: float
+    # Feature rows absorbed so far; 0 until the estimate holds any.
+    count: int = 0
     # Blend weight applied to the most recent batch (1.0 for the initializing
-    # batch, `momentum` afterwards); needed to differentiate through it.
+    # batch, the momentum afterwards) and that batch's rows minus their mean;
+    # `kl_gradient` differentiates through them. None on a fitted estimate.
     last_blend: float = 0.0
+    last_centered: Optional[np.ndarray] = None
 
     @classmethod
-    def empty(cls, dim: int, momentum: float) -> "GaussianStats":
-        return cls(
-            mean=np.zeros(dim),
-            covariance=np.zeros((dim, dim)),
-            initialized=False,
-            momentum=momentum,
-        )
+    def empty(cls, dim: int) -> "GaussianStats":
+        return cls(mean=np.zeros(dim), covariance=np.zeros((dim, dim)))
 
     @cached_property
     def regularized(self) -> np.ndarray:
@@ -80,51 +77,48 @@ class LossBundle:
         self.total = self.clustering_loss + self.lam * self.alignment_loss
 
 
-def fit_gaussian(features: np.ndarray, momentum: float) -> GaussianStats:
+def fit_gaussian(features: np.ndarray) -> GaussianStats:
     """Population mean/covariance of a full feature set (source-domain stats)."""
     features = np.asarray(features, dtype=float)
     mean = features.mean(axis=0)
     centered = features - mean
     cov = centered.T @ centered / features.shape[0]
     cov = 0.5 * (cov + cov.T)
-    return GaussianStats(mean=mean, covariance=cov, initialized=True, momentum=momentum)
+    return GaussianStats(mean=mean, covariance=cov, count=features.shape[0])
 
 
-def _batch_moments(features: np.ndarray):
-    n = features.shape[0]
-    mean = features.mean(axis=0)
-    if n > 1:
-        centered = features - mean
-        cov = centered.T @ centered / (n - 1)
-    else:
-        cov = np.zeros((features.shape[1], features.shape[1]))
-    return mean, cov
-
-
-def update_target_stats(stats: GaussianStats, batch_features: np.ndarray) -> GaussianStats:
+def update_target_stats(
+    stats: GaussianStats, batch_features: np.ndarray, momentum: float
+) -> GaussianStats:
     """Blend batch mean/covariance into the running estimate (momentum EMA).
 
     The first non-empty batch initializes the estimate outright; later
-    batches blend in with weight `momentum`. An empty batch is a no-op.
+    batches blend in with weight `momentum`. An empty batch returns `stats`
+    itself. A one-row batch has zero covariance.
     """
     batch_features = np.asarray(batch_features, dtype=float)
-    if batch_features.shape[0] == 0:
+    n = batch_features.shape[0]
+    if n == 0:
         return stats
-    batch_mean, batch_cov = _batch_moments(batch_features)
-    if not stats.initialized:
+    batch_mean = batch_features.mean(axis=0)
+    centered = batch_features - batch_mean
+    if n > 1:
+        batch_cov = centered.T @ centered / (n - 1)
+    else:
+        batch_cov = np.zeros((centered.shape[1], centered.shape[1]))
+    if stats.count == 0:
         mean, cov, blend = batch_mean, batch_cov, 1.0
     else:
-        beta = stats.momentum
-        mean = (1.0 - beta) * stats.mean + beta * batch_mean
-        cov = (1.0 - beta) * stats.covariance + beta * batch_cov
-        blend = beta
+        mean = (1.0 - momentum) * stats.mean + momentum * batch_mean
+        cov = (1.0 - momentum) * stats.covariance + momentum * batch_cov
+        blend = momentum
     cov = 0.5 * (cov + cov.T)
     return GaussianStats(
         mean=mean,
         covariance=cov,
-        initialized=True,
-        momentum=stats.momentum,
+        count=stats.count + n,
         last_blend=blend,
+        last_centered=centered,
     )
 
 
@@ -134,8 +128,8 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     Both covariances are regularized with COV_EPS on the diagonal before any
     inversion or determinant. Small negative results (round-off) clamp to 0.
     """
-    if not (source.initialized and target.initialized):
-        raise ValueError("both Gaussian estimates must be initialized")
+    if not (source.count and target.count):
+        raise ValueError("both Gaussian estimates must hold samples")
     t_inv = target.inverse
     delta = source.mean - target.mean
     trace_term = float((t_inv * source.regularized.T).sum())
@@ -148,23 +142,20 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     return kl
 
 
-def kl_gradient(
-    source: GaussianStats,
-    target: GaussianStats,
-    batch_features: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """KL divergence and its gradient with respect to each batch feature row.
+def kl_gradient(source: GaussianStats, target: GaussianStats) -> Tuple[float, np.ndarray]:
+    """KL divergence and its gradient with respect to each row of the batch
+    last blended into `target`.
 
-    Differentiates only through the current batch's contribution to the
-    target mean/covariance (target must already include this batch); the
-    EMA history and the source statistics are constants.
+    Differentiates only through that batch's contribution to the target
+    mean/covariance; the EMA history and the source statistics are
+    constants. A fitted estimate has no such batch: its gradient is (0, d).
     """
     kl = kl_divergence(source, target)
-    batch_features = np.asarray(batch_features, dtype=float)
-    n = batch_features.shape[0]
-    if n == 0 or target.last_blend == 0.0:
-        return kl, np.zeros_like(batch_features)
+    centered = target.last_centered
+    if centered is None:
+        return kl, np.zeros((0, target.mean.shape[0]))
 
+    n = centered.shape[0]
     t_inv = target.inverse
     grad_mean = t_inv @ (target.mean - source.mean)
     grad_features = (grad_mean / n)[None, :]  # the mean term, shared by every row
@@ -172,7 +163,6 @@ def kl_gradient(
         delta = source.mean - target.mean
         outer = delta[:, None] * delta
         grad_cov = 0.5 * (t_inv - t_inv @ source.regularized @ t_inv - t_inv @ outer @ t_inv)
-        centered = batch_features - batch_features.mean(axis=0)
         grad_features = (2.0 / (n - 1)) * centered @ grad_cov + grad_features
     grad_features *= target.last_blend
     return kl, grad_features

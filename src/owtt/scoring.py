@@ -36,7 +36,6 @@ class ThresholdEstimate:
     """Result of one grid search over the score window."""
 
     tau: float
-    objective: Optional[float]
     degenerate: bool
 
 
@@ -89,11 +88,12 @@ def ood_score(feature: np.ndarray, source_prototypes) -> float:
     return float(1.0 - np.max(mat @ np.asarray(feature, dtype=float)))
 
 
-def batch_ood_scores(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Strong-OOD scores of a batch of unit-norm features against prototype rows."""
-    if prototypes.shape[0] == 0:
-        raise EmptyPrototypeSet("no source prototypes")
-    return 1.0 - (np.asarray(features, dtype=float) @ prototypes.T).max(axis=1)
+def batch_ood_scores(similarities: np.ndarray) -> np.ndarray:
+    """Strong-OOD scores from a batch's cosine similarities to prototype rows,
+    ``features @ prototypes.T`` for unit-norm features, one column per prototype."""
+    if similarities.shape[1] == 0:
+        raise EmptyPrototypeSet("no prototypes")
+    return 1.0 - similarities.max(axis=1)
 
 
 def batch_discrete_scores(
@@ -146,7 +146,7 @@ def adaptive_threshold(
     if n == 0:
         raise EmptyWindow("cannot estimate a threshold from an empty window")
     if n < MIN_WINDOW_SCORES:
-        return ThresholdEstimate(tau=1.0, objective=None, degenerate=True)
+        return ThresholdEstimate(tau=1.0, degenerate=True)
 
     scores = np.sort(window.values())
     # Candidate g leaves a score on each side when scores[0] <= g < scores[-1],
@@ -158,7 +158,7 @@ def adaptive_threshold(
         start = max(start, bisect_left(_GRID, lo - 1e-12))
         stop = min(stop, bisect_right(_GRID, hi + 1e-12))
     if start >= stop:
-        return ThresholdEstimate(tau=1.0, objective=None, degenerate=True)
+        return ThresholdEstimate(tau=1.0, degenerate=True)
 
     csum = np.cumsum(scores)
     csq = np.cumsum(scores * scores)
@@ -173,8 +173,4 @@ def adaptive_threshold(
     objective = var_lo + var_hi
 
     best = int(objective.argmin())  # argmin takes the first (smallest) candidate
-    return ThresholdEstimate(
-        tau=_GRID[start + best],
-        objective=float(objective[best]),
-        degenerate=False,
-    )
+    return ThresholdEstimate(tau=_GRID[start + best], degenerate=False)

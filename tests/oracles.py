@@ -248,19 +248,6 @@ def embed(values, weight):
     return np.array([r / norm for r in raw])
 
 
-def split_objective(scores, tau):
-    """Total intra-cluster variance of the two score groups split at tau.
-
-    Returns None when either side of the split is empty.
-    """
-    scores = np.asarray(scores, dtype=float)
-    upper = scores[scores > tau]
-    lower = scores[scores <= tau]
-    if upper.size == 0 or lower.size == 0:
-        return None
-    return float(np.var(upper) + np.var(lower))
-
-
 def cumulative_trace(records, num_known):
     """Per-batch (batch, acc_s, acc_n, acc_h) rows, each a recount of every
     record up to and including that batch."""

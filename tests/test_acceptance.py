@@ -100,25 +100,24 @@ def test_criterion_01_gradient_fidelity():
         numeric = finite_difference_gradient(pc_loss, weight, step=1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
-        source_stats = fit_gaussian(
-            rng.normal(size=(40, d_out)) / np.sqrt(d_out), momentum=0.05
-        )
+        source_stats = fit_gaussian(rng.normal(size=(40, d_out)) / np.sqrt(d_out))
         if seed % 2 == 0:
-            prior = GaussianStats.empty(d_out, momentum=0.05)
+            prior = GaussianStats.empty(d_out)
         else:
             warm = rng.normal(size=(16, d_out))
             prior = update_target_stats(
-                GaussianStats.empty(d_out, momentum=0.05),
+                GaussianStats.empty(d_out),
                 warm / np.linalg.norm(warm, axis=1, keepdims=True),
+                0.05,
             )
-        target = update_target_stats(prior, features)
-        _, grad_kl = kl_gradient(source_stats, target, features)
+        target = update_target_stats(prior, features, 0.05)
+        _, grad_kl = kl_gradient(source_stats, target)
         analytic_kl = embed_backward(grad_kl, features, raw, adapter)
 
         def kl_loss(w, prior=prior, raw=raw):
             probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)
             z = embed_batch(raw, probe)
-            return kl_divergence(source_stats, update_target_stats(prior, z))
+            return kl_divergence(source_stats, update_target_stats(prior, z, 0.05))
 
         numeric_kl = finite_difference_gradient(kl_loss, weight, step=1e-5)
         assert relative_error(analytic_kl, numeric_kl) < 1e-4
@@ -165,8 +164,7 @@ def test_criterion_03_kl_closed_form():
         return GaussianStats(
             mean=np.asarray(mean, float),
             covariance=np.asarray(cov, float),
-            initialized=True,
-            momentum=0.1,
+            count=1,
         )
 
     shift = kl_divergence(stats([0.0], [[1.0]]), stats([1.0], [[1.0]]))

@@ -185,7 +185,7 @@ def test_uniform_noise_scores_above_weak():
     protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
     weak_scores, strong_scores = [], []
     for batch in generate_stream(spec):
-        scores = batch_ood_scores(embed_batch(batch.values, adapter), protos)
+        scores = batch_ood_scores(embed_batch(batch.values, adapter) @ protos.T)
         weak_scores.extend(scores[batch.hidden < spec.k_s])
         strong_scores.extend(scores[batch.hidden >= spec.k_s])
     assert np.mean(strong_scores) > np.mean(weak_scores)
@@ -202,7 +202,7 @@ def test_near_clusters_interp_shrinks_pre_adaptation_gap():
         protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
         weak, strong = [], []
         for batch in generate_stream(spec):
-            scores = batch_ood_scores(embed_batch(batch.values, adapter), protos)
+            scores = batch_ood_scores(embed_batch(batch.values, adapter) @ protos.T)
             weak.extend(scores[batch.hidden < spec.k_s])
             strong.extend(scores[batch.hidden >= spec.k_s])
         gaps.append(np.mean(strong) - np.mean(weak))

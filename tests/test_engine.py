@@ -305,7 +305,7 @@ def test_rejected_samples_never_update_target_stats():
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(strong_only)
     assert all(r.predicted_label == REJECT for r in result.records)
-    assert not engine.target_stats.initialized
+    assert engine.target_stats.count == 0
 
 
 def test_hidden_labels_do_not_influence_predictions():
@@ -459,7 +459,7 @@ def test_single_sample_batches_run_alignment_with_n_equal_one():
     result = engine.run(singles)
     assert len(result.records) == len(singles)
     # Past the warm-up the alignment gradient ran on one-sample batches.
-    assert engine._target_samples >= 2 * cfg.feature_dim
+    assert engine.target_stats.count >= 2 * cfg.feature_dim
     assert engine.target_stats.last_blend == cfg.beta
     assert all(np.isfinite(b.total) for b in result.losses)
     assert engine_state_is_finite(engine)
@@ -474,7 +474,7 @@ def test_all_reject_stream_leaves_alignment_without_a_gradient():
     )
     result = engine.run(generate_stream(spec))
     assert all(r.predicted_label == REJECT for r in result.records)
-    assert not engine.target_stats.initialized
+    assert engine.target_stats.count == 0
     assert all(b.alignment_loss == 0.0 for b in result.losses)
     assert engine_state_is_finite(engine)
 
@@ -488,7 +488,7 @@ def test_all_accept_stream_absorbs_every_sample_into_the_target():
     result = engine.run(generate_stream(spec))
     assert all(r.predicted_label != REJECT for r in result.records)
     assert all(t.tau == NO_REJECT_TAU for t in result.trace)
-    assert engine._target_samples == spec.n_batches * spec.batch_size
+    assert engine.target_stats.count == spec.n_batches * spec.batch_size
     assert all(b.alignment_loss > 0.0 for b in result.losses)
     assert engine_state_is_finite(engine)
 

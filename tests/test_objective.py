@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,8 +52,9 @@ def clustering_weight_gradient(feats, labels, pool, temperature, adapter, raw):
 
 
 def kl_weight_gradient(source, target, feats, adapter, raw):
-    """The KL divergence and its feature gradient carried to the weight."""
-    kl, grad_features = kl_gradient(source, target, feats)
+    """The KL divergence and its feature gradient carried to the weight;
+    feats and raw are the batch last blended into target."""
+    kl, grad_features = kl_gradient(source, target)
     return kl, embed_backward(grad_features, feats, raw, adapter)
 
 
@@ -157,44 +160,45 @@ def test_gradient_matches_finite_differences():
 def test_first_batch_initializes_stats_exactly():
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(10, 3))
-    stats = update_target_stats(GaussianStats.empty(3, momentum=0.1), batch)
-    assert stats.initialized
+    stats = update_target_stats(GaussianStats.empty(3), batch, 0.1)
+    assert stats.count == 10
     assert stats.last_blend == 1.0
     np.testing.assert_allclose(stats.mean, batch.mean(axis=0))
     np.testing.assert_allclose(stats.covariance, np.cov(batch.T, ddof=1))
 
 
 def test_single_sample_batch_uses_zero_covariance():
-    stats = update_target_stats(GaussianStats.empty(2, momentum=0.1), np.array([[1.0, 2.0]]))
+    stats = update_target_stats(GaussianStats.empty(2), np.array([[1.0, 2.0]]), 0.1)
     np.testing.assert_array_equal(stats.covariance, np.zeros((2, 2)))
 
 
 def test_momentum_one_replaces_stats():
     rng = np.random.default_rng(4)
-    stats = update_target_stats(GaussianStats.empty(2, momentum=1.0), rng.normal(size=(6, 2)))
+    stats = update_target_stats(GaussianStats.empty(2), rng.normal(size=(6, 2)), 1.0)
     batch = rng.normal(size=(8, 2))
-    stats = update_target_stats(stats, batch)
+    stats = update_target_stats(stats, batch, 1.0)
     np.testing.assert_allclose(stats.mean, batch.mean(axis=0))
     np.testing.assert_allclose(stats.covariance, np.cov(batch.T, ddof=1))
 
 
 def test_half_momentum_blends_means():
-    stats = update_target_stats(GaussianStats.empty(1, momentum=0.5), np.array([[0.0], [0.0]]))
-    stats = update_target_stats(stats, np.array([[2.0], [2.0]]))
+    stats = update_target_stats(GaussianStats.empty(1), np.array([[0.0], [0.0]]), 0.5)
+    stats = update_target_stats(stats, np.array([[2.0], [2.0]]), 0.5)
     assert stats.mean[0] == pytest.approx(1.0)
     assert stats.last_blend == 0.5
 
 
 def test_empty_batch_is_noop():
-    stats = update_target_stats(GaussianStats.empty(2, momentum=0.2), np.empty((0, 2)))
-    assert not stats.initialized
+    empty = GaussianStats.empty(2)
+    stats = update_target_stats(empty, np.empty((0, 2)), 0.2)
+    assert stats is empty and stats.count == 0
 
 
 def test_covariance_stays_symmetric_across_updates():
     rng = np.random.default_rng(8)
-    stats = GaussianStats.empty(4, momentum=0.3)
+    stats = GaussianStats.empty(4)
     for _ in range(10):
-        stats = update_target_stats(stats, rng.normal(size=(7, 4)))
+        stats = update_target_stats(stats, rng.normal(size=(7, 4)), 0.3)
         np.testing.assert_allclose(stats.covariance, stats.covariance.T, atol=1e-12)
 
 
@@ -204,13 +208,13 @@ def test_covariance_stays_symmetric_across_updates():
 def gaussian(mean, cov):
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    return GaussianStats(mean=mean, covariance=cov, initialized=True, momentum=0.1)
+    return GaussianStats(mean=mean, covariance=cov, count=1)
 
 
 def test_kl_self_divergence_is_zero():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(5, 3))
-    stats = fit_gaussian(a, momentum=0.1)
+    stats = fit_gaussian(a)
     assert kl_divergence(stats, stats) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -230,8 +234,8 @@ def test_kl_isotropic_variance_ratio():
 def test_kl_nonnegative_on_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        a = fit_gaussian(rng.normal(size=(30, 4)), momentum=0.1)
-        b = fit_gaussian(rng.normal(size=(30, 4)) * rng.uniform(0.5, 2), momentum=0.1)
+        a = fit_gaussian(rng.normal(size=(30, 4)))
+        b = fit_gaussian(rng.normal(size=(30, 4)) * rng.uniform(0.5, 2))
         assert kl_divergence(a, b) >= 0.0
 
 
@@ -245,10 +249,10 @@ def test_kl_rejects_non_positive_definite():
 # --- KL gradient ---------------------------------------------------------------------
 
 
-def kl_after_update(weight, raw, prev_stats, source):
+def kl_after_update(weight, raw, prev_stats, source, momentum):
     probe = make_adapter(weight)
     feats = embed_batch(raw, probe)
-    updated = update_target_stats(prev_stats, feats)
+    updated = update_target_stats(prev_stats, feats, momentum)
     return kl_divergence(source, updated)
 
 
@@ -256,14 +260,14 @@ def test_kl_gradient_matches_finite_differences_fresh_stats():
     rng = np.random.default_rng(1)
     adapter = make_adapter(rng.normal(size=(4, 6)))
     raw = rng.normal(size=(8, 6)) * 2.0
-    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.05)
-    prev = GaussianStats.empty(4, momentum=0.05)
+    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
+    prev = GaussianStats.empty(4)
 
     feats = embed_batch(raw, adapter)
-    target = update_target_stats(prev, feats)
+    target = update_target_stats(prev, feats, 0.05)
     _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
-        lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
+        lambda w: kl_after_update(w, raw, prev, source, 0.05), adapter.weight, step=1e-5
     )
     assert relative_error(analytic, numeric) < 1e-4
 
@@ -272,17 +276,15 @@ def test_kl_gradient_matches_finite_differences_running_stats():
     rng = np.random.default_rng(2)
     adapter = make_adapter(rng.normal(size=(4, 6)))
     raw = rng.normal(size=(8, 6)) * 2.0
-    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.05)
-    prev = update_target_stats(
-        GaussianStats.empty(4, momentum=0.05), unit_rows(rng.normal(size=(16, 4)))
-    )
+    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
+    prev = update_target_stats(GaussianStats.empty(4), unit_rows(rng.normal(size=(16, 4))), 0.05)
 
     feats = embed_batch(raw, adapter)
-    target = update_target_stats(prev, feats)
+    target = update_target_stats(prev, feats, 0.05)
     assert target.last_blend == 0.05
     _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
     numeric = finite_difference_gradient(
-        lambda w: kl_after_update(w, raw, prev, source), adapter.weight, step=1e-5
+        lambda w: kl_after_update(w, raw, prev, source, 0.05), adapter.weight, step=1e-5
     )
     assert relative_error(analytic, numeric) < 1e-4
 
@@ -292,23 +294,25 @@ def test_kl_gradient_zero_when_target_equals_source():
     adapter = make_adapter(rng.normal(size=(3, 5)))
     raw = rng.normal(size=(6, 5))
     feats = embed_batch(raw, adapter)
-    source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))), momentum=0.05)
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))))
     target = GaussianStats(
         mean=source.mean.copy(),
         covariance=source.covariance.copy(),
-        initialized=True,
-        momentum=0.05,
+        count=6,
         last_blend=0.05,
+        last_centered=feats - feats.mean(axis=0),
     )
     _, grad = kl_weight_gradient(source, target, feats, adapter, raw)
     assert np.linalg.norm(grad) < 1e-6
 
 
-def test_kl_gradient_empty_batch_is_zero():
+def test_kl_gradient_of_a_fitted_estimate_is_empty():
+    # A fitted estimate has blended no batch, so there are no rows to differentiate.
     rng = np.random.default_rng(7)
     adapter = make_adapter(rng.normal(size=(3, 5)))
-    source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))), momentum=0.05)
-    _, grad_features = kl_gradient(source, source, np.empty((0, 3)))
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))))
+    assert source.count == 30 and source.last_centered is None
+    _, grad_features = kl_gradient(source, source)
     np.testing.assert_array_equal(grad_features, np.zeros((0, 3)))
     _, grad = kl_weight_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
@@ -326,8 +330,8 @@ def test_total_gradient_additivity():
     adapter, raw, pool, labels = random_instance(seed=9)
     feats = embed_batch(raw, adapter)
     rng = np.random.default_rng(9)
-    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.05)
-    target = update_target_stats(GaussianStats.empty(4, momentum=0.05), feats)
+    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
+    target = update_target_stats(GaussianStats.empty(4), feats, 0.05)
     _, g_pc = clustering_weight_gradient(feats, labels, pool, DELTA, adapter, raw)
     _, g_kl = kl_weight_gradient(source, target, feats, adapter, raw)
     lam = 0.7
@@ -378,34 +382,61 @@ def test_fused_clustering_matches_unfused_oracle(seed, n, k_s, n_novel, mode, te
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 12),
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
     dim=st.integers(1, 6),
     history=st.sampled_from(["fresh", "running", "no_blend"]),
 )
-@example(seed=0, n=0, dim=3, history="running")
-@example(seed=0, n=1, dim=3, history="fresh")
-@example(seed=0, n=1, dim=3, history="running")
-@example(seed=0, n=5, dim=3, history="no_blend")
-def test_fused_kl_matches_unfused_oracle(seed, n, dim, history):
+@example(seed=0, sizes=[0], dim=3, history="fresh")
+@example(seed=0, sizes=[0], dim=3, history="running")
+@example(seed=0, sizes=[1], dim=3, history="fresh")
+@example(seed=0, sizes=[1], dim=3, history="running")
+@example(seed=0, sizes=[5], dim=3, history="no_blend")
+@example(seed=0, sizes=[6, 0, 1, 0], dim=3, history="fresh")
+def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
     rng = np.random.default_rng(seed)
     adapter = make_adapter(rng.normal(size=(dim, 5)))
-    raw = rng.normal(size=(n, 5)) * 2.0
-    feats = embed_batch(raw, adapter)
-    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))), momentum=0.1)
-    prior = GaussianStats.empty(dim, momentum=0.1)
-    if history != "fresh" or n == 0:
-        prior = update_target_stats(prior, unit_rows(rng.normal(size=(10, dim))))
-    target = update_target_stats(prior, feats)
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))))
+    if history != "fresh":
+        sizes = [10] + sizes
+    target = GaussianStats.empty(dim)
+    absorbed = 0
+    last = None  # (features, raw) of the last non-empty batch
+    for n in sizes:
+        raw = rng.normal(size=(n, 5)) * 2.0
+        feats = embed_batch(raw, adapter)
+        updated = update_target_stats(target, feats, 0.1)
+        if n == 0:
+            assert updated is target
+        else:
+            last = feats, raw
+        absorbed += n
+        assert updated.count == absorbed
+        target = updated
+    if last is None:
+        assert target.last_centered is None
+        with pytest.raises(ValueError):
+            kl_gradient(source, target)
+        return
+    feats, raw = last
+    assert np.array_equal(target.last_centered, feats - feats.mean(axis=0))
     if history == "no_blend":
-        target = GaussianStats(target.mean, target.covariance, True, 0.1, last_blend=0.0)
+        target = dataclasses.replace(target, last_blend=0.0)
 
     kl, grad = kl_weight_gradient(source, target, feats, adapter, raw)
     expected_kl = unfused_kl_divergence(source, target)
     assert np.array_equal(grad, unfused_kl_gradient(source, target, feats, adapter.weight, raw))
     assert agrees_within_1e12(kl, expected_kl)
     assert kl_divergence(source, target) == kl
-    if n == 0 or history == "no_blend":
+    if history == "no_blend":
         assert np.array_equal(grad, np.zeros_like(adapter.weight))
+
+
+def test_kl_divergence_against_an_empty_estimate_raises():
+    source = fit_gaussian(unit_rows(np.random.default_rng(11).normal(size=(30, 3))))
+    with pytest.raises(ValueError):
+        kl_divergence(source, GaussianStats.empty(3))
+    with pytest.raises(ValueError):
+        kl_divergence(GaussianStats.empty(3), source)
 
 
 @settings(max_examples=50, deadline=None)
@@ -415,14 +446,16 @@ def test_non_positive_definite_target_raises_in_fused_and_oracle(seed, dim, nega
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     eigs = rng.uniform(0.1, 2.0, size=dim)
     eigs[rng.integers(dim)] = negative
-    bad = GaussianStats(rng.normal(size=dim), (q * eigs) @ q.T, True, 0.1, last_blend=0.1)
-    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))), momentum=0.1)
+    source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))))
     adapter = make_adapter(rng.normal(size=(dim, 5)))
     raw = rng.normal(size=(4, 5))
+    feats = embed_batch(raw, adapter)
+    bad = GaussianStats(rng.normal(size=dim), (q * eigs) @ q.T, count=4, last_blend=0.1,
+                        last_centered=feats - feats.mean(axis=0))
     with pytest.raises(NumericalFailure):
         kl_divergence(source, bad)
     with pytest.raises(NumericalFailure):
-        kl_weight_gradient(source, bad, embed_batch(raw, adapter), adapter, raw)
+        kl_weight_gradient(source, bad, feats, adapter, raw)
     with pytest.raises(np.linalg.LinAlgError):
         unfused_kl_divergence(source, bad)
 
@@ -432,8 +465,8 @@ def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
     adapter = make_adapter(rng.normal(size=(4, 6)))
     raw = rng.normal(size=(8, 6))
     feats = embed_batch(raw, adapter)
-    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))), momentum=0.1)
-    target = update_target_stats(GaussianStats.empty(4, momentum=0.1), feats)
+    source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
+    target = update_target_stats(GaussianStats.empty(4), feats, 0.1)
     calls = {"cholesky": 0, "inv": 0}
     for name in calls:
         original = getattr(np.linalg, name)

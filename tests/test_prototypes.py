@@ -65,7 +65,7 @@ def primed_window(scores):
 
 def scored_expand(pool, batch, window, clamp_range=None, fixed_threshold=None):
     """Expansion as the engine runs it: extended scores, the window's tau, then expand."""
-    scores = batch_ood_scores(batch, pool.all_matrix())
+    scores = batch_ood_scores(batch @ pool.all_matrix().T)
     tau = next_threshold(window, scores, clamp_range, fixed_threshold)
     return expand(pool, batch, scores, tau)
 
@@ -121,7 +121,7 @@ def test_expand_respects_fixed_threshold():
 def test_expand_skips_a_candidate_scoring_exactly_tau():
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
     batch = np.array([[0.6, 0.8]])  # extended score exactly 1 - 0.6 = 0.4
-    scores = batch_ood_scores(batch, pool.all_matrix())
+    scores = batch_ood_scores(batch @ pool.all_matrix().T)
     assert scores[0] == 0.4
     assert expand(pool, batch, scores, 0.4) == 0
     assert expand(pool, batch, scores, np.nextafter(0.4, 0.0)) == 1
@@ -132,7 +132,7 @@ def test_added_prototypes_are_mutually_dissimilar():
     pool = PrototypePool(unit_rows(rng.normal(size=(3, 8))), novel_capacity=50)
     window = primed_window(rng.uniform(0, 0.2, size=16))
     batch = unit_rows(rng.normal(size=(40, 8)))
-    scores = batch_ood_scores(batch, pool.all_matrix())
+    scores = batch_ood_scores(batch @ pool.all_matrix().T)
     tau = next_threshold(window, scores, None, None)
     start = pool.novel_count
     expand(pool, batch, scores, tau)
