@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DegenerateEmbedding,
     EmptyClass,
+    EmptyEstimate,
     EmptyNovelPool,
     EmptyPrototypeSet,
     EmptyRecords,

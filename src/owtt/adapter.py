@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEmbedding, NonFiniteGradient, NonFiniteInput
+from .errors import DegenerateEmbedding, InvalidSpec, NonFiniteGradient, NonFiniteInput
 
 # Below this output norm the adapter is considered collapsed and the run
 # aborts instead of silently renormalizing noise.
@@ -91,9 +91,7 @@ def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterSta
     """One classical-momentum step: buffer accumulates, weight moves against it."""
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != adapter.weight.shape:
-        raise ValueError(
-            f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}"
-        )
+        raise InvalidSpec(f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}")
     if not np.isfinite(gradient).all():
         raise NonFiniteGradient("gradient contains NaN or inf entries")
     buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient

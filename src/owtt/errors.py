@@ -25,6 +25,10 @@ class EmptyWindow(OwttError):
     """Threshold estimation was attempted on an empty score window."""
 
 
+class EmptyEstimate(OwttError):
+    """A divergence was asked of a Gaussian estimate that holds no samples."""
+
+
 class EmptyClass(OwttError):
     """A class id had no samples when building source prototypes."""
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailure, UnknownLabel
+from .errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from .prototypes import PrototypePool
 
 # Added to covariance diagonals before inversion: early in a stream the
@@ -129,7 +129,7 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     inversion or determinant. Small negative results (round-off) clamp to 0.
     """
     if not (source.count and target.count):
-        raise ValueError("both Gaussian estimates must hold samples")
+        raise EmptyEstimate("both Gaussian estimates must hold samples")
     t_inv = target.inverse
     delta = source.mean - target.mean
     trace_term = float((t_inv * source.regularized.T).sum())

@@ -13,7 +13,9 @@ import struct
 import numpy as np
 
 from .adapter import NORM_EPS
-from .errors import DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
+from .errors import (
+    ConfigError, DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
+)
 from .scoring import adaptive_threshold, ood_score  # noqa: F401  (patched by the perfbench tracer)
 
 _POOL_MAGIC = b"OWTP"
@@ -34,7 +36,7 @@ class PrototypePool:
 
     def __init__(self, source: np.ndarray, novel_capacity: int):
         if novel_capacity < 1:
-            raise ValueError("novel_capacity must be positive")
+            raise ConfigError(f"novel_capacity must be positive, got {novel_capacity}")
         source = np.asarray(source, dtype=float)
         self.num_source = source.shape[0]
         self.novel_capacity = novel_capacity
@@ -115,12 +117,13 @@ def expand(
     """Incrementally add batch features as novel prototypes; returns count added.
 
     ``scores`` are the batch's extended OOD scores against the pool as the
-    batch found it. Candidates are visited in descending score order, and
-    each is re-scored against the pool as the batch found it plus this
-    batch's admissions that are still live, read from a table, so
-    near-duplicates from the same batch cannot all enter. The admissions
-    enter the pool after the visit as one block, oldest first, which leaves
-    the same FIFO queue as pushing each on admission.
+    batch found it, so each candidate (score > tau) beats tau against that
+    pool and is blocked only by a still-live (not yet evicted) admission of
+    this batch with ``1 - cos <= tau`` to it: near-duplicates cannot all
+    enter. Candidates are visited in descending score order; their cosines
+    come from one product of the candidates, transiently ``count**2``
+    doubles. The admissions enter the pool after the visit as one block,
+    oldest first, which leaves the same FIFO queue as pushing each in turn.
 
     The visit stops at the first candidate whose initial score is <= tau:
     such candidates are never visited, even when an eviction later in the
@@ -131,17 +134,14 @@ def expand(
         return 0
     order = np.argsort(-scores, kind="stable")
     candidates = batch_features[order[:count]]
-    # Every candidate scores above tau against the pool the batch found, so a
-    # re-score need only check the prototypes this batch added that are still
-    # in the pool: the last novel_capacity of them. sims[i, j % width] holds
-    # candidate i's similarity to the j-th one added (-inf before it exists).
-    # The loop never reads the pool, so the admissions can wait for one push.
-    width = min(pool.novel_capacity, candidates.shape[0])
-    sims = np.full((candidates.shape[0], width), -np.inf)
+    cap = pool.novel_capacity
+    close = candidates @ candidates.T
+    close = np.subtract(1.0, close, out=close) <= tau  # admission j blocks candidate i
+    latest = np.full(count, -cap - 1)  # newest admission ordinal close to each candidate
     admitted = []
-    for i, feature in enumerate(candidates):
-        if 1.0 - np.maximum.reduce(sims[i]) > tau:
-            sims[i + 1 :, len(admitted) % width] = candidates[i + 1 :] @ feature
+    for i in range(count):
+        if latest[i] < len(admitted) - cap:  # no close admission is still live
+            np.putmask(latest, close[i], len(admitted))
             admitted.append(i)
     pool.push_novel(candidates[admitted])
     return len(admitted)

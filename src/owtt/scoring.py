@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyPrototypeSet, EmptyWindow, NonFiniteInput
+from .errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .prototypes import PrototypePool
@@ -53,7 +53,7 @@ class ScoreWindow:
 
     def __init__(self, capacity: int):
         if capacity < 1:
-            raise ValueError("window capacity must be positive")
+            raise ConfigError(f"window capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._scores = np.empty(0)
 
@@ -109,7 +109,7 @@ def batch_discrete_scores(
     them. The top-m similarities are summed in descending order.
     """
     if top_m < 1:
-        raise ValueError("top_m must be >= 1")
+        raise ConfigError(f"top_m must be >= 1, got {top_m}")
     source = pool.source_matrix()
     if source.shape[0] == 0:
         raise EmptyPrototypeSet("no source prototypes")

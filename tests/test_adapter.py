@@ -12,7 +12,7 @@ from owtt.adapter import (
     init_adapter,
     sgd_momentum_step,
 )
-from owtt.errors import DegenerateEmbedding, NonFiniteGradient, NonFiniteInput
+from owtt.errors import DegenerateEmbedding, InvalidSpec, NonFiniteGradient, NonFiniteInput
 
 
 def make_adapter(weight, lr=0.1, momentum=0.9):
@@ -74,7 +74,7 @@ def test_nan_gradient_rejected():
 
 def test_shape_mismatch_rejected():
     adapter = make_adapter(np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         sgd_momentum_step(adapter, np.zeros((3, 2)))
 
 

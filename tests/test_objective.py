@@ -14,7 +14,7 @@ from oracles import (
     unfused_kl_gradient,
 )
 from owtt.adapter import AdapterState, embed_backward, embed_batch
-from owtt.errors import NumericalFailure, UnknownLabel
+from owtt.errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from owtt.objective import (
     GaussianStats,
     LossBundle,
@@ -414,7 +414,7 @@ def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
         target = updated
     if last is None:
         assert target.last_centered is None
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyEstimate):
             kl_gradient(source, target)
         return
     feats, raw = last
@@ -433,9 +433,9 @@ def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
 
 def test_kl_divergence_against_an_empty_estimate_raises():
     source = fit_gaussian(unit_rows(np.random.default_rng(11).normal(size=(30, 3))))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyEstimate):
         kl_divergence(source, GaussianStats.empty(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyEstimate):
         kl_divergence(GaussianStats.empty(3), source)
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ListPool, brute_force_expand, list_momentum_update
-from owtt.engine import next_threshold
+from owtt.adapter import embed_batch, init_adapter
+from owtt.datagen import WorldSpec, generate_source, generate_stream
+from owtt.engine import EXPANSION_CLAMP, next_threshold
 from owtt.errors import (
-    DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
+    ConfigError, DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
 )
 from owtt.prototypes import (
     PrototypePool,
@@ -54,6 +56,12 @@ def test_missing_class_raises_empty_class():
     with pytest.raises(EmptyClass) as err:
         build_source_prototypes(feats, [0, 0], 2)
     assert err.value.class_id == 1
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_pool_capacity_below_one_raises_config_error(capacity):
+    with pytest.raises(ConfigError):
+        PrototypePool(np.eye(2), novel_capacity=capacity)
 
 
 # --- expansion -------------------------------------------------------------------
@@ -262,6 +270,26 @@ def test_expand_matches_brute_force_oracle(
                 momentum_update_novel(pool, feature, momentum)
                 list_momentum_update(model, feature, momentum)
             np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
+
+
+@pytest.mark.parametrize("capacity", [5, 20, 100])
+def test_expand_matches_brute_force_oracle_when_a_batch_overflows_the_pool(capacity):
+    # The benchmark's wide-saturated world: one batch admits more prototypes
+    # than the pool holds, so admissions evict each other inside the batch.
+    spec = WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
+                     n_batches=3, seed=0)
+    adapter = init_adapter(feature_dim=64, input_dim=spec.d_in, learning_rate=0.01)
+    src_x, src_y = generate_source(spec)
+    source = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
+    pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
+    window, model_window, added = ScoreWindow(512), [], []
+    for batch in generate_stream(spec):
+        features = embed_batch(batch.values, adapter)
+        added.append(scored_expand(pool, features, window, EXPANSION_CLAMP))
+        expected = brute_force_expand(model, list(features), model_window, 512, EXPANSION_CLAMP)
+        assert added[-1] == expected
+        assert np.array_equal(pool.all_matrix(), model.matrix())
+    assert max(added) > capacity
 
 
 # --- momentum refresh of novel prototypes ----------------------------------------

@@ -9,7 +9,7 @@ from oracles import (
     fifo_window,
     sorted_cumsum_threshold,
 )
-from owtt.errors import EmptyPrototypeSet, EmptyWindow, NonFiniteInput
+from owtt.errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
     DEFAULT_TOP_M,
@@ -137,6 +137,13 @@ def test_discrete_averages_available_novel_when_below_top_m():
     assert discrete_score(v, pool) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("top_m", [0, -1])
+def test_discrete_top_m_below_one_raises_config_error(top_m):
+    pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
+    with pytest.raises(ConfigError):
+        batch_discrete_scores(np.array([[0.0, 1.0]]), pool, top_m)
+
+
 def unit(rng, n, d):
     rows = rng.normal(size=(n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -174,6 +181,12 @@ def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, top_m, bat
 
 
 # --- score window ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_window_capacity_below_one_raises_config_error(capacity):
+    with pytest.raises(ConfigError):
+        ScoreWindow(capacity)
 
 
 def test_window_fifo_eviction():
