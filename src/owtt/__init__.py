@@ -4,9 +4,9 @@ A deterministic streaming engine combining adaptive strong-OOD rejection,
 dynamic prototype expansion, prototype-clustering self-training, and
 Gaussian distribution alignment, plus a synthetic open-world benchmark
 generator and an experiment CLI.
+Stage helpers are imported from their modules (``owtt.prototypes.expand``).
 """
 
-from .adapter import AdapterState, embed_backward, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import (
     Batch,
     WorldSpec,
@@ -15,19 +15,9 @@ from .datagen import (
     generate_stream,
     load_stream,
 )
-from .engine import (
-    NO_REJECT_TAU,
-    Engine,
-    PredictionRecord,
-    RunConfig,
-    RunResult,
-    StageFailure,
-    TraceRow,
-    select_confident,
-)
+from .engine import Engine, RunConfig, RunResult, StageFailure
 from .experiment import (
     ExperimentConfig,
-    config_hash,
     load_experiment,
     run_experiment,
     run_sweep,
@@ -51,38 +41,7 @@ from .errors import (
     OwttError,
     UnknownLabel,
 )
-from .metrics import (
-    REJECT,
-    MetricsReport,
-    compute_metrics,
-    score_histogram,
-    score_separation,
-)
-from .objective import (
-    GaussianStats,
-    LossBundle,
-    clustering_loss,
-    clustering_loss_gradient,
-    fit_gaussian,
-    kl_divergence,
-    kl_gradient,
-    update_target_stats,
-)
-from .prototypes import (
-    PrototypePool,
-    build_source_prototypes,
-    expand,
-    load_pool,
-    momentum_update_novel,
-    save_pool,
-)
-from .scoring import (
-    ScoreWindow,
-    ThresholdEstimate,
-    adaptive_threshold,
-    batch_discrete_scores,
-    batch_ood_scores,
-    ood_score,
-)
+from .metrics import REJECT
+from .prototypes import load_pool, save_pool
 
 __version__ = "0.1.0"

@@ -57,7 +57,10 @@ def init_adapter(
 def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     """Map a batch of raw inputs (rows) to unit-norm features (rows).
 
-    Raises NonFiniteInput naming the first row that holds a NaN or inf.
+    Raises NonFiniteInput naming the first row that holds a NaN or inf, or
+    whose embedding norm overflows (numpy warns of the overflow first), and
+    DegenerateEmbedding naming the smallest embedding norm below NORM_EPS:
+    a tiny row is refused, although its direction is well defined.
     """
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
@@ -65,7 +68,11 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
         raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
     raw = values @ adapter.weight.T
     norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
-    if (norms < NORM_EPS).any():
+    if not (NORM_EPS <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):
+        finite = np.isfinite(norms)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteInput(f"input row {bad} overflows: its embedding norm is {norms[bad]}")
         bad = int(np.argmin(norms))
         raise DegenerateEmbedding(
             f"embedding norm {norms[bad]:.3e} below {NORM_EPS:.0e} at row {bad}"

@@ -71,6 +71,8 @@ class WorldSpec:
     bias_scale: float = 1.0
     noise_std: float = 1.0
     strong_mode: str = "disjoint_clusters"
+    # How far near_clusters pulls each strong mean toward a source class
+    # (0 leaves it disjoint); other strong modes refuse a positive value.
     near_interp: float = 0.0
     # Strong-OOD cluster means keep at least strong_margin * class_sep distance
     # from every source mean: novel-dataset contamination sits farther away
@@ -97,6 +99,8 @@ class WorldSpec:
             raise InvalidSpec(f"strong_mode must be one of {STRONG_MODES}")
         if not 0.0 <= self.near_interp <= 1.0:
             raise InvalidSpec("near_interp must lie in [0, 1]")
+        if self.near_interp > 0.0 and self.strong_mode != "near_clusters":
+            raise InvalidSpec(f"near_interp applies only to near_clusters, not {self.strong_mode}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidSpec("ratio must lie in (0, 1]")
         if self.n_source < self.k_s:

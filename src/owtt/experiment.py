@@ -151,13 +151,9 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def experiment_to_dict(exp: ExperimentConfig) -> dict:
-    world = dataclasses.asdict(exp.world)
-    run = dataclasses.asdict(exp.run)
-    if run["threshold_clamp"] is not None:
-        run["threshold_clamp"] = list(run["threshold_clamp"])
     return {
-        "world": world,
-        "run": run,
+        "world": dataclasses.asdict(exp.world),
+        "run": dataclasses.asdict(exp.run),
         "output_dir": str(exp.output_dir),
         "report_formats": list(exp.report_formats),
         "stream_file": str(exp.stream_file) if exp.stream_file else None,
@@ -244,8 +240,8 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         "n_weak": report.n_weak,
         "n_strong": report.n_strong,
         "n_batches": len(result.trace),
-        "final_novel_prototypes": result.trace[-1].pn_size if result.trace else 0,
-        "final_tau": result.trace[-1].tau if result.trace else None,
+        "final_novel_prototypes": result.trace[-1].pn_size,
+        "final_tau": result.trace[-1].tau,
         "mean_weak_score": sep[0],
         "mean_strong_score": sep[1],
         "score_gap": sep[2],
@@ -370,46 +366,45 @@ def _read_csv(path: Path):
 
 
 def write_report(directory) -> List[Path]:
-    """Emit plot-ready CSVs from a run or sweep directory."""
+    """Emit plot-ready CSVs from a run or sweep directory.
+
+    A run directory is one trace; a sweep directory is one trace per
+    ``sweep.csv`` row, labelled with its value. Trace columns are read by
+    their ``trace.csv`` header names. A run directory also gets its score
+    histograms.
+    """
     directory = Path(directory)
     sweep_file = directory / "sweep.csv"
-    written: List[Path] = []
-
     if sweep_file.exists():
         provenance, _, sweep_rows = _read_csv(sweep_file)
         axis = provenance.split("axis=")[-1] if "axis=" in provenance else "value"
-        curve_rows, tau_rows = [], []
-        for row in sweep_rows:
-            value = row[0]
-            sub = directory / f"{axis}_{value}"
-            if not (sub / "trace.csv").exists():
-                continue
-            _, _, trace_rows = _read_csv(sub / "trace.csv")
-            for t in trace_rows:
-                curve_rows.append((value, t[0], t[3]))
-                tau_rows.append((value, t[0], t[5]))
-        if not curve_rows:
+        label_columns = ["value"]
+        traces = [((row[0],), directory / f"{axis}_{row[0]}" / "trace.csv") for row in sweep_rows]
+        traces = [(label, path) for label, path in traces if path.exists()]
+        if not traces:
             raise MissingArtifacts(f"{directory} has a sweep.csv but no per-value traces")
-        path = directory / "report_cumulative_acc.csv"
-        _write_csv(path, provenance, ["value", "batch", "acc_h"], curve_rows)
+    else:
+        trace_file = directory / "trace.csv"
+        if not trace_file.exists():
+            raise MissingArtifacts(f"{directory} contains no run artifacts")
+        provenance, label_columns, traces = None, [], [((), trace_file)]  # the trace's own
+
+    columns: Dict[str, list] = {"acc_h": [], "tau": []}
+    for label, path in traces:
+        trace_provenance, header, rows = _read_csv(path)
+        batch = header.index("batch")
+        for name, out in columns.items():
+            col = header.index(name)
+            out.extend((*label, row[batch], row[col]) for row in rows)
+    provenance = trace_provenance if provenance is None else provenance
+
+    written: List[Path] = []
+    for name, report in (("acc_h", "cumulative_acc"), ("tau", "threshold")):
+        path = directory / f"report_{report}.csv"
+        _write_csv(path, provenance, [*label_columns, "batch", name], columns[name])
         written.append(path)
-        path = directory / "report_threshold.csv"
-        _write_csv(path, provenance, ["value", "batch", "tau"], tau_rows)
-        written.append(path)
+    if label_columns:  # a sweep: each run directory keeps its own histograms
         return written
-
-    trace_file = directory / "trace.csv"
-    if not trace_file.exists():
-        raise MissingArtifacts(f"{directory} contains no run artifacts")
-    provenance, _, trace_rows = _read_csv(trace_file)
-
-    path = directory / "report_cumulative_acc.csv"
-    _write_csv(path, provenance, ["batch", "acc_h"], ((t[0], t[3]) for t in trace_rows))
-    written.append(path)
-
-    path = directory / "report_threshold.csv"
-    _write_csv(path, provenance, ["batch", "tau"], ((t[0], t[5]) for t in trace_rows))
-    written.append(path)
 
     hist_rows = []
     for stage, name in (("first", "score_hist_first.csv"), ("final", "score_hist_final.csv")):

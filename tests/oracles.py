@@ -4,6 +4,7 @@ Everything here is written definitionally (plain loops, direct formulas)
 and deliberately shares no code path with the package.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -412,3 +413,133 @@ def unfused_kl_gradient(source, target, batch, weight, raw):
         grad = grad + (2.0 / (n - 1)) * (batch - batch.mean(axis=0)) @ grad_cov
     grad *= target.last_blend
     return _chain_to_weight(grad, batch, weight, raw)
+
+
+# --- whole-engine reference ------------------------------------------------------
+#
+# One run composed from the oracles above, stage by stage in the engine's
+# order. Matrix products and reductions are written as the package writes
+# them, so that every decision, pool row and weight must match it exactly.
+
+# The threshold when detection is off, and the default expansion clamp.
+NO_REJECT_TAU = 1.0 + 1e-6
+EXPANSION_CLAMP = (0.4, 1.0)
+TOP_M = 10
+
+
+def _unit_rows(values, weight):
+    raw = values @ weight.T
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _moments(rows, ddof):
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    n = rows.shape[0]
+    if n - ddof > 0:
+        cov = centered.T @ centered / (n - ddof)
+    else:
+        cov = np.zeros((rows.shape[1], rows.shape[1]))
+    return mean, cov
+
+
+def reference_run(config, source_values, source_labels, num_known, stream, weight):
+    """Engine.run rebuilt from the oracles, one batch at a time.
+
+    ``config`` is a RunConfig, read field by field; ``weight`` the adapter's
+    initial weight. Per batch: score against the source rows (or the
+    discrete score), push the plain window, take tau (fixed, NO_REJECT_TAU
+    with detection off, or the brute-force split) and predict; then expand
+    (brute_force_expand on its own window), refresh the novel rows with each
+    rejected row in turn, take the clustering gradient over the
+    ceil(keep_ratio * n) samples farthest from tau, labelled by the nearest
+    row of the whole pool, blend the accepted rows into the target
+    statistics (plain EMA) and add lam times the alignment gradient once
+    the target holds 2 * feature_dim rows; last, one momentum step.
+
+    Returns a namespace of per-batch ``predicted``, ``scores``, ``taus`` and
+    ``added`` (admissions), and the final ``pool`` (a ListPool) and ``weight``.
+    """
+    features = _unit_rows(np.asarray(source_values, dtype=float), weight)
+    labels = np.asarray(source_labels)
+    protos = []
+    for k in range(num_known):
+        mean = features[labels == k].mean(axis=0)
+        protos.append(mean / np.linalg.norm(mean))
+    pool = ListPool(protos, config.novel_capacity)
+    source_mean, source_cov = _moments(features, 0)
+    source = SimpleNamespace(mean=source_mean, covariance=0.5 * (source_cov + source_cov.T))
+    target, target_count = None, 0
+    plain, extended = [], []
+    buffer = np.zeros_like(weight)
+    out = SimpleNamespace(predicted=[], scores=[], taus=[], added=[])
+
+    for batch in stream:
+        values = batch.values
+        features = _unit_rows(values, weight)
+        source_rows = np.array(pool.source)
+        source_sims = features @ source_rows.T
+        if config.discrete_mode:
+            novel_rows = np.array(pool.novel).reshape(len(pool.novel), features.shape[1])
+            raw = discrete_scores(source_sims, features @ novel_rows.T, TOP_M)
+        else:
+            raw = 1.0 - source_sims.max(axis=1)
+        scores = np.clip(raw, 0.0, 1.0)
+        plain[:] = fifo_window([plain, scores], config.window_length)
+        fixed = config.fixed_threshold if config.enable_ood_detection else NO_REJECT_TAU
+        if fixed is None:
+            tau = brute_force_threshold(plain, config.threshold_clamp)[0]
+        else:
+            tau = fixed
+        predicted = np.where(scores < tau, source_sims.argmax(axis=1), REJECT)
+
+        added = 0
+        if config.enable_expansion:
+            added = brute_force_expand(
+                pool, features, extended, config.window_length,
+                config.threshold_clamp or EXPANSION_CLAMP, config.fixed_threshold,
+            )
+        if config.novel_momentum is not None and pool.novel:
+            for row in features[predicted == REJECT]:
+                list_momentum_update(pool, row, config.novel_momentum)
+
+        gradient = np.zeros_like(weight)
+        if config.enable_clustering:
+            count = math.ceil(config.keep_ratio * len(scores))
+            farthest = sorted(range(len(scores)), key=lambda i: -abs(scores[i] - tau))
+            chosen = sorted(farthest[:count])
+            confident = features[chosen]
+            pseudo = (confident @ pool.matrix().T).argmax(axis=1)
+            gradient += unfused_clustering_gradient(
+                confident, pseudo, source_rows, np.array(pool.novel), config.temperature,
+                weight, values[chosen],
+            )
+        if config.enable_alignment:
+            weak = predicted != REJECT
+            if weak.any():
+                batch_mean, batch_cov = _moments(features[weak], 1)
+                if target is None:
+                    mean, cov, blend = batch_mean, batch_cov, 1.0
+                else:
+                    keep = 1.0 - config.beta
+                    mean = keep * target.mean + config.beta * batch_mean
+                    cov = keep * target.covariance + config.beta * batch_cov
+                    blend = config.beta
+                target = SimpleNamespace(
+                    mean=mean, covariance=0.5 * (cov + cov.T), last_blend=blend
+                )
+                target_count += int(weak.sum())
+                if target_count >= 2 * config.feature_dim:
+                    gradient += config.lam * unfused_kl_gradient(
+                        source, target, features[weak], weight, values[weak]
+                    )
+        if config.enable_clustering or config.enable_alignment:
+            buffer = config.momentum_coeff * buffer + gradient
+            weight = weight - config.learning_rate * buffer
+
+        out.predicted.append(predicted)
+        out.scores.append(scores)
+        out.taus.append(tau)
+        out.added.append(added)
+    out.pool, out.weight = pool, weight
+    return out

@@ -51,6 +51,13 @@ def test_invalid_interp_rejected():
         small_spec(strong_mode="near_clusters", near_interp=1.5).validate()
 
 
+@pytest.mark.parametrize("mode", ["uniform_noise", "disjoint_clusters"])
+def test_interp_outside_near_clusters_rejected(mode):
+    with pytest.raises(InvalidSpec, match=f"near_interp applies only to near_clusters, not {mode}"):
+        small_spec(strong_mode=mode, near_interp=0.7).validate()
+    small_spec(strong_mode=mode, near_interp=0.0).validate()
+
+
 def test_signal_dims_bounded_by_input_dims():
     with pytest.raises(InvalidSpec):
         small_spec(d_in=8, signal_dims=16).validate()

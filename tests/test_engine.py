@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owtt import engine as engine_module
-from owtt.adapter import embed_batch
+from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
     NO_REJECT_TAU,
@@ -16,10 +16,15 @@ from owtt.engine import (
     next_threshold,
     select_confident,
 )
-from owtt.errors import ConfigError, EmptyRecords, InvalidSpec, NonFiniteInput
+from owtt.errors import (
+    ConfigError, DegenerateEmbedding, EmptyRecords, InvalidSpec, NonFiniteInput
+)
+from owtt.experiment import ABLATION_VARIANTS
 from owtt.metrics import REJECT, compute_metrics
 from owtt.prototypes import PrototypePool
 from owtt.scoring import ScoreWindow, adaptive_threshold
+
+from oracles import reference_run
 
 
 def small_world(**kw):
@@ -389,6 +394,50 @@ def test_nan_in_a_stream_batch_aborts_with_a_typed_cause():
     assert len(err.value.trace) == 3
 
 
+# numpy reports the overflow of the squared embedding before the refusal; the
+# suite turns RuntimeWarnings into errors, so these tests ignore that message.
+OVERFLOW_WARNING = "ignore:overflow encountered in multiply:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+def test_an_overflowing_stream_row_aborts_with_a_typed_cause():
+    spec = WorldSpec(n_batches=5, seed=0)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    stream[3].values[0] *= 1e160  # finite, but its squared embedding norm is not
+    engine = Engine(RunConfig(seed=0), src_x, src_y, spec.k_s)
+    with pytest.raises(StageFailure) as err:
+        engine.run(stream)
+    assert err.value.batch_index == 3
+    assert isinstance(err.value.cause, NonFiniteInput)
+    assert "input row 0 overflows" in str(err.value.cause)
+    assert len(err.value.trace) == 3
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+def test_an_overflowing_source_row_fails_engine_construction():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    src_x[7] *= 1e160
+    with pytest.raises(NonFiniteInput, match="input row 7 overflows"):
+        Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+
+
+def test_a_tiny_stream_row_aborts_as_a_degenerate_embedding():
+    # Policy: a row whose embedding norm falls below NORM_EPS is refused,
+    # even though cosine geometry would ignore its scale.
+    spec = WorldSpec(n_batches=5, seed=0)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    stream[3].values[0] *= 1e-160
+    engine = Engine(RunConfig(seed=0), src_x, src_y, spec.k_s)
+    with pytest.raises(StageFailure) as err:
+        engine.run(stream)
+    assert err.value.batch_index == 3
+    assert isinstance(err.value.cause, DegenerateEmbedding)
+    assert str(err.value.cause) == "embedding norm 1.264e-159 below 1e-12 at row 0"
+
+
 def test_inf_in_the_source_values_fails_engine_construction():
     spec = small_world()
     src_x, src_y = generate_source(spec)
@@ -542,3 +591,56 @@ def test_finite_stream_leaves_finite_engine_state(
     assert len(result.records) == batch_size * n_batches
     assert all(np.isfinite(b.total) for b in result.losses)
     assert engine_state_is_finite(engine)
+
+
+# --- whole-engine reference -------------------------------------------------------------
+
+
+REFERENCE_CONFIGS = {
+    "full": {},
+    "none": ABLATION_VARIANTS["none"],
+    "od_pc": ABLATION_VARIANTS["od_pc"],
+    "od_da": ABLATION_VARIANTS["od_da"],
+    "fixed_0.3": {"fixed_threshold": 0.3},
+    "clamp_0.2_0.8": {"threshold_clamp": (0.2, 0.8)},
+    "novel_momentum_0.1": {"novel_momentum": 0.1},
+    "novel_capacity_5": {"novel_capacity": 5},
+    "discrete_mode": {"discrete_mode": True},
+}
+
+
+def assert_matches_reference(spec, config):
+    """Run the engine and reference_run on one world; both must agree exactly."""
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    weight = init_adapter(config.feature_dim, spec.d_in, config.learning_rate,
+                          config.momentum_coeff, config.seed).weight
+    expected = reference_run(config, src_x, src_y, spec.k_s, stream, weight)
+    result = Engine(config, src_x, src_y, spec.k_s).run(stream)
+    predicted = np.array([r.predicted_label for r in result.records])
+    scores = np.array([r.ood_score for r in result.records])
+    assert np.array_equal(predicted, np.concatenate(expected.predicted)), "predictions"
+    assert np.array_equal(scores, np.concatenate(expected.scores)), "scores"
+    assert [t.tau for t in result.trace] == expected.taus, "taus"
+    assert [t.pn_size for t in result.trace] == [
+        min(n, config.novel_capacity) for n in np.cumsum(expected.added)
+    ], "novel counts"
+    assert np.array_equal(result.engine.pool.all_matrix(), expected.pool.matrix()), "pool"
+    assert np.array_equal(result.engine.adapter.weight, expected.weight), "weight"
+    return expected
+
+
+@pytest.mark.parametrize("name", REFERENCE_CONFIGS)
+def test_engine_matches_the_reference_run(name):
+    spec = WorldSpec(n_batches=10, seed=list(REFERENCE_CONFIGS).index(name))
+    assert_matches_reference(spec, RunConfig(seed=spec.seed, **REFERENCE_CONFIGS[name]))
+
+
+def test_engine_matches_the_reference_run_when_the_pool_evicts():
+    # The benchmark's wide-saturated world: batches admit more prototypes
+    # than the pool holds.
+    spec = WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
+                     n_batches=3, seed=0)
+    config = RunConfig(feature_dim=64, batch_size=512, seed=0)
+    expected = assert_matches_reference(spec, config)
+    assert max(expected.added) > config.novel_capacity

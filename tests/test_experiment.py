@@ -314,6 +314,21 @@ def test_report_from_sweep_dir_collates_per_value(tmp_path):
     assert len(batches) == SMALL_WORLD["n_batches"]
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_report_reads_trace_columns_by_header_name(tmp_path, sweep):
+    exp = load_experiment(write_experiment(tmp_path))
+    if sweep:
+        run_sweep(exp, "keep_ratio", [0.5, 1.0])
+    else:
+        run_experiment(exp)
+    expected = {p.name: p.read_bytes() for p in write_report(exp.output_dir)}
+    for trace in exp.output_dir.glob("**/trace.csv"):
+        provenance, *lines = trace.read_text(encoding="utf-8").splitlines()
+        reversed_columns = [",".join(line.split(",")[::-1]) for line in lines]
+        trace.write_text("\n".join([provenance, *reversed_columns]) + "\n", encoding="utf-8")
+    assert {p.name: p.read_bytes() for p in write_report(exp.output_dir)} == expected
+
+
 # --- CLI ------------------------------------------------------------------------------
 
 
