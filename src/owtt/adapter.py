@@ -58,7 +58,7 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     """Map a batch of raw inputs (rows) to unit-norm features (rows).
 
     Raises NonFiniteInput naming the first row that holds a NaN or inf, or
-    whose embedding norm overflows (numpy warns of the overflow first), and
+    whose embedding norm overflows (under any warning filter), and
     DegenerateEmbedding naming the smallest embedding norm below NORM_EPS:
     a tiny row is refused, although its direction is well defined.
     """
@@ -66,8 +66,9 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     if not np.isfinite(values).all():
         finite = np.isfinite(values).all(axis=1)
         raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
-    raw = values @ adapter.weight.T
-    norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        raw = values @ adapter.weight.T
+        norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
     if not (NORM_EPS <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):
         finite = np.isfinite(norms)
         if not finite.all():

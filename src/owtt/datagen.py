@@ -8,6 +8,7 @@ independently so stream prefixes do not depend on the total length.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -21,6 +22,8 @@ STRONG_MODES = ("uniform_noise", "disjoint_clusters", "near_clusters")
 _STREAM_MAGIC = b"OWTT"
 _STREAM_VERSION = 1
 _STREAM_HEADER = struct.Struct("<4sIIII")
+# Largest label a stream file holds: float32 represents every integer up to 2**24.
+_MAX_LABEL = 2**24
 
 # SeedSequence tags keeping the independent random draws decoupled.
 _TAG_SOURCE_MEANS = 1
@@ -85,6 +88,10 @@ class WorldSpec:
     seed: int = 0
 
     def validate(self) -> "WorldSpec":
+        for key in ("class_sep", "within_std", "offset_scale", "bias_scale", "noise_std",
+                    "rotation_angle", "strong_margin"):  # checks below pass NaN or inf
+            if not -math.inf < getattr(self, key) < math.inf:  # refuses NaN too
+                raise InvalidSpec(f"{key} must be finite, got {getattr(self, key)}")
         if self.d_in < 2:
             raise InvalidSpec("d_in must be at least 2")
         if not 2 <= self.signal_dims <= self.d_in:
@@ -356,8 +363,9 @@ def load_stream(path) -> List[Batch]:
     """Read a stream written by export_stream; rows keep their file order.
 
     Raises InvalidSpec for a bad magic or version, a file whose length
-    disagrees with its header, a non-integral label or batch index, a batch
-    index outside 0..n_batches-1, or a batch with no rows.
+    disagrees with its header, more batches than rows, a non-integral label
+    or batch index, a label outside 0..2**24 (the integers float32 holds
+    exactly), a batch index outside 0..n_batches-1, or a batch with no rows.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -371,15 +379,17 @@ def load_stream(path) -> List[Batch]:
     expected = _STREAM_HEADER.size + 4 * n_samples * (d_in + 2)
     if len(data) != expected:
         raise InvalidSpec(f"stream file is {len(data)} bytes, its header implies {expected}")
+    if n_batches > n_samples:  # some batch would have no rows
+        raise InvalidSpec(f"stream header names {n_batches} batches for {n_samples} rows")
     rows = np.frombuffer(data, "<f4", offset=_STREAM_HEADER.size).reshape(n_samples, d_in + 2)
     stamps, labels = rows[:, 0], rows[:, 1]
     valid = (stamps >= 0) & (stamps < n_batches) & (stamps == np.round(stamps))
-    valid &= np.isfinite(labels) & (labels == np.round(labels))
+    valid &= (labels >= 0) & (labels <= _MAX_LABEL) & (labels == np.round(labels))
     if not valid.all():
         i = int(np.argmin(valid))
         raise InvalidSpec(
             f"stream row {i} has batch {stamps[i]:g}, label {labels[i]:g}: "
-            f"need integers, the batch in 0..{n_batches - 1}"
+            f"need integers, the batch in 0..{n_batches - 1}, the label in 0..{_MAX_LABEL}"
         )
     stamps = stamps.astype(int)
     counts = np.bincount(stamps, minlength=n_batches)
@@ -387,10 +397,11 @@ def load_stream(path) -> List[Batch]:
         raise InvalidSpec(f"stream batch {int(np.argmin(counts))} has no rows")
     rows = rows[np.argsort(stamps, kind="stable")]
     ends = np.cumsum(counts).tolist()
-    return [
-        Batch(rows[end - n : end, 2:], rows[end - n : end, 1])
-        for n, end in zip(counts.tolist(), ends)
-    ]
+    with np.errstate(invalid="ignore"):  # a signalling NaN value widens to a quiet NaN
+        return [
+            Batch(rows[end - n : end, 2:], rows[end - n : end, 1])
+            for n, end in zip(counts.tolist(), ends)
+        ]
 
 
 def write_stream_csv(batches: Sequence[Batch], path) -> None:

@@ -21,7 +21,6 @@ from .errors import ConfigError
 from .metrics import REJECT, MetricsReport, RunningMetrics
 from .objective import (
     GaussianStats,
-    LossBundle,
     clustering_loss,  # unused here; kept so that a patch of engine.clustering_loss resolves
     clustering_loss_gradient,
     fit_gaussian,
@@ -128,6 +127,9 @@ class StageFailure(Exception):
         self.trace = trace
         self.cause = cause
 
+    def __reduce__(self):  # Exception pickles only args; rebuild from the fields
+        return type(self), (self.batch_index, self.records, self.trace, self.cause)
+
 
 @dataclass(slots=True)
 class PredictionRecord:
@@ -143,7 +145,7 @@ class PredictionRecord:
 
 @dataclass
 class TraceRow:
-    """Cumulative metrics and engine state after one batch."""
+    """Cumulative metrics, engine state and the batch's losses after one batch."""
 
     batch: int
     acc_s: Optional[float]
@@ -151,6 +153,8 @@ class TraceRow:
     acc_h: Optional[float]
     pn_size: int
     tau: float
+    clustering_loss: float
+    alignment_loss: float
 
 
 @dataclass
@@ -158,7 +162,6 @@ class RunResult:
     records: List[PredictionRecord]
     trace: List[TraceRow]
     report: MetricsReport
-    losses: List[LossBundle]
     num_known: int
     engine: "Engine" = field(repr=False)
 
@@ -226,12 +229,17 @@ class Engine:
     # --- inference stage ---------------------------------------------------------
 
     def inference_stage(self, batch_values: np.ndarray):
-        """Score and predict one batch; returns (features, scores, tau, predicted)."""
+        """Score and predict one batch; returns (features, similarities, scores,
+        tau, predicted), where similarities is ``features @ pool.all_matrix().T``
+        against the pool as the batch found it."""
         cfg = self.config
         features = embed_batch(batch_values, self.adapter)
-        source_similarities = features @ self.pool.source_matrix().T
+        similarities = features @ self.pool.all_matrix().T
+        source_similarities = similarities[:, : self.pool.num_source]
         if cfg.discrete_mode:
-            raw = batch_discrete_scores(features, self.pool)
+            # Its own product: the table's novel columns can differ from it in the last bit.
+            novel_similarities = features @ self.pool.novel_matrix().T
+            raw = batch_discrete_scores(source_similarities, novel_similarities)
         else:
             raw = batch_ood_scores(source_similarities)
         scores = clamp_scores(raw)
@@ -239,7 +247,7 @@ class Engine:
         tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
         nearest = np.argmax(source_similarities, axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
-        return features, scores, tau, predicted
+        return features, similarities, scores, tau, predicted
 
     # --- adaptation stage ----------------------------------------------------------
 
@@ -247,14 +255,17 @@ class Engine:
         self,
         batch_values: np.ndarray,
         features: np.ndarray,
+        similarities: np.ndarray,
         scores: np.ndarray,
         tau: float,
         predicted: np.ndarray,
-    ) -> LossBundle:
-        """Expansion, self-training, and alignment updates for one batch."""
+    ) -> Tuple[float, float]:
+        """Expansion, self-training, and alignment updates for one batch; returns
+        (clustering_loss, alignment_loss). Expansion scores the inference stage's
+        ``similarities``: nothing changes the pool between the stages."""
         cfg = self.config
         if cfg.enable_expansion:
-            extended = batch_ood_scores(features @ self.pool.all_matrix().T)
+            extended = batch_ood_scores(similarities)
             expansion_tau = next_threshold(
                 self.extended_window,
                 extended,
@@ -302,12 +313,7 @@ class Engine:
 
         if cfg.enable_clustering or cfg.enable_alignment:
             self.adapter = sgd_momentum_step(self.adapter, gradient)
-        return LossBundle(
-            clustering_loss=clustering_value,
-            alignment_loss=alignment_value,
-            lam=cfg.lam,
-            temperature=cfg.temperature,
-        )
+        return clustering_value, alignment_value
 
     # --- full run -------------------------------------------------------------------
 
@@ -315,7 +321,6 @@ class Engine:
         """One pass over the stream; inference strictly precedes adaptation."""
         records: List[PredictionRecord] = []
         trace: List[TraceRow] = []
-        losses: List[LossBundle] = []
         running = RunningMetrics(self.num_known)
 
         for t, batch in enumerate(stream):
@@ -325,33 +330,16 @@ class Engine:
                     f"{self.config.batch_size}"
                 )
             try:
-                features, scores, tau, predicted = self.inference_stage(batch.values)
+                features, similarities, scores, tau, predicted = self.inference_stage(batch.values)
                 n = len(batch)
                 records.extend(map(PredictionRecord, repeat(t, n), range(n), predicted.tolist(),
                                    scores.tolist(), repeat(tau, n), batch.hidden.tolist()))
-                losses.append(
-                    self.adaptation_stage(batch.values, features, scores, tau, predicted)
+                losses = self.adaptation_stage(
+                    batch.values, features, similarities, scores, tau, predicted
                 )
             except Exception as exc:
                 raise StageFailure(t, records, trace, exc) from exc
             running.update(predicted, batch.hidden)
-            acc_s, acc_n, acc_h = running.snapshot()
-            trace.append(
-                TraceRow(
-                    batch=t,
-                    acc_s=acc_s,
-                    acc_n=acc_n,
-                    acc_h=acc_h,
-                    pn_size=self.pool.novel_count,
-                    tau=tau,
-                )
-            )
+            trace.append(TraceRow(t, *running.snapshot(), self.pool.novel_count, tau, *losses))
 
-        return RunResult(
-            records=records,
-            trace=trace,
-            report=running.report(),
-            losses=losses,
-            num_known=self.num_known,
-            engine=self,
-        )
+        return RunResult(records, trace, running.report(), self.num_known, self)

@@ -36,6 +36,9 @@ class EmptyClass(OwttError):
         super().__init__(f"class {class_id} has no samples")
         self.class_id = class_id
 
+    def __reduce__(self):  # Exception pickles only args, which hold the message
+        return type(self), (self.class_id,)
+
 
 class EmptyNovelPool(OwttError):
     """A novel-prototype operation was attempted on an empty pool."""

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -73,6 +74,8 @@ def _checked_value(hint, value, name: str):
     kinds = (int, float) if hint is float else hint
     if not isinstance(value, kinds) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
+    if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is an integer too large for a float")
     return value
 
 
@@ -369,9 +372,9 @@ def write_report(directory) -> List[Path]:
     """Emit plot-ready CSVs from a run or sweep directory.
 
     A run directory is one trace; a sweep directory is one trace per
-    ``sweep.csv`` row, labelled with its value. Trace columns are read by
-    their ``trace.csv`` header names. A run directory also gets its score
-    histograms.
+    ``sweep.csv`` row, labelled with its value; a value without its trace
+    raises MissingArtifacts. Trace columns are read by their ``trace.csv``
+    header names. A run directory also gets its score histograms.
     """
     directory = Path(directory)
     sweep_file = directory / "sweep.csv"
@@ -380,9 +383,11 @@ def write_report(directory) -> List[Path]:
         axis = provenance.split("axis=")[-1] if "axis=" in provenance else "value"
         label_columns = ["value"]
         traces = [((row[0],), directory / f"{axis}_{row[0]}" / "trace.csv") for row in sweep_rows]
-        traces = [(label, path) for label, path in traces if path.exists()]
         if not traces:
-            raise MissingArtifacts(f"{directory} has a sweep.csv but no per-value traces")
+            raise MissingArtifacts(f"{directory} has a sweep.csv with no values")
+        for (value,), path in traces:
+            if not path.exists():
+                raise MissingArtifacts(f"{directory} has no trace for sweep value {value}")
     else:
         trace_file = directory / "trace.csv"
         if not trace_file.exists():

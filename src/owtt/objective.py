@@ -8,7 +8,7 @@ feature map to the trainable weight.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -61,20 +61,6 @@ class GaussianStats:
     def inverse(self) -> np.ndarray:
         self.logdet  # raises unless positive-definite
         return np.linalg.inv(self.regularized)
-
-
-@dataclass
-class LossBundle:
-    """Per-batch losses; total is clustering + lam * alignment."""
-
-    clustering_loss: float
-    alignment_loss: float
-    lam: float
-    temperature: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        self.total = self.clustering_loss + self.lam * self.alignment_loss
 
 
 def fit_gaussian(features: np.ndarray) -> GaussianStats:

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .prototypes import PrototypePool
 
 # Candidate thresholds: 0.00, 0.01, ..., 1.00.
 THRESHOLD_GRID = np.arange(101) / 100.0
@@ -28,7 +25,7 @@ MIN_WINDOW_SCORES = 8
 
 # Number of top novel-prototype similarities averaged by the discrete-mode
 # score variant.
-DEFAULT_TOP_M = 10
+TOP_M = 10
 
 
 @dataclass
@@ -97,29 +94,25 @@ def batch_ood_scores(similarities: np.ndarray) -> np.ndarray:
 
 
 def batch_discrete_scores(
-    features: np.ndarray, pool: "PrototypePool", top_m: int = DEFAULT_TOP_M
+    source_similarities: np.ndarray, novel_similarities: np.ndarray
 ) -> np.ndarray:
-    """Score variant weighing source affinity against mean top-m novel affinity.
+    """Score variant weighing source affinity against mean top-m novel affinity,
+    from a batch's similarities to the source and to the novel prototypes.
 
     With similarity s to the best source prototype and u the mean of the
-    top-m similarities to novel prototypes, the score is
+    top-m (m = TOP_M) similarities to novel prototypes, the score is
     (1-s)*s/(s+u) + u*u/(s+u), and 0.5 where s+u < 1e-12 (no evidence
     either way). Falls back to the plain score while the novel pool is
-    empty; with fewer than top_m novel prototypes the mean runs over all of
+    empty; with fewer than m novel prototypes the mean runs over all of
     them. The top-m similarities are summed in descending order.
     """
-    if top_m < 1:
-        raise ConfigError(f"top_m must be >= 1, got {top_m}")
-    source = pool.source_matrix()
-    if source.shape[0] == 0:
+    if source_similarities.shape[1] == 0:
         raise EmptyPrototypeSet("no source prototypes")
-    features = np.asarray(features, dtype=float)
-    best_source = np.max(features @ source.T, axis=1)
-    novel = pool.novel_matrix()
-    if novel.shape[0] == 0:
+    best_source = source_similarities.max(axis=1)
+    m = min(TOP_M, novel_similarities.shape[1])
+    if m == 0:
         return 1.0 - best_source
-    m = min(top_m, novel.shape[0])
-    top = np.sort(features @ novel.T, axis=1)[:, : -m - 1 : -1]
+    top = np.sort(novel_similarities, axis=1)[:, : -m - 1 : -1]
     total_u = top[:, 0].copy()
     for j in range(1, m):
         total_u += top[:, j]

@@ -1,6 +1,10 @@
+import pickle
 import types
 
+import pytest
+
 import owtt
+from owtt.engine import PredictionRecord, TraceRow
 
 DOCUMENTED = {
     # The run API.
@@ -26,3 +30,35 @@ def test_the_package_exports_exactly_the_documented_names():
     assert public == DOCUMENTED
     assert len(DOCUMENTED) == 34
 
+
+def error_instance(cls):
+    """One instance of an exported error type, with every field set."""
+    if cls is owtt.EmptyClass:
+        return cls(3)
+    if cls is owtt.StageFailure:
+        record = PredictionRecord(1, 0, owtt.REJECT, 0.75, 0.5, 7)
+        row = TraceRow(1, 0.5, 0.25, 1 / 3, 2, 0.5, 1.25, 0.125)
+        return cls(2, [record], [row], owtt.NonFiniteInput("input row 0 holds a NaN or inf value"))
+    return cls(f"{cls.__name__} message")
+
+
+def fields(error):
+    """An error's attributes; a nested error compares by type and message."""
+    return {key: (type(value), str(value)) if isinstance(value, Exception) else value
+            for key, value in vars(error).items()}
+
+
+ERROR_TYPES = sorted(
+    (value for value in vars(owtt).values()
+     if isinstance(value, type) and issubclass(value, Exception)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_an_exported_error_survives_a_pickle_round_trip(cls):
+    error = error_instance(cls)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error)
+    assert fields(copy) == fields(error)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import nearest_mean_accuracy
 from owtt.adapter import embed_batch, init_adapter
@@ -66,6 +68,16 @@ def test_signal_dims_bounded_by_input_dims():
 def test_negative_seed_rejected():
     with pytest.raises(InvalidSpec, match="seed"):
         small_spec(seed=-1).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("key", [
+    "class_sep", "within_std", "offset_scale", "bias_scale", "noise_std", "rotation_angle",
+    "strong_margin",
+])
+def test_non_finite_world_floats_rejected(key, value):
+    with pytest.raises(InvalidSpec, match=f"{key} must be finite, got {value}"):
+        small_spec(**{key: value}).validate()
 
 
 # --- source generation --------------------------------------------------------------
@@ -295,7 +307,9 @@ def test_load_rejects_a_batch_with_no_rows(tmp_path):
         load_stream(path)
 
 
-@pytest.mark.parametrize("column, value", [(0, 3.0), (0, -1.0), (0, 0.5), (1, np.nan)])
+@pytest.mark.parametrize("column, value", [
+    (0, 3.0), (0, -1.0), (0, 0.5), (1, np.nan), (1, -1.0), (1, 3e38), (1, 2.0**24 + 2),
+])
 def test_load_rejects_a_bad_batch_index_or_label(tmp_path, column, value):
     path = exported(tmp_path)
     data = bytearray(path.read_bytes())
@@ -305,6 +319,67 @@ def test_load_rejects_a_bad_batch_index_or_label(tmp_path, column, value):
     path.write_bytes(bytes(data))
     with pytest.raises(InvalidSpec, match="stream row 5"):
         load_stream(path)
+
+
+@pytest.mark.parametrize("n_batches", [25, 2**31 + 5])
+def test_load_rejects_more_batches_than_rows(tmp_path, n_batches):
+    # 24 rows; the check runs before any per-batch array is allocated.
+    path = exported(tmp_path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 16, n_batches)
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidSpec, match=f"names {n_batches} batches for 24 rows"):
+        load_stream(path)
+
+
+def test_a_signalling_nan_value_loads_as_a_nan(tmp_path):
+    # Widening a float32 signalling NaN sets numpy's invalid flag; the loader
+    # leaves the refusal of non-finite rows to the engine.
+    path = exported(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[HEADER.size + 4 * 2 : HEADER.size + 4 * 3] = struct.pack("<I", 0x7FA00000)
+    path.write_bytes(bytes(data))
+    assert np.isnan(load_stream(path)[0].values[0, 0])
+
+
+# One mutation of a valid file: truncate it, extend it, flip bits, overwrite a
+# header field with any u32, or overwrite a row's batch index or label.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=12)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)),
+                                         min_size=1, max_size=4)),
+    st.tuples(st.just("field"), st.integers(0, 4), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("cell"), st.integers(0, 23), st.integers(0, 1), st.floats(width=32)),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=MUTATIONS)
+def test_a_mutated_stream_file_loads_or_raises_invalid_spec(tmp_path, mutation):
+    path = exported(tmp_path)
+    data = bytearray(path.read_bytes())
+    kind, *args = mutation
+    if kind == "truncate":
+        del data[args[0] % len(data):]
+    elif kind == "extend":
+        data += args[0]
+    elif kind == "flip":
+        for position, bit in args[0]:
+            data[position % len(data)] ^= 1 << bit
+    elif kind == "field":
+        struct.pack_into("<I", data, 4 * args[0], args[1])
+    else:
+        row, column, value = args
+        width = 2 + HEADER.unpack_from(data)[2]
+        struct.pack_into("<f", data, HEADER.size + 4 * (row * width + column), value)
+    path.write_bytes(bytes(data))
+    try:
+        batches = load_stream(path)
+    except InvalidSpec:
+        return
+    assert all(batch.hidden.min() >= 0 for batch in batches)
 
 
 def test_stream_csv_written(tmp_path):

@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import math
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from owtt.cli import main
-from owtt.datagen import Batch, export_stream, generate_stream
-from owtt.errors import ConfigError, MissingArtifacts
+from owtt.datagen import Batch, WorldSpec, export_stream, generate_stream
+from owtt.engine import RunConfig
+from owtt.errors import ConfigError, InvalidSpec, MissingArtifacts
 from owtt.experiment import (
     ABLATION_VARIANTS,
     apply_axis_value,
@@ -114,6 +120,18 @@ def test_world_integer_field_given_a_string_rejected(tmp_path):
     data = experiment_dict(tmp_path)
     data["world"]["d_in"] = "32"
     with pytest.raises(ConfigError, match="world.d_in"):
+        experiment_from_dict(data)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "threshold_clamp", [2**1024, 1.0]),
+    ("run", "learning_rate", 2**1024),
+    ("world", "class_sep", -(2**1024)),
+])
+def test_an_integer_beyond_the_float_range_rejected(tmp_path, section, key, value):
+    data = experiment_dict(tmp_path)
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} is an integer too large"):
         experiment_from_dict(data)
 
 
@@ -314,6 +332,14 @@ def test_report_from_sweep_dir_collates_per_value(tmp_path):
     assert len(batches) == SMALL_WORLD["n_batches"]
 
 
+def test_report_names_a_sweep_value_without_its_trace(tmp_path):
+    exp = load_experiment(write_experiment(tmp_path))
+    run_sweep(exp, "keep_ratio", [0.25, 0.5, 0.75, 1.0])
+    shutil.rmtree(exp.output_dir / "keep_ratio_0.5")
+    with pytest.raises(MissingArtifacts, match="no trace for sweep value 0.5$"):
+        write_report(exp.output_dir)
+
+
 @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
 def test_report_reads_trace_columns_by_header_name(tmp_path, sweep):
     exp = load_experiment(write_experiment(tmp_path))
@@ -390,6 +416,25 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert main(["report", out_dir]) == 0
 
 
+def test_cli_sweep_reports_a_stage_failure_alike_for_any_jobs(tmp_path, capsys):
+    # A NaN in batch 2 of the stream file fails every sweep point; with worker
+    # processes the failure crosses a pickle boundary on its way back.
+    stream = generate_stream(experiment_from_dict(experiment_dict(tmp_path)).world)
+    stream[2].values[0, 3] = float("nan")
+    stream_path = tmp_path / "stream.owtt"
+    export_stream(stream, stream_path)
+    lines = []
+    for jobs in ("1", "2"):
+        path = write_experiment(tmp_path, stream_file=str(stream_path),
+                                output_dir=str(tmp_path / f"out_{jobs}"))
+        argv = ["sweep", str(path), "--axis", "keep_ratio", "--values", "0.5,1.0", "--jobs", jobs]
+        assert main(argv) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] and lines[0].count("\n") == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "StageFailure" and err["batch"] == 2
+
+
 def test_cli_stream_export(tmp_path, capsys):
     path = write_experiment(tmp_path)
     out = tmp_path / "stream.owtt"
@@ -417,3 +462,45 @@ def test_ratio_sweep_incompatible_with_stream_file(tmp_path):
     fixed_stream_exp = experiment_from_dict(data)
     with pytest.raises(ConfigError, match="stream_file"):
         run_sweep(fixed_stream_exp, "ratio", [0.5, 1.0])
+
+
+# --- fuzzing ---------------------------------------------------------------------------
+
+
+# Non-finite floats and integers just past the float range, besides
+# hypothesis's usual numbers.
+NUMBERS = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2**1024, -(2**1024)]),
+)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=8), st.lists(NUMBERS, max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+SECTION_KEYS = (
+    [("world", f.name) for f in dataclasses.fields(WorldSpec)]
+    + [("run", f.name) for f in dataclasses.fields(RunConfig)]
+    + [(None, key) for key in ("world", "run", "output_dir", "report_formats", "stream_file")]
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(SECTION_KEYS), JSON_VALUES), max_size=3))
+def test_a_mutated_experiment_file_loads_or_raises_a_typed_error(tmp_path, edits):
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
+    data = experiment_dict(tmp_path)
+    for (section, key), value in edits:
+        target = data if section is None else data[section]
+        if isinstance(target, dict):
+            target[key] = value
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(data))
+    try:
+        exp = load_experiment(path)
+    except (ConfigError, InvalidSpec):
+        return
+    values = [value for section in (exp.world, exp.run) for value in dataclasses.astuple(section)]
+    numbers = [x for value in values for x in (value if isinstance(value, tuple) else (value,))
+               if isinstance(x, float)]
+    assert all(-math.inf < x < math.inf for x in numbers)

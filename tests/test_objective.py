@@ -17,7 +17,6 @@ from owtt.adapter import AdapterState, embed_backward, embed_batch
 from owtt.errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from owtt.objective import (
     GaussianStats,
-    LossBundle,
     clustering_loss,
     clustering_loss_gradient,
     fit_gaussian,
@@ -316,14 +315,6 @@ def test_kl_gradient_of_a_fitted_estimate_is_empty():
     np.testing.assert_array_equal(grad_features, np.zeros((0, 3)))
     _, grad = kl_weight_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
-
-
-# --- loss bundle --------------------------------------------------------------------
-
-
-def test_loss_bundle_total_is_exact_combination():
-    bundle = LossBundle(clustering_loss=0.75, alignment_loss=0.5, lam=0.4, temperature=0.1)
-    assert bundle.total == 0.75 + 0.4 * 0.5
 
 
 def test_total_gradient_additivity():

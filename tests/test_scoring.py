@@ -12,9 +12,9 @@ from oracles import (
 from owtt.errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
-    DEFAULT_TOP_M,
     MIN_WINDOW_SCORES,
     THRESHOLD_GRID,
+    TOP_M,
     ScoreWindow,
     adaptive_threshold,
     batch_discrete_scores,
@@ -39,8 +39,9 @@ def extended_score(feature, pool):
     return batch_ood_scores(feature[None, :] @ pool.all_matrix().T)[0]
 
 
-def discrete_score(feature, pool, top_m=DEFAULT_TOP_M):
-    return batch_discrete_scores(feature[None, :], pool, top_m)[0]
+def discrete_score(feature, pool):
+    row = feature[None, :]
+    return batch_discrete_scores(row @ pool.source_matrix().T, row @ pool.novel_matrix().T)[0]
 
 
 def plain_score(feature, pool):
@@ -137,13 +138,6 @@ def test_discrete_averages_available_novel_when_below_top_m():
     assert discrete_score(v, pool) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("top_m", [0, -1])
-def test_discrete_top_m_below_one_raises_config_error(top_m):
-    pool = make_pool([[1.0, 0.0]], novel=[[0.0, 1.0]])
-    with pytest.raises(ConfigError):
-        batch_discrete_scores(np.array([[0.0, 1.0]]), pool, top_m)
-
-
 def unit(rng, n, d):
     rows = rng.normal(size=(n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -153,13 +147,12 @@ def unit(rng, n, d):
 @given(
     seed=st.integers(0, 10_000),
     n_novel=st.integers(0, 20),
-    top_m=st.integers(1, 12),
     batch=st.integers(1, 20),
     dim=st.integers(2, 6),
     orthogonal=st.booleans(),
 )
-def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, top_m, batch, dim, orthogonal):
-    # Covers an empty pool, fewer novel prototypes than top_m, more, and a
+def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, batch, dim, orthogonal):
+    # Covers an empty pool, fewer novel prototypes than TOP_M, more, and a
     # full pool that has evicted its oldest rows (capacity 16).
     rng = np.random.default_rng(seed)
     source = unit(rng, 3, dim)
@@ -172,10 +165,9 @@ def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, top_m, bat
         novel = np.abs(novel) / np.linalg.norm(novel, axis=1, keepdims=True)
         features[0] = np.eye(dim)[0]
     pool = make_pool(source, novel=list(novel), capacity=16)
-    expected = discrete_scores(
-        features @ pool.source_matrix().T, features @ pool.novel_matrix().T, top_m
-    )
-    assert np.array_equal(batch_discrete_scores(features, pool, top_m), expected)
+    source_sims, novel_sims = features @ pool.source_matrix().T, features @ pool.novel_matrix().T
+    expected = discrete_scores(source_sims, novel_sims, TOP_M)
+    assert np.array_equal(batch_discrete_scores(source_sims, novel_sims), expected)
     if orthogonal and n_novel:
         assert expected[0] == 0.5
 
