@@ -104,13 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ConfigError exits 2, any other OwttError or StageFailure 1."""
+    """Run one command; a ConfigError exits 2, any other OwttError, a StageFailure
+    or an OSError (a file that cannot be read or written) exits 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         return _fail(exc, 2)
-    except (OwttError, StageFailure) as exc:
+    except (OwttError, StageFailure, OSError) as exc:
         return _fail(exc, 1)
 
 

@@ -35,6 +35,11 @@ _TAG_BATCH = 6
 
 _MAX_PLACEMENT_TRIES = 20_000
 
+# Most float64 elements (1 GiB) one world array may hold: the source values
+# (n_source x d_in), the stream (n_batches x batch_size x d_in) and the
+# rotation (d_in x d_in). A size typo raises InvalidSpec, not MemoryError.
+MAX_WORLD_ELEMENTS = 2**27
+
 
 @dataclass
 class Batch:
@@ -116,6 +121,12 @@ class WorldSpec:
             raise InvalidSpec("need at least one batch of size >= 2")
         if self.seed < 0:
             raise InvalidSpec("seed must be non-negative")
+        for keys in (("n_source", "d_in"), ("n_batches", "batch_size", "d_in"), ("d_in", "d_in")):
+            size = math.prod(getattr(self, key) for key in keys)
+            if size > MAX_WORLD_ELEMENTS:
+                raise InvalidSpec(
+                    f"{' x '.join(keys)} is {size} elements, above {MAX_WORLD_ELEMENTS}"
+                )
         return self
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import Batch
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpec
 from .metrics import REJECT, MetricsReport, RunningMetrics
 from .objective import (
     GaussianStats,
@@ -29,7 +29,8 @@ from .objective import (
     update_target_stats,
 )
 from .prototypes import (
-    PrototypePool, build_source_prototypes, check_source, expand, momentum_update_novel
+    MAX_NOVEL_CAPACITY, PrototypePool, build_source_prototypes, check_source, expand,
+    momentum_update_novel,
 )
 from .scoring import (
     ScoreWindow,
@@ -102,6 +103,8 @@ class RunConfig:
             raise ConfigError("beta must lie in (0, 1]")
         if self.feature_dim < 1 or self.novel_capacity < 1 or self.window_length < 1:
             raise ConfigError("feature_dim, novel_capacity, window_length must be positive")
+        if self.novel_capacity > MAX_NOVEL_CAPACITY:
+            raise ConfigError(f"novel_capacity must be at most {MAX_NOVEL_CAPACITY}")
         if self.fixed_threshold is not None and not 0.0 <= self.fixed_threshold <= 1.0:
             raise ConfigError("fixed_threshold must lie in [0, 1]")
         if self.threshold_clamp is not None:
@@ -173,8 +176,9 @@ def select_confident(scores: np.ndarray, tau: float, keep_ratio: float) -> np.nd
     """
     scores = np.asarray(scores, dtype=float)
     count = math.ceil(keep_ratio * scores.shape[0])
-    order = np.argsort(-np.abs(scores - tau), kind="stable")
-    return np.sort(order[:count])
+    chosen = (-np.abs(scores - tau)).argsort(kind="stable")[:count]
+    chosen.sort()
+    return chosen
 
 
 def next_threshold(
@@ -245,7 +249,7 @@ class Engine:
         scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
         tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
-        nearest = np.argmax(source_similarities, axis=1)
+        nearest = source_similarities.argmax(axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, similarities, scores, tau, predicted
 
@@ -278,12 +282,12 @@ class Engine:
 
         clustering_value = 0.0
         alignment_value = 0.0
-        gradient = np.zeros_like(self.adapter.weight)
+        gradient = np.zeros(self.adapter.weight.shape)
 
         if cfg.enable_clustering:
             selected = select_confident(scores, tau, cfg.keep_ratio)
             confident = features[selected]
-            pseudo_labels = np.argmax(confident @ self.pool.all_matrix().T, axis=1)
+            pseudo_labels = (confident @ self.pool.all_matrix().T).argmax(axis=1)
             clustering_value, clustering_grad = clustering_loss_gradient(
                 confident, pseudo_labels, self.pool, cfg.temperature
             )
@@ -323,11 +327,17 @@ class Engine:
         trace: List[TraceRow] = []
         running = RunningMetrics(self.num_known)
 
+        width = self.adapter.weight.shape[1]
         for t, batch in enumerate(stream):
             if self.config.batch_size is not None and len(batch) != self.config.batch_size:
                 raise ConfigError(
                     f"batch {t} has {len(batch)} samples, config expects "
                     f"{self.config.batch_size}"
+                )
+            if batch.values.shape[1:] != (width,):
+                raise InvalidSpec(
+                    f"batch {t} has rows of width {batch.values.shape[-1]}, "
+                    f"the source has width {width}"
                 )
             try:
                 features, similarities, scores, tau, predicted = self.inference_stage(batch.values)

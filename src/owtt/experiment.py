@@ -148,7 +148,7 @@ def load_experiment(path) -> ExperimentConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return experiment_from_dict(data, base_dir=path.parent)
 

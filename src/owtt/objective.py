@@ -8,8 +8,7 @@ feature map to the trainable weight.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,8 +26,10 @@ class GaussianStats:
     """Streaming mean/covariance of one feature distribution.
 
     The regularized covariance (plus COV_EPS on the diagonal), its
-    log-determinant and its inverse are computed on first use and cached, so
-    the arrays must not be modified in place once any of them has been read.
+    log-determinant and its inverse are computed once, when the estimate is
+    built; an estimate that holds no samples has none of them (None). A
+    covariance that is not positive-definite after regularization is refused
+    when built, with NumericalFailure.
     """
 
     mean: np.ndarray
@@ -40,27 +41,27 @@ class GaussianStats:
     # `kl_gradient` differentiates through them. None on a fitted estimate.
     last_blend: float = 0.0
     last_centered: Optional[np.ndarray] = None
+    regularized: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    logdet: Optional[float] = field(init=False, repr=False, compare=False)
+    inverse: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        regularized = logdet = inverse = None
+        if self.count:
+            regularized = self.covariance + COV_EPS * np.eye(self.mean.shape[0])
+            try:
+                chol = np.linalg.cholesky(regularized)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure("covariance not positive-definite") from exc
+            logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+            inverse = np.linalg.inv(regularized)
+        object.__setattr__(self, "regularized", regularized)
+        object.__setattr__(self, "logdet", logdet)
+        object.__setattr__(self, "inverse", inverse)
 
     @classmethod
     def empty(cls, dim: int) -> "GaussianStats":
         return cls(mean=np.zeros(dim), covariance=np.zeros((dim, dim)))
-
-    @cached_property
-    def regularized(self) -> np.ndarray:
-        return self.covariance + COV_EPS * np.eye(self.mean.shape[0])
-
-    @cached_property
-    def logdet(self) -> float:
-        try:
-            chol = np.linalg.cholesky(self.regularized)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("covariance not positive-definite") from exc
-        return 2.0 * float(np.log(np.diag(chol)).sum())
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        self.logdet  # raises unless positive-definite
-        return np.linalg.inv(self.regularized)
 
 
 def fit_gaussian(features: np.ndarray) -> GaussianStats:

@@ -22,6 +22,10 @@ _POOL_MAGIC = b"OWTP"
 _POOL_VERSION = 1
 _POOL_HEADER = struct.Struct("<4sIIIII")
 
+# Most novel prototypes a pool may hold: the pool preallocates its rows, so a
+# larger capacity from a config or a checkpoint is refused before allocation.
+MAX_NOVEL_CAPACITY = 2**16
+
 
 class PrototypePool:
     """Immutable source prototypes and a FIFO queue of novel prototypes.
@@ -35,8 +39,10 @@ class PrototypePool:
     """
 
     def __init__(self, source: np.ndarray, novel_capacity: int):
-        if novel_capacity < 1:
-            raise ConfigError(f"novel_capacity must be positive, got {novel_capacity}")
+        if not 1 <= novel_capacity <= MAX_NOVEL_CAPACITY:
+            raise ConfigError(
+                f"novel_capacity must lie in 1..{MAX_NOVEL_CAPACITY}, got {novel_capacity}"
+            )
         source = np.asarray(source, dtype=float)
         self.num_source = source.shape[0]
         self.novel_capacity = novel_capacity
@@ -132,7 +138,7 @@ def expand(
     count = np.count_nonzero(scores > tau)
     if not count:
         return 0
-    order = np.argsort(-scores, kind="stable")
+    order = (-scores).argsort(kind="stable")
     candidates = batch_features[order[:count]]
     cap = pool.novel_capacity
     close = candidates @ candidates.T
@@ -181,8 +187,11 @@ def load_pool(path) -> PrototypePool:
         raise InvalidSpec(f"not a pool checkpoint (magic {magic!r})")
     if version != _POOL_VERSION:
         raise InvalidSpec(f"unsupported pool checkpoint version {version}")
-    if capacity < 1 or n_novel > capacity:
-        raise InvalidSpec(f"pool checkpoint holds {n_novel} novel rows at capacity {capacity}")
+    if not 1 <= capacity <= MAX_NOVEL_CAPACITY or n_novel > capacity:
+        raise InvalidSpec(
+            f"pool checkpoint holds {n_novel} novel rows at capacity {capacity}: "
+            f"need a capacity in 1..{MAX_NOVEL_CAPACITY} and no more rows"
+        )
     expected = _POOL_HEADER.size + 8 * dim * (n_source + n_novel)
     if len(data) != expected:
         raise InvalidSpec(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")

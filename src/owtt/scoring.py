@@ -141,7 +141,8 @@ def adaptive_threshold(
     if n < MIN_WINDOW_SCORES:
         return ThresholdEstimate(tau=1.0, degenerate=True)
 
-    scores = np.sort(window.values())
+    scores = window.values()
+    scores.sort()
     # Candidate g leaves a score on each side when scores[0] <= g < scores[-1],
     # so the valid candidates are one run of the grid, start..stop-1.
     start = bisect_left(_GRID, scores[0])
@@ -157,8 +158,7 @@ def adaptive_threshold(
     csq = np.cumsum(scores * scores)
     k = scores.searchsorted(THRESHOLD_GRID[start:stop], side="right")  # 1..n-1 below
     below = k - 1
-    n_lo = k.astype(float)
-    n_hi = (n - k).astype(float)
+    n_lo, n_hi = k, n - k
     var_lo = np.maximum(csq[below] / n_lo - (csum[below] / n_lo) ** 2, 0.0)
     var_hi = np.maximum(
         (csq[-1] - csq[below]) / n_hi - ((csum[-1] - csum[below]) / n_hi) ** 2, 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import nearest_mean_accuracy
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
+    MAX_WORLD_ELEMENTS,
     WorldSpec,
     base_offset,
     batch_counts,
@@ -78,6 +79,22 @@ def test_negative_seed_rejected():
 def test_non_finite_world_floats_rejected(key, value):
     with pytest.raises(InvalidSpec, match=f"{key} must be finite, got {value}"):
         small_spec(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("sizes, keys", [
+    (dict(d_in=2**40), "n_source x d_in"),
+    (dict(n_source=2**28), "n_source x d_in"),
+    (dict(n_batches=2**22), "n_batches x batch_size x d_in"),
+    (dict(batch_size=2**23), "n_batches x batch_size x d_in"),
+    (dict(n_source=20, n_batches=1, batch_size=2, d_in=2**14), "d_in x d_in"),
+])
+def test_a_world_array_above_the_element_budget_is_refused(sizes, keys):
+    with pytest.raises(InvalidSpec, match=f"{keys} is [0-9]+ elements, above {MAX_WORLD_ELEMENTS}"):
+        small_spec(**sizes).validate()
+
+
+def test_the_element_budget_admits_a_world_at_it():
+    small_spec(n_source=2**14, d_in=2**13, n_batches=2**4, batch_size=2**10).validate()
 
 
 # --- source generation --------------------------------------------------------------

@@ -21,7 +21,7 @@ from owtt.errors import (
 )
 from owtt.experiment import ABLATION_VARIANTS
 from owtt.metrics import REJECT, compute_metrics
-from owtt.prototypes import PrototypePool
+from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
 from oracles import reference_run
@@ -72,6 +72,12 @@ def test_bad_ranges_rejected():
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(seed=-1).validate()
+
+
+def test_a_novel_capacity_above_the_pool_bound_is_refused():
+    RunConfig(novel_capacity=MAX_NOVEL_CAPACITY).validate()
+    with pytest.raises(ConfigError, match=f"novel_capacity must be at most {MAX_NOVEL_CAPACITY}"):
+        RunConfig(novel_capacity=MAX_NOVEL_CAPACITY + 1).validate()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -332,6 +338,15 @@ def test_batch_size_contract_enforced():
     stream = generate_stream(spec)
     engine = Engine(RunConfig(seed=0, batch_size=16), src_x, src_y, spec.k_s)
     with pytest.raises(ConfigError):
+        engine.run(stream)
+
+
+def test_a_stream_narrower_than_the_source_raises_invalid_spec():
+    spec = small_world(d_in=32)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(small_world(d_in=16))
+    engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+    with pytest.raises(InvalidSpec, match="batch 0 has rows of width 16, the source has width 32"):
         engine.run(stream)
 
 

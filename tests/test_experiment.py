@@ -387,6 +387,26 @@ def test_cli_run_and_sweep_exit_2_on_a_batch_size_mismatch(tmp_path, capsys):
         assert err["error"] == "ConfigError"
 
 
+def test_cli_run_exits_1_naming_a_missing_experiment_or_stream_file(tmp_path, capsys):
+    missing_stream = tmp_path / "absent.owtt"
+    for path, missing in ((tmp_path / "absent.json", tmp_path / "absent.json"),
+                          (write_experiment(tmp_path, stream_file=str(missing_stream)),
+                           missing_stream)):
+        assert main(["run", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "FileNotFoundError" and str(missing) in err["message"]
+
+
+def test_cli_run_exits_2_on_an_experiment_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(experiment_dict(tmp_path)).encode()[:-1] + b', "\xe9": 1}')
+    assert main(["run", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(path) in err["message"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("report_formats", [["csv"]]),
     ("output_dir", 5),

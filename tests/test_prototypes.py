@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import ListPool, brute_force_expand, list_momentum_update
@@ -13,6 +13,7 @@ from owtt.errors import (
     ConfigError, DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
 )
 from owtt.prototypes import (
+    MAX_NOVEL_CAPACITY,
     PrototypePool,
     build_source_prototypes,
     expand,
@@ -62,6 +63,12 @@ def test_missing_class_raises_empty_class():
 def test_pool_capacity_below_one_raises_config_error(capacity):
     with pytest.raises(ConfigError):
         PrototypePool(np.eye(2), novel_capacity=capacity)
+
+
+def test_pool_capacity_above_the_bound_raises_config_error():
+    assert PrototypePool(np.eye(2), novel_capacity=MAX_NOVEL_CAPACITY).novel_capacity == 2**16
+    with pytest.raises(ConfigError, match=f"1..{MAX_NOVEL_CAPACITY}"):
+        PrototypePool(np.eye(2), novel_capacity=MAX_NOVEL_CAPACITY + 1)
 
 
 # --- expansion -------------------------------------------------------------------
@@ -483,6 +490,53 @@ def test_pool_checkpoint_rejects_novel_count_over_capacity(tmp_path, n_novel, ca
     path.write_bytes(header + np.zeros((1 + n_novel) * 3, dtype="<f8").tobytes())
     with pytest.raises(InvalidSpec, match="capacity"):
         load_pool(path)
+
+
+@pytest.mark.parametrize("capacity", [MAX_NOVEL_CAPACITY + 1, 100 | 2**30])
+def test_pool_checkpoint_refuses_a_capacity_above_the_bound(tmp_path, capacity):
+    # 100 | 2**30 is a capacity of 100 with bit 30 flipped: a billion preallocated rows.
+    path, data = saved_pool_bytes(tmp_path)
+    data = bytearray(data)
+    struct.pack_into("<I", data, 20, capacity)
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidSpec, match=f"at capacity {capacity}"):
+        load_pool(path)
+
+
+# One mutation of a valid checkpoint: truncate it, extend it, flip bits, or
+# overwrite a header field (magic, version, width, counts, capacity) with any u32.
+POOL_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)),
+                                         min_size=1, max_size=4)),
+    st.tuples(st.just("field"), st.integers(0, 5), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=POOL_MUTATIONS)
+def test_a_mutated_pool_checkpoint_loads_or_raises_invalid_spec(tmp_path, mutation):
+    path, data = saved_pool_bytes(tmp_path)
+    data = bytearray(data)
+    kind, *args = mutation
+    if kind == "truncate":
+        del data[args[0] % len(data):]
+    elif kind == "extend":
+        data += args[0]
+    elif kind == "flip":
+        for position, bit in args[0]:
+            data[position % len(data)] ^= 1 << bit
+    else:
+        struct.pack_into("<I", data, 4 * args[0], args[1])
+    path.write_bytes(bytes(data))
+    try:
+        pool = load_pool(path)
+    except InvalidSpec:
+        return
+    assert 1 <= pool.novel_capacity <= MAX_NOVEL_CAPACITY
+    assert np.isfinite(pool.all_matrix()).all()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

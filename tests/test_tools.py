@@ -2,9 +2,17 @@ import importlib.util
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("digest_diff", TOOLS / "digest_diff.py")
-digest_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest_diff)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digest_diff = load_tool("digest_diff")
+bench_pairs = load_tool("bench_pairs")
 
 PARENT = """\
 default-long 0 aa 0.5 10
@@ -45,3 +53,61 @@ def test_digest_diff_exits_1_when_the_world_lists_differ(tmp_path, capsys):
     change = write(tmp_path, "change.txt", PARENT.replace("wide-saturated 40", "wide-saturated 41"))
     assert digest_diff.main([parent, change]) == 1
     assert "wide-saturated 40 is listed only by the parent" in capsys.readouterr().err
+
+END_TO_END = [
+    {"name": "engine_samples_per_s", "better": "higher"},
+    {"name": "batch_ms_p50", "better": "lower"},
+    {"name": "acc_h", "better": "higher"},
+    {"name": "peak_rss_mb", "better": "lower"},
+]
+
+
+def bench_run(correct=True, **values):
+    metrics = {name: {"value": value, "unit": "-"} for name, value in values.items()}
+    return {"correct": correct, "metrics": metrics}
+
+
+def hand_made_pairs(change_rate):
+    """Ten pairs: the parent's rate is 100..109, the change's rate is given per pair;
+    batch_ms_p50 mirrors the rate, acc_h never moves, peak_rss_mb is never reported."""
+    return [
+        (bench_run(engine_samples_per_s=100.0 + i, batch_ms_p50=1.0 / (100.0 + i), acc_h=0.5),
+         bench_run(engine_samples_per_s=rate, batch_ms_p50=1.0 / rate, acc_h=0.5))
+        for i, rate in enumerate(change_rate)
+    ]
+
+
+def test_bench_pairs_holds_the_gain_rule_on_a_clear_gain():
+    rows = bench_pairs.summarize(hand_made_pairs([120.0 + i for i in range(10)]), END_TO_END)
+    assert [row[0] for row in rows] == ["engine_samples_per_s", "batch_ms_p50", "acc_h"]
+    rate, latency, acc = rows
+    assert rate[1:7] == (102.25, 104.5, 106.75, 122.25, 124.5, 126.75)
+    assert rate[7:] == (10, 0, 0, True)
+    assert latency[7:] == (10, 0, 0, True)  # lower is better
+    assert acc[7:] == (0, 10, 0, False)  # ties count for neither side
+
+
+def test_bench_pairs_refuses_the_gain_below_nine_wins_or_inside_the_parent_iqr():
+    # Eight wins of ten, each by 20: too few wins.
+    rates = [120.0 + i for i in range(8)] + [100.0, 101.0]
+    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (8, 0, 2, False)
+    # Ten wins of ten, each by 1: the median gap (1) is inside the parent's IQR (4.5).
+    rates = [101.0 + i for i in range(10)]
+    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (10, 0, 0, False)
+
+
+def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        return bench_run(correct=(len(calls) != 4), engine_samples_per_s=1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "3"]) == 1
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == " ".join(bench_pairs.COLUMNS)
+    assert out[1] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False"
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
+    assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "1"]) == 0
