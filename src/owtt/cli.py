@@ -32,24 +32,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_values(axis: str, raw):
-    if raw is None:
-        return None
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError("sweep values must be non-empty")
-    if axis == "ablation":
-        return tokens
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"sweep values for {axis} must be numeric") from exc
-
-
 def cmd_sweep(args) -> int:
     exp = load_experiment(args.experiment)
-    values = _parse_values(args.axis, args.values)
-    summaries = run_sweep(exp, args.axis, values, jobs=args.jobs)
+    summaries = run_sweep(exp, args.axis, args.values, jobs=args.jobs)
     print(json.dumps({"points": len(summaries), "output_dir": str(exp.output_dir)}))
     return 0
 
@@ -86,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_DEFAULTS))
     p_sweep.add_argument(
         "--values",
+        type=lambda raw: [token.strip() for token in raw.split(",") if token.strip()],
         help="comma-separated axis values (defaults to the standard grid)",
     )
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")

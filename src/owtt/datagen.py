@@ -16,6 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InvalidSpec
+from .fields import check_fields
 
 STRONG_MODES = ("uniform_noise", "disjoint_clusters", "near_clusters")
 
@@ -36,9 +37,15 @@ _TAG_BATCH = 6
 _MAX_PLACEMENT_TRIES = 20_000
 
 # Most float64 elements (1 GiB) one world array may hold: the source values
-# (n_source x d_in), the stream (n_batches x batch_size x d_in) and the
-# rotation (d_in x d_in). A size typo raises InvalidSpec, not MemoryError.
+# (n_source x d_in), the stream (n_batches x batch_size x d_in), the rotation
+# (d_in x d_in) and the strong means (k_t x d_in). A size typo raises
+# InvalidSpec, not MemoryError.
 MAX_WORLD_ELEMENTS = 2**27
+
+# Largest world scale: class_sep * (offset_scale + max(1, |strong_margin|)) +
+# bias_scale + within_std + noise_std bounds a sample's norm up to the size of
+# a normal draw and sqrt(d_in), so no squared norm overflows (and warns) below it.
+MAX_WORLD_SCALE = 1e150
 
 
 @dataclass
@@ -93,6 +100,8 @@ class WorldSpec:
     seed: int = 0
 
     def validate(self) -> "WorldSpec":
+        """``self``, its field types checked (ConfigError), then its values (InvalidSpec)."""
+        check_fields(self)
         for key in ("class_sep", "within_std", "offset_scale", "bias_scale", "noise_std",
                     "rotation_angle", "strong_margin"):  # checks below pass NaN or inf
             if not -math.inf < getattr(self, key) < math.inf:  # refuses NaN too
@@ -101,12 +110,19 @@ class WorldSpec:
             raise InvalidSpec("d_in must be at least 2")
         if not 2 <= self.signal_dims <= self.d_in:
             raise InvalidSpec("signal_dims must lie in [2, d_in]")
-        if self.k_s < 1 or self.k_t < 1:
-            raise InvalidSpec("k_s and k_t must be positive")
+        if not (1 <= self.k_s <= _MAX_PLACEMENT_TRIES and 1 <= self.k_t <= _MAX_PLACEMENT_TRIES):
+            # each mean takes at least one placement try, so more can never be placed
+            raise InvalidSpec(f"k_s and k_t must lie in 1..{_MAX_PLACEMENT_TRIES}")
         if self.class_sep <= 0 or self.within_std <= 0:
             raise InvalidSpec("class_sep and within_std must be positive")
         if self.noise_std < 0 or self.bias_scale < 0 or self.offset_scale < 0:
             raise InvalidSpec("noise_std, bias_scale, offset_scale must be non-negative")
+        scale = (self.class_sep * (self.offset_scale + max(1.0, abs(self.strong_margin)))
+                 + self.bias_scale + self.within_std + self.noise_std)
+        if scale > MAX_WORLD_SCALE:
+            raise InvalidSpec(f"the world's scale is {scale:g}, above {MAX_WORLD_SCALE:g}: lower "
+                              "class_sep, offset_scale, strong_margin, bias_scale, within_std "
+                              "or noise_std")
         if self.strong_mode not in STRONG_MODES:
             raise InvalidSpec(f"strong_mode must be one of {STRONG_MODES}")
         if not 0.0 <= self.near_interp <= 1.0:
@@ -121,7 +137,8 @@ class WorldSpec:
             raise InvalidSpec("need at least one batch of size >= 2")
         if self.seed < 0:
             raise InvalidSpec("seed must be non-negative")
-        for keys in (("n_source", "d_in"), ("n_batches", "batch_size", "d_in"), ("d_in", "d_in")):
+        for keys in (("n_source", "d_in"), ("n_batches", "batch_size", "d_in"), ("d_in", "d_in"),
+                     ("k_t", "d_in")):
             size = math.prod(getattr(self, key) for key in keys)
             if size > MAX_WORLD_ELEMENTS:
                 raise InvalidSpec(
@@ -250,7 +267,8 @@ def rotation_matrix(spec: WorldSpec) -> np.ndarray:
         spin_dirs = spin_dirs[:half]
 
     rotation = np.eye(d)
-    cos_t, sin_t = np.cos(spec.rotation_angle), np.sin(spec.rotation_angle)
+    angle = float(spec.rotation_angle)  # a float field may hold an int past int64
+    cos_t, sin_t = np.cos(angle), np.sin(angle)
     for u, v in zip(spin_dirs, partners):
         plane = (
             (cos_t - 1.0) * (np.outer(u, u) + np.outer(v, v))

@@ -16,8 +16,9 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_step
-from .datagen import Batch
+from .datagen import MAX_WORLD_ELEMENTS, Batch
 from .errors import ConfigError, InvalidSpec
+from .fields import check_fields
 from .metrics import REJECT, MetricsReport, RunningMetrics
 from .objective import (
     GaussianStats,
@@ -83,6 +84,7 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        check_fields(self)
         if self.enable_expansion and not (self.enable_clustering and self.enable_ood_detection):
             raise ConfigError(
                 "enable_expansion requires enable_clustering and enable_ood_detection"
@@ -211,6 +213,14 @@ class Engine:
         config.validate()
         source_values = np.asarray(source_values, dtype=float)
         source_labels = check_source(source_values, source_labels, num_known)
+        dim = config.feature_dim
+        for shape, size in (("feature_dim x feature_dim", dim * dim),
+                            ("feature_dim x d_in", dim * source_values.shape[1]),
+                            ("(k_s + novel_capacity) x feature_dim",
+                             (num_known + config.novel_capacity) * dim)):
+            if size > MAX_WORLD_ELEMENTS:  # the covariances, the adapter, the pool rows
+                raise ConfigError(f"feature_dim: {shape} is {size} elements, "
+                                  f"above {MAX_WORLD_ELEMENTS}")
         self.config = config
         self.num_known = num_known
         self.adapter = init_adapter(
@@ -344,9 +354,12 @@ class Engine:
                 n = len(batch)
                 records.extend(map(PredictionRecord, repeat(t, n), range(n), predicted.tolist(),
                                    scores.tolist(), repeat(tau, n), batch.hidden.tolist()))
-                losses = self.adaptation_stage(
-                    batch.values, features, similarities, scores, tau, predicted
-                )
+                # An update that overflows is refused by type, not by warning:
+                # sgd_momentum_step raises NonFiniteGradient.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    losses = self.adaptation_stage(
+                        batch.values, features, similarities, scores, tau, predicted
+                    )
             except Exception as exc:
                 raise StageFailure(t, records, trace, exc) from exc
             running.update(predicted, batch.hidden)

@@ -11,8 +11,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import sys
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure
 from .errors import ConfigError, MissingArtifacts, MissingPopulation
+from .fields import check_fields, checked_value
 from .metrics import score_histogram, score_separation
 from .prototypes import save_pool
 
@@ -60,35 +59,12 @@ class ExperimentConfig:
     stream_file: Optional[Path] = None
 
 
-def _checked_value(hint, value, name: str):
-    """One section value, checked against its field's type annotation."""
-    args = typing.get_args(hint)
-    if type(None) in args:  # Optional[X]
-        if value is None:
-            return None
-        hint = next(arg for arg in args if arg is not type(None))
-    if typing.get_origin(hint) is tuple:  # threshold_clamp
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ConfigError(f"{name} must be a [lo, hi] pair of numbers, got {value!r}")
-        return tuple(float(_checked_value(float, v, name)) for v in value)
-    kinds = (int, float) if hint is float else hint
-    if not isinstance(value, kinds) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
-    if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{name} is an integer too large for a float")
-    return value
-
-
 def _build_section(cls, data: dict, section: str):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{
-        key: _checked_value(hints[key], value, f"{section}.{key}")
-        for key, value in data.items()
-    })
+    return check_fields(cls(**data), f"{section}.")
 
 
 def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
@@ -287,28 +263,37 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
 # --- sweeps ---------------------------------------------------------------------------
 
 
-def apply_axis_value(exp: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """A copy of the experiment with one sweep-axis value applied."""
-    if axis == "ratio":
-        world = dataclasses.replace(exp.world, ratio=float(value)).validate()
-        return dataclasses.replace(exp, world=world)
-    if axis == "fixed_threshold":
-        run = dataclasses.replace(
-            exp.run, fixed_threshold=float(value), threshold_clamp=None
-        ).validate()
-        return dataclasses.replace(exp, run=run)
-    if axis == "keep_ratio":
-        run = dataclasses.replace(exp.run, keep_ratio=float(value)).validate()
-        return dataclasses.replace(exp, run=run)
+def axis_value(axis: str, value):
+    """A value of ``axis`` from a CLI token or a library value: an ablation variant
+    name, or a number (a string parses as a float; a library number keeps its
+    type, so 1 labels ``keep_ratio_1``). Anything else raises ConfigError."""
+    if axis not in SWEEP_DEFAULTS:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
     if axis == "ablation":
-        if value not in ABLATION_VARIANTS:
-            raise ConfigError(
-                f"unknown ablation variant {value!r}; choose from "
-                f"{', '.join(ABLATION_VARIANTS)}"
-            )
-        run = dataclasses.replace(exp.run, **ABLATION_VARIANTS[value]).validate()
-        return dataclasses.replace(exp, run=run)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        if value not in SWEEP_DEFAULTS[axis]:  # a list: an unhashable value is just absent
+            raise ConfigError(f"unknown ablation variant {value!r}; "
+                              f"choose from {', '.join(ABLATION_VARIANTS)}")
+        return value
+    try:
+        return float(value) if isinstance(value, str) else checked_value(float, value, axis)
+    except ValueError:
+        raise ConfigError(f"sweep values for {axis} must be numeric, got {value!r}") from None
+
+
+def _point_dir(sweep_dir: Path, axis: str, value) -> Path:
+    """A sweep point's run directory, labelled ``str(value)`` as in sweep.csv."""
+    return sweep_dir / f"{axis}_{value}"
+
+
+def apply_axis_value(exp: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+    """A copy of the experiment with one sweep value (see ``axis_value``) applied."""
+    value = axis_value(axis, value)
+    changes = ABLATION_VARIANTS[value] if axis == "ablation" else {axis: float(value)}
+    if axis == "fixed_threshold":  # a fixed threshold replaces any clamp
+        changes["threshold_clamp"] = None
+    section = "world" if axis == "ratio" else "run"
+    updated = dataclasses.replace(getattr(exp, section), **changes).validate()
+    return dataclasses.replace(exp, **{section: updated})
 
 
 def run_sweep(
@@ -318,31 +303,30 @@ def run_sweep(
     jobs: int = 1,
 ) -> List[dict]:
     """One experiment per axis value, in ``jobs`` worker processes when
-    ``jobs`` > 1; collates sweep.csv under output_dir."""
+    ``jobs`` > 1; collates sweep.csv under output_dir. Values are parsed by
+    ``axis_value``; none, or two equal ones, raise ConfigError before any runs."""
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if axis == "ratio" and exp.stream_file is not None:
         raise ConfigError("a ratio sweep regenerates the stream; drop stream_file")
-    if values is None:
-        values = SWEEP_DEFAULTS[axis]
-    values = list(values)
+    values = [axis_value(axis, v) for v in (SWEEP_DEFAULTS[axis] if values is None else values)]
     if not values:
         raise ConfigError("sweep values must be non-empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"sweep values must differ, got {values}")
     points = [apply_axis_value(exp, axis, value) for value in values]  # validates all
 
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    dirs = [out / f"{axis}_{value}" for value in values]
+    dirs = [_point_dir(out, axis, value) for value in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(run_experiment, points, dirs))
     else:
         summaries = list(map(run_experiment, points, dirs))
 
-    # str(value) must match the per-value directory suffix so reports can
-    # join the collated rows back to their artifacts.
     rows = [
         (str(value), summary["acc_s"], summary["acc_n"], summary["acc_h"])
         for value, summary in zip(values, summaries)
@@ -382,7 +366,8 @@ def write_report(directory) -> List[Path]:
         provenance, _, sweep_rows = _read_csv(sweep_file)
         axis = provenance.split("axis=")[-1] if "axis=" in provenance else "value"
         label_columns = ["value"]
-        traces = [((row[0],), directory / f"{axis}_{row[0]}" / "trace.csv") for row in sweep_rows]
+        traces = [((row[0],), _point_dir(directory, axis, row[0]) / "trace.csv")
+                  for row in sweep_rows]
         if not traces:
             raise MissingArtifacts(f"{directory} has a sweep.csv with no values")
         for (value,), path in traces:

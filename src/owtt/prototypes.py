@@ -26,6 +26,10 @@ _POOL_HEADER = struct.Struct("<4sIIIII")
 # larger capacity from a config or a checkpoint is refused before allocation.
 MAX_NOVEL_CAPACITY = 2**16
 
+# Most a checkpointed row's norm may differ from 1: an engine pool holds only
+# renormalized rows (class means, embeddings and momentum blends).
+UNIT_NORM_TOL = 1e-9
+
 
 class PrototypePool:
     """Immutable source prototypes and a FIFO queue of novel prototypes.
@@ -159,14 +163,30 @@ def _check_finite(rows: np.ndarray, what: str, error=InvalidSpec) -> None:
         raise error(f"{what} row {bad[0]} holds a NaN or infinite value")
 
 
+def _check_pool_rows(rows: np.ndarray, num_source: int, what: str) -> None:
+    """Raise InvalidSpec unless ``rows`` could be an engine pool's: at least one
+    source row, a positive width, and finite rows of norm 1 within UNIT_NORM_TOL."""
+    if num_source < 1 or rows.shape[1] < 1:
+        raise InvalidSpec(f"{what} holds {num_source} source rows of width {rows.shape[1]}: "
+                          "need at least one source row and a positive width")
+    _check_finite(rows, what)
+    with np.errstate(over="ignore"):  # a row too long to square is refused below
+        norms = np.sqrt((rows * rows).sum(axis=1))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if bad.size:
+        raise InvalidSpec(f"{what} row {bad[0]} has norm {norms[bad[0]]:.12g}, "
+                          f"not 1 within {UNIT_NORM_TOL:g}")
+
+
 def save_pool(pool: PrototypePool, path) -> None:
     """Checkpoint the pool: prototype-count header, then flat float64 rows.
 
-    A NaN or inf row raises InvalidSpec before the file is opened, because
-    ``load_pool`` would refuse the checkpoint.
+    A pool that ``load_pool`` would refuse (no source row, zero width, or a
+    row that is not finite and of unit norm) raises InvalidSpec before the
+    file is opened.
     """
     rows = pool.all_matrix()  # the source rows, then the novel rows
-    _check_finite(rows, "pool")
+    _check_pool_rows(rows, pool.num_source, "pool")
     header = _POOL_HEADER.pack(
         _POOL_MAGIC, _POOL_VERSION, rows.shape[1], pool.num_source, pool.novel_count,
         pool.novel_capacity,
@@ -177,7 +197,8 @@ def save_pool(pool: PrototypePool, path) -> None:
 
 
 def load_pool(path) -> PrototypePool:
-    """Read a checkpoint written by ``save_pool``; a malformed one raises InvalidSpec."""
+    """Read a checkpoint written by ``save_pool``; a malformed one, or one whose
+    rows no engine pool holds (see ``save_pool``), raises InvalidSpec."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _POOL_HEADER.size:
@@ -196,7 +217,7 @@ def load_pool(path) -> PrototypePool:
     if len(data) != expected:
         raise InvalidSpec(f"pool checkpoint is {len(data)} bytes, its header implies {expected}")
     rows = np.frombuffer(data, "<f8", offset=_POOL_HEADER.size).reshape(n_source + n_novel, dim)
-    _check_finite(rows, "pool checkpoint")
+    _check_pool_rows(rows, n_source, "pool checkpoint")
     pool = PrototypePool(rows[:n_source], novel_capacity=capacity)
     pool.push_novel(rows[n_source:])
     return pool

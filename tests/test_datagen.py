@@ -9,6 +9,7 @@ from oracles import nearest_mean_accuracy
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
     MAX_WORLD_ELEMENTS,
+    MAX_WORLD_SCALE,
     WorldSpec,
     base_offset,
     batch_counts,
@@ -87,6 +88,7 @@ def test_non_finite_world_floats_rejected(key, value):
     (dict(n_batches=2**22), "n_batches x batch_size x d_in"),
     (dict(batch_size=2**23), "n_batches x batch_size x d_in"),
     (dict(n_source=20, n_batches=1, batch_size=2, d_in=2**14), "d_in x d_in"),
+    (dict(k_t=20_000, d_in=8_000), "k_t x d_in"),
 ])
 def test_a_world_array_above_the_element_budget_is_refused(sizes, keys):
     with pytest.raises(InvalidSpec, match=f"{keys} is [0-9]+ elements, above {MAX_WORLD_ELEMENTS}"):
@@ -95,6 +97,43 @@ def test_a_world_array_above_the_element_budget_is_refused(sizes, keys):
 
 def test_the_element_budget_admits_a_world_at_it():
     small_spec(n_source=2**14, d_in=2**13, n_batches=2**4, batch_size=2**10).validate()
+
+
+@pytest.mark.parametrize("key", ["k_s", "k_t"])
+@pytest.mark.parametrize("value", [20_001, 2**40])
+def test_more_means_than_placement_tries_are_refused(key, value):
+    # Placing them would take minutes before failing: each mean costs at least one try.
+    with pytest.raises(InvalidSpec, match="k_s and k_t must lie in 1..20000"):
+        small_spec(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("class_sep", 1e308), ("class_sep", 1e150), ("within_std", 1e308), ("offset_scale", 1e308),
+    ("bias_scale", 1e308), ("noise_std", 1e308), ("strong_margin", 1e308),
+    ("strong_margin", -1e308),
+])
+def test_a_world_scale_above_the_bound_is_refused(key, value):
+    # Each generated values whose squared norms overflow, with a RuntimeWarning.
+    with pytest.raises(InvalidSpec, match=r"world's scale is \S+, above 1e\+150"):
+        small_spec(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key", ["class_sep", "noise_std", "within_std"])
+def test_a_world_at_the_scale_bound_generates_finite_values(key):
+    # class_sep * (0.6 + 1.4) is its scale; the other keys add theirs. pytest
+    # turns any RuntimeWarning of the generation into an error.
+    share = 0.5 if key == "class_sep" else 1.0
+    spec = small_spec(**{key: share * MAX_WORLD_SCALE * (1 - 1e-9)}, d_in=64, n_batches=2)
+    values, _ = generate_source(spec)
+    stream = generate_stream(spec)
+    for array in (values, *(batch.values for batch in stream)):
+        assert np.isfinite(np.einsum("ij,ij->i", array, array)).all()
+
+
+def test_an_integer_rotation_angle_past_int64_generates_a_world():
+    spec = small_spec(rotation_angle=-(2**63) - 1, n_batches=2)
+    np.testing.assert_array_equal(rotation_matrix(spec),
+                                  rotation_matrix(small_spec(rotation_angle=-(2.0**63))))
 
 
 # --- source generation --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from owtt.engine import (
     select_confident,
 )
 from owtt.errors import (
-    ConfigError, DegenerateEmbedding, EmptyRecords, InvalidSpec, NonFiniteInput
+    ConfigError, DegenerateEmbedding, EmptyRecords, InvalidSpec, NonFiniteGradient, NonFiniteInput
 )
 from owtt.experiment import ABLATION_VARIANTS
 from owtt.metrics import REJECT, compute_metrics
@@ -78,6 +79,37 @@ def test_a_novel_capacity_above_the_pool_bound_is_refused():
     RunConfig(novel_capacity=MAX_NOVEL_CAPACITY).validate()
     with pytest.raises(ConfigError, match=f"novel_capacity must be at most {MAX_NOVEL_CAPACITY}"):
         RunConfig(novel_capacity=MAX_NOVEL_CAPACITY + 1).validate()
+
+
+@pytest.mark.parametrize("feature_dim, d_in, capacity, shape", [
+    (2**40, 4, 100, "feature_dim x feature_dim"),
+    (20_000, 4, 100, "feature_dim x feature_dim"),
+    (8_000, 20_000, 100, "feature_dim x d_in"),
+    (4_096, 4, MAX_NOVEL_CAPACITY, r"\(k_s \+ novel_capacity\) x feature_dim"),
+])
+def test_a_feature_dim_above_the_element_budget_is_refused_before_allocation(
+    monkeypatch, feature_dim, d_in, capacity, shape
+):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the adapter was allocated")
+
+    monkeypatch.setattr(engine_module, "init_adapter", allocate)
+    config = RunConfig(feature_dim=feature_dim, novel_capacity=capacity)
+    with pytest.raises(ConfigError, match=f"feature_dim: {shape} is [0-9]+ elements"):
+        Engine(config, np.eye(1, d_in), [0], 1)
+
+
+@pytest.mark.parametrize("config", [dict(lam=1e308), dict(temperature=5e-324)])
+def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(config):
+    spec = WorldSpec(n_source=200, n_batches=6, batch_size=16)
+    values, labels = generate_source(spec)
+    engine = Engine(RunConfig(batch_size=16, **config), values, labels, spec.k_s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would become the cause
+        with pytest.raises(StageFailure) as failure:
+            engine.run(generate_stream(spec))
+    assert type(failure.value.cause) is NonFiniteGradient
+    assert str(failure.value.cause) == "gradient contains NaN or inf entries"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -2,11 +2,14 @@ import dataclasses
 import json
 import math
 import shutil
+import typing
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from owtt import fields
 from owtt.cli import main
 from owtt.datagen import Batch, WorldSpec, export_stream, generate_stream
 from owtt.engine import RunConfig
@@ -133,6 +136,37 @@ def test_an_integer_beyond_the_float_range_rejected(tmp_path, section, key, valu
     data[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key} is an integer too large"):
         experiment_from_dict(data)
+
+
+@pytest.mark.parametrize("cls, changes, message", [
+    (RunConfig, {"learning_rate": "x"}, "learning_rate must be of type float, got 'x'"),
+    (RunConfig, {"threshold_clamp": (0.1,)}, "threshold_clamp must be a [lo, hi] pair"),
+    (RunConfig, {"feature_dim": 2.5}, "feature_dim must be of type int, got 2.5"),
+    (RunConfig, {"enable_expansion": "no"}, "enable_expansion must be of type bool"),
+    (RunConfig, {"novel_momentum": "0.1"}, "novel_momentum must be of type float"),
+    (RunConfig, {"lam": 2**1024}, "lam is an integer too large for a float"),
+    (WorldSpec, {"n_batches": 2.5}, "n_batches must be of type int, got 2.5"),
+    (WorldSpec, {"strong_mode": None}, "strong_mode must be of type str, got None"),
+])
+def test_a_library_config_is_typed_like_a_file_config(cls, changes, message):
+    with pytest.raises(ConfigError) as err:
+        cls(**changes).validate()
+    assert str(err.value).startswith(message)
+
+
+def test_a_library_threshold_clamp_is_kept_as_a_float_pair():
+    assert RunConfig(threshold_clamp=[0, 1]).validate().threshold_clamp == (0.0, 1.0)
+
+
+def test_field_types_are_resolved_once_per_class(monkeypatch):
+    resolved = []
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda cls: resolved.append(cls) or resolve(cls))
+    fields._field_hints.cache_clear()
+    for _ in range(3):
+        RunConfig().validate()
+        WorldSpec().validate()
+    assert resolved == [RunConfig, WorldSpec]
 
 
 def test_integer_valued_float_field_kept_as_given(tmp_path):
@@ -276,6 +310,58 @@ def test_unknown_axis_rejected(tmp_path):
     exp = load_experiment(write_experiment(tmp_path))
     with pytest.raises(ConfigError):
         run_sweep(exp, "temperature", [0.1])
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("ratio", [0.5, 0.5]),
+    ("ratio", ["0.5", " 0.50"]),
+    ("keep_ratio", [1, 1.0]),
+    ("keep_ratio", [0.5, "0.5"]),
+    ("ablation", ["od", "full", "od"]),
+])
+def test_equal_sweep_values_are_refused_before_any_point_runs(tmp_path, axis, values):
+    exp = load_experiment(write_experiment(tmp_path))
+    with pytest.raises(ConfigError, match="sweep values must differ"):
+        run_sweep(exp, axis, values)
+    assert not exp.output_dir.exists()
+
+
+@pytest.mark.parametrize("axis, value", [
+    ("ratio", "abc"),
+    ("ratio", 2**1024),
+    ("keep_ratio", None),
+    ("keep_ratio", True),
+    ("fixed_threshold", [0.5]),
+    ("ablation", "fulll"),
+    ("ablation", ["full"]),
+    ("ablation", 1),
+])
+def test_a_sweep_value_of_the_wrong_kind_raises_config_error(tmp_path, axis, value):
+    exp = load_experiment(write_experiment(tmp_path))
+    with pytest.raises(ConfigError, match=axis):
+        run_sweep(exp, axis, [0.5 if axis != "ablation" else "full", value])
+    with pytest.raises(ConfigError, match=axis):
+        apply_axis_value(exp, axis, value)
+    assert not exp.output_dir.exists()
+
+
+def test_library_numbers_keep_their_labels_and_tokens_parse_like_the_cli(tmp_path, capsys):
+    exp = load_experiment(write_experiment(tmp_path))
+    run_sweep(exp, "keep_ratio", [1, " 0.5"])
+    assert [row[0] for row in read_rows(exp.output_dir / "sweep.csv")] == ["1", "0.5"]
+    assert sorted(p.name for p in exp.output_dir.iterdir() if p.is_dir()) == [
+        "keep_ratio_0.5", "keep_ratio_1"
+    ]
+    write_report(exp.output_dir)  # each row finds its point's trace
+
+    path = write_experiment(tmp_path, output_dir=str(tmp_path / "cli"))
+    assert main(["sweep", str(path), "--axis", "keep_ratio", "--values", "1, 0.5"]) == 0
+    library = load_experiment(write_experiment(tmp_path, output_dir=str(tmp_path / "tokens")))
+    run_sweep(library, "keep_ratio", ["1", " 0.5"])
+    for tree in ("cli", "tokens"):
+        assert (tmp_path / tree / "keep_ratio_1.0").is_dir()
+    assert ((tmp_path / "cli" / "sweep.csv").read_bytes()
+            == (tmp_path / "tokens" / "sweep.csv").read_bytes())
 
 
 def test_fixed_threshold_axis_clears_clamp(tmp_path):
@@ -429,6 +515,33 @@ def test_cli_sweep_exits_2_below_one_job(tmp_path, capsys, jobs):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_sweep_exits_2_on_equal_values_and_writes_nothing(tmp_path, capsys):
+    path = write_experiment(tmp_path)
+    assert main(["sweep", str(path), "--axis", "ratio", "--values", "0.5,0.50"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err == {"error": "ConfigError", "message": "sweep values must differ, got [0.5, 0.5]"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["", " , ", "abc", "0.5,x"])
+def test_cli_sweep_exits_2_on_empty_or_non_numeric_values(tmp_path, capsys, values):
+    path = write_experiment(tmp_path)
+    assert main(["sweep", str(path), "--axis", "ratio", "--values", values]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_exits_2_on_a_feature_dim_above_the_element_budget(tmp_path, capsys):
+    path = write_experiment(tmp_path, run=dict(SMALL_RUN, feature_dim=2**40))
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith("feature_dim:")
+
+
 def test_cli_sweep_and_report(tmp_path, capsys):
     path = write_experiment(tmp_path)
     assert main(["sweep", str(path), "--axis", "ratio", "--values", "0.5,1.0"]) == 0
@@ -524,3 +637,41 @@ def test_a_mutated_experiment_file_loads_or_raises_a_typed_error(tmp_path, edits
     numbers = [x for value in values for x in (value if isinstance(value, tuple) else (value,))
                if isinstance(x, float)]
     assert all(-math.inf < x < math.inf for x in numbers)
+
+
+# Size keys draw only refused or small values, so each run takes milliseconds.
+# The paths stay as written: a mutated output_dir could point anywhere.
+SIZE_KEYS = [("run", "feature_dim"), ("run", "batch_size"), ("world", "n_source"),
+             ("world", "n_batches"), ("world", "batch_size"), ("world", "d_in"),
+             ("world", "k_s"), ("world", "k_t")]
+SIZES = st.one_of(st.integers(-2, 40), st.sampled_from([2**40, 2**64, 2.5, 1e308, "16", True]))
+RUN_EDITS = st.one_of(
+    st.tuples(st.sampled_from(SIZE_KEYS), SIZES),
+    st.tuples(st.sampled_from([key for key in SECTION_KEYS if key not in SIZE_KEYS
+                               and key[1] not in ("output_dir", "stream_file")]),
+              st.one_of(JSON_VALUES, st.sampled_from([1e308, -1e308, 1e-308, 5e-324]))),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(RUN_EDITS, max_size=3))
+def test_cli_run_on_a_mutated_experiment_exits_0_1_or_2_with_one_json_line(
+    tmp_path, capsys, edits
+):
+    data = experiment_dict(tmp_path)
+    for (section, key), value in edits:
+        target = data if section is None else data[section]
+        if isinstance(target, dict):
+            target[key] = value
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # under the default filter each would print lines
+        code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) >= {"error", "message"}

@@ -14,6 +14,7 @@ from owtt.errors import (
 )
 from owtt.prototypes import (
     MAX_NOVEL_CAPACITY,
+    UNIT_NORM_TOL,
     PrototypePool,
     build_source_prototypes,
     expand,
@@ -535,8 +536,61 @@ def test_a_mutated_pool_checkpoint_loads_or_raises_invalid_spec(tmp_path, mutati
         pool = load_pool(path)
     except InvalidSpec:
         return
+    rows = pool.all_matrix()
     assert 1 <= pool.novel_capacity <= MAX_NOVEL_CAPACITY
-    assert np.isfinite(pool.all_matrix()).all()
+    assert pool.num_source >= 1 and rows.shape[1] >= 1
+    assert np.isfinite(rows).all()
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL)
+
+
+def scaled_row(row, scale):
+    rows = np.vstack([np.eye(3), [0.0, SQ2, SQ2]])
+    rows[row] *= scale
+    return rows
+
+
+# (width, source rows, novel rows, the rows, the reason named): checkpoints no
+# engine pool writes, since every pool row is a renormalized vector.
+UNPOOLED = [
+    (3, 0, 1, np.array([[0.0, SQ2, SQ2]]), "0 source rows"),
+    (0, 5, 2, np.zeros((7, 0)), "width 0"),
+    (3, 3, 1, scaled_row(0, 3.0), "row 0 has norm 3,"),
+    (3, 3, 1, scaled_row(3, 0.0), "row 3 has norm 0,"),
+    (3, 3, 1, scaled_row(2, 1.0 + 1e-8), "row 2 has norm 1.00000001"),
+    (3, 3, 1, scaled_row(1, 1e300), "row 1 has norm inf"),
+]
+
+
+@pytest.mark.parametrize("dim, n_source, n_novel, rows, reason", UNPOOLED)
+def test_pool_checkpoint_refuses_rows_no_engine_pool_holds(
+    tmp_path, dim, n_source, n_novel, rows, reason
+):
+    path = tmp_path / "pool.owtp"
+    header = struct.pack("<4sIIIII", b"OWTP", 1, dim, n_source, n_novel, 4)
+    path.write_bytes(header + rows.astype("<f8").tobytes())
+    with pytest.raises(InvalidSpec, match=reason):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("dim, n_source, n_novel, rows, reason", UNPOOLED)
+def test_save_pool_refuses_rows_no_engine_pool_holds_and_writes_nothing(
+    tmp_path, dim, n_source, n_novel, rows, reason
+):
+    pool = PrototypePool(rows[:n_source], novel_capacity=4)
+    pool.push_novel(rows[n_source:])
+    path = tmp_path / "pool.owtp"
+    with pytest.raises(InvalidSpec, match=reason):
+        save_pool(pool, path)
+    assert not path.exists()
+
+
+def test_a_pool_row_within_the_norm_tolerance_round_trips(tmp_path):
+    rows = scaled_row(2, 1.0 + UNIT_NORM_TOL / 2)
+    pool = PrototypePool(rows[:3], novel_capacity=4)
+    pool.push_novel(rows[3:])
+    path = tmp_path / "pool.owtp"
+    save_pool(pool, path)
+    np.testing.assert_array_equal(load_pool(path).all_matrix(), rows)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -13,6 +14,7 @@ def load_tool(name):
 
 digest_diff = load_tool("digest_diff")
 bench_pairs = load_tool("bench_pairs")
+artifact_digests = load_tool("artifact_digests")
 
 PARENT = """\
 default-long 0 aa 0.5 10
@@ -111,3 +113,22 @@ def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatc
     assert out[1] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False"
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
     assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "1"]) == 0
+
+
+def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, capsys):
+    outputs = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        assert artifact_digests.main([str(root)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]  # the trees do not depend on where they are written
+    lines = [line.split() for line in outputs[0].splitlines()]
+    root = tmp_path / "a"
+    files = sorted(path.relative_to(root).as_posix() for path in root.rglob("*")
+                   if path.is_file() and path.parent != root)  # not the experiment files
+    assert sorted(name for _, name in lines) == files
+    assert all(digest == hashlib.sha256((root / name).read_bytes()).hexdigest()
+               for digest, name in lines)
+    for tree in ("run", "ablation", "keep_ratio", "ratio"):
+        assert f"{tree}/report_cumulative_acc.csv" in files
+    assert {"ablation/ablation_full/trace.csv", "keep_ratio/keep_ratio_1.0/trace.csv",
+            "ratio/ratio_0.2/trace.csv", "run/pool.owtp"} <= set(files)
