@@ -96,7 +96,12 @@ def embed_backward(grad_features, features, values, adapter: AdapterState) -> np
 
 
 def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterState:
-    """One classical-momentum step: buffer accumulates, weight moves against it."""
+    """One classical-momentum step: buffer accumulates, weight moves against it.
+
+    Raises NonFiniteGradient for a NaN or inf gradient entry, and for a stepped
+    weight whose squared norm is not finite: the step that overflowed fails,
+    not the next batch's embedding.
+    """
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != adapter.weight.shape:
         raise InvalidSpec(f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}")
@@ -104,6 +109,11 @@ def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterSta
         raise NonFiniteGradient("gradient contains NaN or inf entries")
     buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient
     weight = adapter.weight - adapter.learning_rate * buffer
+    squared_norm = np.vdot(weight, weight)
+    if not np.isfinite(squared_norm):
+        raise NonFiniteGradient(
+            f"the step leaves the weight's squared norm at {squared_norm}: lower learning_rate"
+        )
     return AdapterState(
         weight=weight,
         momentum_buffer=buffer,

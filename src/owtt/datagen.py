@@ -155,25 +155,26 @@ def _place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=Non
     """Random points on a sphere, pairwise >= min_dist apart.
 
     Points additionally keep exclude_dist (defaults to min_dist) away from
-    every vector in exclude.
+    every vector in exclude. Each try meets every anchor (the excluded vectors,
+    then the points placed so far) in one stacked product of row dot products,
+    which rounds as ``np.linalg.norm(v - q)`` does per row.
     """
-    if exclude_dist is None:
-        exclude_dist = min_dist
-    placed: List[np.ndarray] = []
-    anchors = [(np.asarray(e), exclude_dist) for e in exclude]
-    tries = 0
-    while len(placed) < count:
-        tries += 1
-        if tries > _MAX_PLACEMENT_TRIES:
-            raise InvalidSpec(
-                "could not place class means with the requested separation"
-            )
+    exclude = np.asarray(exclude, dtype=float).reshape(-1, dim)
+    anchors = np.empty((len(exclude) + count, dim))
+    anchors[: len(exclude)] = exclude
+    clearance = np.full(len(anchors), float(min_dist))
+    clearance[: len(exclude)] = min_dist if exclude_dist is None else exclude_dist
+    n = len(exclude)
+    for _ in range(_MAX_PLACEMENT_TRIES):
         v = rng.standard_normal(dim)
         v *= radius / np.linalg.norm(v)
-        if all(np.linalg.norm(v - q) >= dist for q, dist in anchors):
-            placed.append(v)
-            anchors.append((v, min_dist))
-    return np.stack(placed)
+        gaps = anchors[:n] - v
+        if (np.sqrt((gaps[:, None] @ gaps[:, :, None])[:, 0, 0]) >= clearance[:n]).all():
+            anchors[n] = v
+            n += 1
+            if n == len(anchors):
+                return anchors[len(exclude):]
+    raise InvalidSpec("could not place class means with the requested separation")
 
 
 def _anchor(spec: WorldSpec) -> np.ndarray:
@@ -373,12 +374,23 @@ def export_stream(batches: Sequence[Batch], path) -> None:
     """Write a stream as little-endian float32 rows with an OWTT header.
 
     Row layout: batch index, hidden label, then the d_in input values.
+    Raises InvalidSpec naming the batch and row of the first finite value
+    outside float32's range, before the file is opened.
     """
     sizes = [len(batch) for batch in batches]
-    rows = np.empty((sum(sizes), batches[0].values.shape[1] + 2), dtype="<f4")
-    rows[:, 0] = np.repeat(np.arange(len(batches)), sizes)
+    stamps = np.repeat(np.arange(len(batches)), sizes)
+    values = np.concatenate([batch.values for batch in batches])
+    outside = (np.abs(values) > np.finfo(np.float32).max) & np.isfinite(values)
+    if outside.any():
+        i = int(np.argmax(outside.any(axis=1)))
+        raise InvalidSpec(
+            f"stream batch {stamps[i]} row {i - sum(sizes[: stamps[i]])} holds "
+            f"{values[i][outside[i]][0]:g}, outside float32's range"
+        )
+    rows = np.empty((sum(sizes), values.shape[1] + 2), dtype="<f4")
+    rows[:, 0] = stamps
     rows[:, 1] = np.concatenate([batch.hidden for batch in batches])
-    rows[:, 2:] = np.concatenate([batch.values for batch in batches])
+    rows[:, 2:] = values
     with open(path, "wb") as fh:
         fh.write(
             _STREAM_HEADER.pack(

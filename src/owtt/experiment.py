@@ -129,19 +129,17 @@ def load_experiment(path) -> ExperimentConfig:
     return experiment_from_dict(data, base_dir=path.parent)
 
 
-def experiment_to_dict(exp: ExperimentConfig) -> dict:
-    return {
-        "world": dataclasses.asdict(exp.world),
-        "run": dataclasses.asdict(exp.run),
-        "output_dir": str(exp.output_dir),
-        "report_formats": list(exp.report_formats),
-        "stream_file": str(exp.stream_file) if exp.stream_file else None,
-    }
-
-
 def config_hash(exp: ExperimentConfig) -> str:
-    payload = experiment_to_dict(exp)
-    payload.pop("output_dir")  # the hash identifies the experiment, not its location
+    """Twelve hex digits naming the experiment: the world and run fields that
+    differ from their defaults, its report formats and its stream file, not
+    where it writes. A field at its default, added or deleted, moves no hash."""
+    payload = {
+        section: {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+                  if getattr(spec, f.name) != f.default}
+        for section, spec in (("world", exp.world), ("run", exp.run))
+    }
+    payload["report_formats"] = list(exp.report_formats)
+    payload["stream_file"] = str(exp.stream_file) if exp.stream_file else None
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 

@@ -190,6 +190,29 @@ class ListPool:
         return np.array(self.rows()).reshape(len(self.rows()), -1)
 
 
+def place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None,
+                max_tries=20_000):
+    """Random points on a sphere by a plain loop: each try is compared with every
+    excluded vector and every point placed so far by its own ``np.linalg.norm``.
+    The former body of ``datagen._place_means``; returns None where it raised
+    because ``max_tries`` tries placed fewer than ``count`` points."""
+    if exclude_dist is None:
+        exclude_dist = min_dist
+    placed = []
+    anchors = [(np.asarray(e), exclude_dist) for e in exclude]
+    tries = 0
+    while len(placed) < count:
+        tries += 1
+        if tries > max_tries:
+            return None
+        v = rng.standard_normal(dim)
+        v *= radius / np.linalg.norm(v)
+        if all(np.linalg.norm(v - q) >= dist for q, dist in anchors):
+            placed.append(v)
+            anchors.append((v, min_dist))
+    return np.stack(placed)
+
+
 def list_ood_score(x, rows):
     """One minus the best similarity of x to any row, by a plain loop."""
     best = None

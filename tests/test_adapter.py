@@ -72,6 +72,19 @@ def test_nan_gradient_rejected():
         sgd_momentum_step(adapter, np.array([[np.nan]]))
 
 
+@pytest.mark.parametrize("grad", [0.5, 2.0])
+def test_a_step_to_a_weight_too_large_to_square_is_refused(grad):
+    # 1 - 1e308 * 0.5 is finite but its square is not; 1e308 * 2.0 overflows itself.
+    adapter = make_adapter([[1.0]], lr=1e308)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient, match="squared norm at inf"):
+        sgd_momentum_step(adapter, np.array([[grad]]))
+
+
+def test_a_step_to_a_large_weight_that_squares_is_kept():
+    stepped = sgd_momentum_step(make_adapter([[1.0]], lr=1e150, momentum=0.0), np.array([[-1.0]]))
+    assert stepped.weight[0, 0] == 1e150
+
+
 def test_shape_mismatch_rejected():
     adapter = make_adapter(np.eye(2))
     with pytest.raises(InvalidSpec):

@@ -1,11 +1,14 @@
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_mean_accuracy
+from oracles import nearest_mean_accuracy, place_means
+from owtt import datagen
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
     MAX_WORLD_ELEMENTS,
@@ -188,6 +191,54 @@ def test_strong_means_respect_margin():
             assert np.linalg.norm(s - m) >= spec.strong_margin * spec.class_sep - 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), dim=st.integers(1, 6),
+       spacing=st.floats(0.0, 2.2), n_exclude=st.integers(0, 4),
+       exclude_spacing=st.one_of(st.none(), st.floats(0.0, 2.2)))
+def test_place_means_matches_the_loop_oracle(seed, count, dim, spacing, n_exclude,
+                                             exclude_spacing):
+    # Both sides get 200 tries, so a crowded case runs out of them quickly.
+    radius = 3.0
+    exclude = np.random.default_rng(seed + 1).standard_normal((n_exclude, dim)) * radius
+    exclude_dist = None if exclude_spacing is None else exclude_spacing * radius
+    args = (count, dim, radius, spacing * radius, exclude, exclude_dist)
+    expected = place_means(np.random.default_rng(seed), *args, max_tries=200)
+    with mock.patch.object(datagen, "_MAX_PLACEMENT_TRIES", 200):
+        if expected is None:
+            with pytest.raises(InvalidSpec, match="could not place"):
+                datagen._place_means(np.random.default_rng(seed), *args)
+        else:
+            np.testing.assert_array_equal(datagen._place_means(np.random.default_rng(seed), *args),
+                                          expected)
+
+
+class CountingRng:
+    def __init__(self, seed):
+        self.rng, self.tries = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size):
+        self.tries += 1
+        return self.rng.standard_normal(size)
+
+
+def test_place_means_takes_one_norm_per_try(monkeypatch):
+    # The try's own normalization; its distances to the anchors come from one product.
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kw: norms.append(1) or norm(*args, **kw))
+    rng = CountingRng(0)
+    datagen._place_means(rng, 50, 8, 3.0, 2.0, np.ones((3, 8)), 1.0)
+    assert rng.tries > 50 and len(norms) == rng.tries
+
+
+def test_strong_means_of_a_wide_world_match_the_loop_oracle():
+    spec = small_spec(k_t=300, d_in=32, signal_dims=32)
+    far = spec.strong_margin * spec.class_sep
+    expected = place_means(datagen._rng(spec, datagen._TAG_STRONG_MEANS), 300, 32, far,
+                           spec.class_sep, datagen._raw_class_means(spec), far)
+    np.testing.assert_array_equal(strong_means(spec), expected + base_offset(spec))
+
+
 # --- stream generation ----------------------------------------------------------------
 
 
@@ -311,6 +362,26 @@ def test_stream_roundtrip_binary(tmp_path):
     # A row's first column is the index of the batch it belongs to.
     rows = stream_rows(path)
     assert rows[:, 0].tolist() == [t for t in range(3) for _ in range(16)]
+
+
+@pytest.mark.parametrize("value", [1e39, -3.5e38])
+def test_export_refuses_a_finite_value_float32_cannot_hold(tmp_path, value):
+    batches = generate_stream(small_spec(n_batches=3))
+    batches[1].values[2, 5] = value
+    batches[2].values[0, 0] = 1e39  # a later row is not named
+    path = tmp_path / "stream.owtt"
+    message = f"stream batch 1 row 2 holds {value:g}, outside float32's range"
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
+        export_stream(batches, path)
+    assert not path.exists()
+
+
+def test_export_writes_a_non_finite_value_as_it_is(tmp_path):
+    batches = generate_stream(small_spec(n_batches=2))
+    batches[1].values[0, :3] = [np.inf, -np.inf, np.finfo(np.float32).max]
+    export_stream(batches, tmp_path / "stream.owtt")
+    loaded = load_stream(tmp_path / "stream.owtt")
+    assert loaded[1].values[0, :3].tolist() == [np.inf, -np.inf, np.finfo(np.float32).max]
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -99,8 +99,17 @@ def test_a_feature_dim_above_the_element_budget_is_refused_before_allocation(
         Engine(config, np.eye(1, d_in), [0], 1)
 
 
-@pytest.mark.parametrize("config", [dict(lam=1e308), dict(temperature=5e-324)])
-def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(config):
+@pytest.mark.parametrize("config, batch, message", [
+    (dict(lam=1e308), 4, "gradient contains NaN or inf entries"),
+    (dict(temperature=5e-324), 0, "gradient contains NaN or inf entries"),
+    # The stepped weight stays finite (about 1.2e307), but the next batch's
+    # embedding would overflow: the step that made it is refused.
+    (dict(learning_rate=1e308), 0,
+     "the step leaves the weight's squared norm at inf: lower learning_rate"),
+])
+def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(
+    config, batch, message
+):
     spec = WorldSpec(n_source=200, n_batches=6, batch_size=16)
     values, labels = generate_source(spec)
     engine = Engine(RunConfig(batch_size=16, **config), values, labels, spec.k_s)
@@ -108,8 +117,9 @@ def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(co
         warnings.simplefilter("error")  # a RuntimeWarning would become the cause
         with pytest.raises(StageFailure) as failure:
             engine.run(generate_stream(spec))
+    assert failure.value.batch_index == batch
     assert type(failure.value.cause) is NonFiniteGradient
-    assert str(failure.value.cause) == "gradient contains NaN or inf entries"
+    assert str(failure.value.cause) == message
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -203,6 +203,34 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert config_hash(a) != config_hash(c)
 
 
+@dataclasses.dataclass
+class WiderWorld(WorldSpec):
+    added: int = 3
+
+
+@dataclasses.dataclass
+class WiderRun(RunConfig):
+    added: int = 3
+
+
+@pytest.mark.parametrize("section, wider", [("world", WiderWorld), ("run", WiderRun)])
+def test_config_hash_does_not_see_a_field_added_at_its_default(tmp_path, section, wider):
+    exp = experiment_from_dict(experiment_dict(tmp_path))
+    extended = wider(**dataclasses.asdict(getattr(exp, section)))
+    assert config_hash(dataclasses.replace(exp, **{section: extended})) == config_hash(exp)
+    extended.added = 4
+    assert config_hash(dataclasses.replace(exp, **{section: extended})) != config_hash(exp)
+
+
+def test_config_hash_names_a_field_set_to_its_default_like_one_left_out(tmp_path):
+    explicit = experiment_dict(tmp_path)
+    explicit["world"].update(class_sep=8, ratio=1, strong_mode="disjoint_clusters")
+    explicit["run"].update(learning_rate=0.005, lam=0.2, threshold_clamp=None,
+                           discrete_mode=False)
+    assert (config_hash(experiment_from_dict(explicit))
+            == config_hash(experiment_from_dict(experiment_dict(tmp_path))))
+
+
 # --- run artifacts -----------------------------------------------------------------
 
 
@@ -574,6 +602,22 @@ def test_cli_stream_export(tmp_path, capsys):
     csv = tmp_path / "stream.csv"
     assert main(["stream", str(path), "--out", str(out), "--csv", str(csv)]) == 0
     assert out.exists() and csv.exists()
+
+
+def test_cli_stream_refuses_a_world_float32_cannot_hold(tmp_path, capsys):
+    # class_sep 1e40 lies inside MAX_WORLD_SCALE; float32 ends near 3.4e38.
+    path = write_experiment(tmp_path, world={**SMALL_WORLD, "n_batches": 3, "class_sep": 1e40})
+    out = tmp_path / "stream.owtt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would fail the test
+        assert main(["stream", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "InvalidSpec"
+    assert record["message"].startswith("stream batch 0 row 0 holds ")
+    assert record["message"].endswith(", outside float32's range")
+    assert not out.exists()
 
 
 def test_cli_report_missing_artifacts_nonzero(tmp_path, capsys):

@@ -4,7 +4,10 @@ The sha256 digests below were recorded from the code before the whole-batch
 stream refactor. They pin floating-point results of this numpy/OpenBLAS
 build: another BLAS, numpy version or CPU kernel may round matrix products
 differently and change the digests without any change to owtt. Re-record
-them only for a change that is meant to alter results, and say so.
+them only for a change that is meant to alter results, and say so. The run
+and config digests were last re-recorded when ``config_hash`` came to hash
+only the fields that differ from their defaults; that moved each file's
+provenance line or ``config_hash`` value and nothing else.
 """
 import hashlib
 import json
@@ -19,14 +22,14 @@ WORLD = {"n_batches": 8}
 
 RUN_DIGESTS = {
     "full": {
-        "predictions.csv": "d2ff1104b05faa25c8d6e765ae8b184cda56d0d61fe89f5432cb7953a94f6608",
-        "trace.csv": "641b5d0adb18a8fa9a2c5bca3e68833a4c44d25210b40e907eb2ed702dbad923",
-        "summary.json": "7455e9c36b9e8f5b1d14b239baca62cdd17190d62b900e649c3ac33c122a4367",
+        "predictions.csv": "75c7edba8429d75a367c35496a6874188e1f7d82b1d4cec5a3eb4104053fb880",
+        "trace.csv": "ef3071aa6473a3e5c6873bed3c5d7328346b8f7ebf1fdadfd96e2a8ed503abdb",
+        "summary.json": "daa2bae4455e19649ab527806b0d76a75fc6da678f82f98b23b0cbcff1813cd4",
     },
     "none": {
-        "predictions.csv": "512ac824fc729d707cfa9606fb899edef28f700f4a2983b18bbdbf855ae0dc90",
-        "trace.csv": "2dabbd8a98247d742cf3f1fb2fac11eda5ffc6e5b99c6b053befb5c1d7fb32a2",
-        "summary.json": "989198a2c2356b7205f9eeafa15aa84eb4561fb196c6f54546da6d203b46a4c7",
+        "predictions.csv": "c81e2032c0d9dd7e6a79449c74214453d2f293e0b24b2ea69f23d621f25f84d0",
+        "trace.csv": "00fe0a8ff678741034730c8dff3f9934689154c54ad85bb202f42191beb1b60d",
+        "summary.json": "daa7c3176dd24756a65c8d2cd01d14e3ce132c27ef7259d78a0f3e38a5e13a9e",
     },
 }
 
@@ -40,18 +43,18 @@ CONFIG_DIGESTS = {
          "n_batches": 4},
         {"feature_dim": 64, "batch_size": 512},
         {
-            "predictions.csv": "e6dcca37681c90be4f00ca2222da0ee56c251eaefa12e1f249c1e346083ed5a6",
-            "trace.csv": "7f51d284f9f528d93a57f7d2051194b738ad9685a232812389eddadb591afe6f",
-            "summary.json": "c39f538984aace49236fb13aaeb337d140e9abf2f9e48dc3ffc7a7940cc3b57c",
+            "predictions.csv": "8bbba259574c0be45e9bb5d89dc8c9fdc7eb3b1c5767e6f9953d904b26a044e6",
+            "trace.csv": "d2c774f688e5e3a5073f289babc1799797040f87fe58f8fca9381f90bfc6932a",
+            "summary.json": "4be7cf6f5064bf7367c876bc1a1d1140d5b2943e162f14b667e828c3b9d8b371",
         },
     ),
     "pool-readers": (
         WORLD,
         {"discrete_mode": True, "novel_momentum": 0.1},
         {
-            "predictions.csv": "de18e4e9f65f12905c328119650977ed0ab8ebb708812a408717837b0fff61b2",
-            "trace.csv": "b565d13c04e717ff0cc4c18e8907a349b48a7143db21029325dec8d7807dbcf3",
-            "summary.json": "da867c981cc5ae89c4e0c01d2b59cd3cdae69c0a9b0fbb67029885fa7963e968",
+            "predictions.csv": "583e63572147356883c1419dff672a07b816eb4cc6d058d7f46da020fb315628",
+            "trace.csv": "a8aa51b18ff2f3c67ed21a16179510f6bbd29d583c62c999eb375933785a2708",
+            "summary.json": "48b6e2708daa7b1f0871b21078b256ed2ee7d3bf8b18dfc21e28650266bcd364",
         },
     ),
     # Both non-adaptive threshold variants on the default world at 8 batches,
@@ -62,18 +65,18 @@ CONFIG_DIGESTS = {
         WORLD,
         {"fixed_threshold": 0.3},
         {
-            "predictions.csv": "c1a62b4c350784e9087668798274e860c9115a99628f5db224d9aba40d594572",
-            "trace.csv": "3fe4c7886e9033e2fa566240c273499f31f2a7678820880188e9e21295d6d854",
-            "summary.json": "39173f593c007027c1e72a02bef110d9ea0faf1a192e4f70bd694df17336b432",
+            "predictions.csv": "fedcde9157a2d3a1fff0c30530d9011986e66d23b76e3529a2985b67174ad612",
+            "trace.csv": "eafe3264f2ffb7d8d7f90aa2d3cf8348e146847c033027c84f743a4761cae373",
+            "summary.json": "beb8b6adfe4f5a6741497656695d9f9607eebfa7bd8fd1b681821b6ffad4e6b8",
         },
     ),
     "threshold-clamp": (
         WORLD,
         {"threshold_clamp": [0.2, 0.8]},
         {
-            "predictions.csv": "289f630f3e4f2d8f77d781eea74b9c24fc59308c42fd4a5ff1ddf862cf5af2f8",
-            "trace.csv": "0a7569c98a4f1c0a78dbcd0e86d98eb10ba2eb79a6ba314af97f41a15be8257b",
-            "summary.json": "043802b6a93ded892f0ee5945979725163d6abbfea517d97e1bf7d03979ef4a0",
+            "predictions.csv": "d3cf42702f3b0422c0e45b14d09a1fdd2d040953a32f868d3da25c6e37ff40ed",
+            "trace.csv": "d0c4fc95c986e6836585696f196d808508db3479dbefe8b5cdc5d45dd9cf64b1",
+            "summary.json": "20f142006579736a133f3264224140ab05992cc92e1ba5047b7f18c05ad9e8bd",
         },
     ),
 }

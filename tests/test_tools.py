@@ -2,6 +2,9 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from owtt import Engine, RunConfig, WorldSpec, generate_source, generate_stream
+from owtt.experiment import ABLATION_VARIANTS
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -15,6 +18,7 @@ def load_tool(name):
 digest_diff = load_tool("digest_diff")
 bench_pairs = load_tool("bench_pairs")
 artifact_digests = load_tool("artifact_digests")
+ablation_table = load_tool("ablation_table")
 
 PARENT = """\
 default-long 0 aa 0.5 10
@@ -132,3 +136,24 @@ def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, caps
         assert f"{tree}/report_cumulative_acc.csv" in files
     assert {"ablation/ablation_full/trace.csv", "keep_ratio/keep_ratio_1.0/trace.csv",
             "ratio/ratio_0.2/trace.csv", "run/pool.owtp"} <= set(files)
+
+
+def test_ablation_table_rows_match_engine_runs_on_two_worlds():
+    workload = ablation_table.harness.WORKLOADS["pool-readers"]
+    worlds = [0, 1]
+    acc = {}
+    for variant in ablation_table.VARIANTS:
+        acc[variant] = []
+        for world in worlds:
+            spec = WorldSpec(**workload.world, seed=world)
+            config = RunConfig(**workload.config, **ABLATION_VARIANTS[variant], seed=world)
+            values, labels = generate_source(spec)
+            result = Engine(config, values, labels, spec.k_s).run(generate_stream(spec))
+            acc[variant].append(result.report.acc_h)
+    lines = ablation_table.table({"pool-readers": worlds}).splitlines()
+    assert lines[:2] == ablation_table.HEADER.splitlines()
+    cells = [cell.strip() for cell in lines[2].strip("|").split("|")]
+    assert cells[0] == "`pool-readers` (2)"
+    assert cells[1:6] == [f"{sum(acc[v]) / 2:.3f}" for v in ablation_table.VARIANTS]
+    assert cells[6] == str(sum(a > b for a, b in zip(acc["od_da"], acc["full"])))
+    assert len(lines) == 3
