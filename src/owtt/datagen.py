@@ -58,6 +58,9 @@ class Batch:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.hidden = np.asarray(self.hidden, dtype=int)
+        if self.values.ndim != 2 or self.hidden.shape != self.values.shape[:1]:
+            raise InvalidSpec(f"a batch needs 2-D values and one label per row, got values "
+                              f"of shape {self.values.shape} and labels of shape {self.hidden.shape}")
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -74,7 +74,6 @@ class RunConfig:
     keep_ratio: float = 0.5
     beta: float = 0.15
     # Threshold handling.
-    threshold_clamp: Optional[Tuple[float, float]] = None
     fixed_threshold: Optional[float] = None
     # Score variant and optional novel-prototype refresh.
     discrete_mode: bool = False
@@ -89,8 +88,6 @@ class RunConfig:
             raise ConfigError(
                 "enable_expansion requires enable_clustering and enable_ood_detection"
             )
-        if self.fixed_threshold is not None and self.threshold_clamp is not None:
-            raise ConfigError("fixed_threshold and threshold_clamp are mutually exclusive")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum_coeff < 1.0:
@@ -109,10 +106,6 @@ class RunConfig:
             raise ConfigError(f"novel_capacity must be at most {MAX_NOVEL_CAPACITY}")
         if self.fixed_threshold is not None and not 0.0 <= self.fixed_threshold <= 1.0:
             raise ConfigError("fixed_threshold must lie in [0, 1]")
-        if self.threshold_clamp is not None:
-            lo, hi = self.threshold_clamp
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ConfigError("threshold_clamp must satisfy 0 <= lo <= hi <= 1")
         if self.novel_momentum is not None and not 0.0 < self.novel_momentum <= 1.0:
             raise ConfigError("novel_momentum must lie in (0, 1]")
         if self.batch_size is not None and self.batch_size < 1:
@@ -258,7 +251,7 @@ class Engine:
             raw = batch_ood_scores(source_similarities)
         scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
-        tau = next_threshold(self.plain_window, scores, cfg.threshold_clamp, fixed)
+        tau = next_threshold(self.plain_window, scores, None, fixed)
         nearest = source_similarities.argmax(axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, similarities, scores, tau, predicted
@@ -283,7 +276,7 @@ class Engine:
             expansion_tau = next_threshold(
                 self.extended_window,
                 extended,
-                cfg.threshold_clamp or EXPANSION_CLAMP,
+                EXPANSION_CLAMP,
                 cfg.fixed_threshold,
             )
             expand(self.pool, features, extended, expansion_tau)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure
-from .errors import ConfigError, MissingArtifacts, MissingPopulation
+from .errors import ConfigError, InvalidSpec, MissingArtifacts, MissingPopulation
 from .fields import check_fields, checked_value
 from .metrics import score_histogram, score_separation
 from .prototypes import save_pool
@@ -26,6 +26,7 @@ from .prototypes import save_pool
 SEED_ENV_VAR = "OWTT_SEED"
 
 REPORT_FORMATS = ("csv", "json")
+HIST_COLUMNS = ("bin_lo", "bin_hi", "weak", "strong")
 
 ABLATION_VARIANTS: Dict[str, Dict[str, bool]] = {
     "none": dict(enable_ood_detection=False, enable_clustering=False,
@@ -196,7 +197,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         _write_csv(
             out / name,
             prov,
-            ["bin_lo", "bin_hi", "weak", "strong"],
+            HIST_COLUMNS,
             (
                 (edges[i], edges[i + 1], int(weak[i]), int(strong[i]))
                 for i in range(len(weak))
@@ -287,8 +288,6 @@ def apply_axis_value(exp: ExperimentConfig, axis: str, value) -> ExperimentConfi
     """A copy of the experiment with one sweep value (see ``axis_value``) applied."""
     value = axis_value(axis, value)
     changes = ABLATION_VARIANTS[value] if axis == "ablation" else {axis: float(value)}
-    if axis == "fixed_threshold":  # a fixed threshold replaces any clamp
-        changes["threshold_clamp"] = None
     section = "world" if axis == "ratio" else "run"
     updated = dataclasses.replace(getattr(exp, section), **changes).validate()
     return dataclasses.replace(exp, **{section: updated})
@@ -300,8 +299,8 @@ def run_sweep(
     values: Optional[Sequence] = None,
     jobs: int = 1,
 ) -> List[dict]:
-    """One experiment per axis value, in ``jobs`` worker processes when
-    ``jobs`` > 1; collates sweep.csv under output_dir. Values are parsed by
+    """One experiment per axis value, in min(jobs, points, CPUs) worker processes
+    when that exceeds 1; collates sweep.csv under output_dir. Values are parsed by
     ``axis_value``; none, or two equal ones, raise ConfigError before any runs."""
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -319,8 +318,9 @@ def run_sweep(
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     dirs = [_point_dir(out, axis, value) for value in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run_experiment, points, dirs))
     else:
         summaries = list(map(run_experiment, points, dirs))
@@ -341,13 +341,23 @@ def run_sweep(
 # --- reports --------------------------------------------------------------------------
 
 
-def _read_csv(path: Path):
+def _read_csv(path: Path, columns: Sequence[str]):
+    """(provenance, rows), each row the values of ``columns`` found by header name.
+    A header without them (or none) or a row whose field count differs from the
+    header's raises InvalidSpec naming the file and line."""
     lines = path.read_text(encoding="utf-8").splitlines()
     provenance = lines[0] if lines and lines[0].startswith("#") else ""
-    body = [line for line in lines if line and not line.startswith("#")]
-    header = body[0].split(",")
-    rows = [line.split(",") for line in body[1:]]
-    return provenance, header, rows
+    body = [(n, line.split(",")) for n, line in enumerate(lines, 1)
+            if line and not line.startswith("#")]
+    n, header = body[0] if body else (len(lines) + 1, [])
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise InvalidSpec(f"{path} line {n}: no header naming {', '.join(missing)}")
+    for n, row in body[1:]:
+        if len(row) != len(header):
+            raise InvalidSpec(f"{path} line {n}: {len(row)} fields under {len(header)} columns")
+    index = [header.index(name) for name in columns]
+    return provenance, [[row[i] for i in index] for _, row in body[1:]]
 
 
 def write_report(directory) -> List[Path]:
@@ -361,7 +371,7 @@ def write_report(directory) -> List[Path]:
     directory = Path(directory)
     sweep_file = directory / "sweep.csv"
     if sweep_file.exists():
-        provenance, _, sweep_rows = _read_csv(sweep_file)
+        provenance, sweep_rows = _read_csv(sweep_file, ["value"])
         axis = provenance.split("axis=")[-1] if "axis=" in provenance else "value"
         label_columns = ["value"]
         traces = [((row[0],), _point_dir(directory, axis, row[0]) / "trace.csv")
@@ -379,11 +389,9 @@ def write_report(directory) -> List[Path]:
 
     columns: Dict[str, list] = {"acc_h": [], "tau": []}
     for label, path in traces:
-        trace_provenance, header, rows = _read_csv(path)
-        batch = header.index("batch")
-        for name, out in columns.items():
-            col = header.index(name)
-            out.extend((*label, row[batch], row[col]) for row in rows)
+        trace_provenance, rows = _read_csv(path, ["batch", "acc_h", "tau"])
+        columns["acc_h"].extend((*label, batch, acc_h) for batch, acc_h, _ in rows)
+        columns["tau"].extend((*label, batch, tau) for batch, _, tau in rows)
     provenance = trace_provenance if provenance is None else provenance
 
     written: List[Path] = []
@@ -399,10 +407,9 @@ def write_report(directory) -> List[Path]:
         hist = directory / name
         if not hist.exists():
             raise MissingArtifacts(f"{directory} is missing {name}")
-        _, _, rows = _read_csv(hist)
-        for row in rows:
-            hist_rows.append((stage, row[0], row[1], row[2], row[3]))
+        _, rows = _read_csv(hist, HIST_COLUMNS)
+        hist_rows.extend((stage, *row) for row in rows)
     path = directory / "report_score_hist.csv"
-    _write_csv(path, provenance, ["stage", "bin_lo", "bin_hi", "weak", "strong"], hist_rows)
+    _write_csv(path, provenance, ["stage", *HIST_COLUMNS], hist_rows)
     written.append(path)
     return written

@@ -1,7 +1,7 @@
 """The type rule of config fields (``WorldSpec``, ``RunConfig``): a value of the
-annotated type, where a float field also takes an int in the float range, an
-int field refuses a bool and a float pair is kept as a tuple. Any other value
-raises ConfigError naming the field."""
+annotated type, where a float field also takes an int in the float range and
+an int field refuses a bool. Any other value raises ConfigError naming the
+field; a value that passes is kept as it is."""
 from __future__ import annotations
 
 import dataclasses
@@ -19,10 +19,6 @@ def checked_value(hint, value, name: str):
         if value is None:
             return None
         hint = next(arg for arg in args if arg is not type(None))
-    if typing.get_origin(hint) is tuple:  # threshold_clamp
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ConfigError(f"{name} must be a [lo, hi] pair of numbers, got {value!r}")
-        return tuple(float(checked_value(float, v, name)) for v in value)
     kinds = (int, float) if hint is float else hint
     if not isinstance(value, kinds) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
@@ -39,10 +35,10 @@ def _field_hints(cls) -> tuple:
 
 
 def check_fields(config, prefix: str = ""):
-    """``config`` with every field put through ``checked_value``, in place; the
-    error names a field as ``prefix`` plus its name."""
+    """``config``, once every field has passed ``checked_value``; the error
+    names a field as ``prefix`` plus its name."""
     for name, hint in _field_hints(type(config)):
         value = getattr(config, name)
-        if type(value) is not hint:  # a value of exactly its type passes as it is
-            setattr(config, name, checked_value(hint, value, prefix + name))
+        if type(value) is not hint:  # a value of exactly its type passes
+            checked_value(hint, value, prefix + name)
     return config

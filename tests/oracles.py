@@ -511,7 +511,7 @@ def reference_run(config, source_values, source_labels, num_known, stream, weigh
         plain[:] = fifo_window([plain, scores], config.window_length)
         fixed = config.fixed_threshold if config.enable_ood_detection else NO_REJECT_TAU
         if fixed is None:
-            tau = brute_force_threshold(plain, config.threshold_clamp)[0]
+            tau = brute_force_threshold(plain)[0]
         else:
             tau = fixed
         predicted = np.where(scores < tau, source_sims.argmax(axis=1), REJECT)
@@ -520,7 +520,7 @@ def reference_run(config, source_values, source_labels, num_known, stream, weigh
         if config.enable_expansion:
             added = brute_force_expand(
                 pool, features, extended, config.window_length,
-                config.threshold_clamp or EXPANSION_CLAMP, config.fixed_threshold,
+                EXPANSION_CLAMP, config.fixed_threshold,
             )
         if config.novel_momentum is not None and pool.novel:
             for row in features[predicted == REJECT]:

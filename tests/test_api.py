@@ -1,5 +1,8 @@
+import dataclasses
 import pickle
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +65,18 @@ def test_an_exported_error_survives_a_pickle_round_trip(cls):
     assert type(copy) is cls
     assert str(copy) == str(error)
     assert fields(copy) == fields(error)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_keys(section):
+    """The backticked keys of README's "`section` keys" sentence, asides dropped."""
+    text = re.sub(r"\([^()]*\)", "", README.read_text(encoding="utf-8"))
+    sentence = re.search(rf"`{section}` keys\s*:(.*?)\.\s", text, re.S).group(1)
+    return re.findall(r"`(\w+)`", sentence)
+
+
+@pytest.mark.parametrize("section, cls", [("world", owtt.WorldSpec), ("run", owtt.RunConfig)])
+def test_the_readme_lists_exactly_the_config_fields(section, cls):
+    assert documented_keys(section) == [field.name for field in dataclasses.fields(cls)]

@@ -13,6 +13,7 @@ from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
     MAX_WORLD_ELEMENTS,
     MAX_WORLD_SCALE,
+    Batch,
     WorldSpec,
     base_offset,
     batch_counts,
@@ -516,3 +517,22 @@ def test_stream_csv_written(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("batch,hidden_label,v0")
     assert len(lines) == 1 + 2 * 16
+
+
+def test_a_batch_with_fewer_labels_than_rows_is_refused():
+    batch = generate_stream(WorldSpec(n_batches=3))[1]  # an engine run would drop 63 records
+    with pytest.raises(InvalidSpec, match=r"one label per row, got values of shape \(64, 32\) "
+                                          r"and labels of shape \(1,\)"):
+        Batch(batch.values, batch.hidden[:1])
+
+
+@pytest.mark.parametrize("values, hidden", [
+    (np.zeros(4), np.zeros(4)),
+    (np.zeros((2, 2, 2)), np.zeros(2)),
+    (np.zeros((2, 3)), np.zeros((2, 1))),
+    (np.zeros((2, 3)), np.zeros(3)),
+    (np.zeros((2, 3)), 0),
+])
+def test_a_batch_of_another_shape_is_refused(values, hidden):
+    with pytest.raises(InvalidSpec, match="2-D values and one label per row"):
+        Batch(values, hidden)

@@ -56,18 +56,11 @@ def test_expansion_requires_clustering_and_detection():
         RunConfig(enable_ood_detection=False).validate()
 
 
-def test_fixed_threshold_and_clamp_are_exclusive():
-    with pytest.raises(ConfigError):
-        RunConfig(fixed_threshold=0.5, threshold_clamp=(0.4, 1.0)).validate()
-
-
 def test_bad_ranges_rejected():
     with pytest.raises(ConfigError):
         RunConfig(keep_ratio=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(learning_rate=-1.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(threshold_clamp=(0.9, 0.1)).validate()
 
 
 def test_negative_seed_rejected():
@@ -653,7 +646,6 @@ REFERENCE_CONFIGS = {
     "od_pc": ABLATION_VARIANTS["od_pc"],
     "od_da": ABLATION_VARIANTS["od_da"],
     "fixed_0.3": {"fixed_threshold": 0.3},
-    "clamp_0.2_0.8": {"threshold_clamp": (0.2, 0.8)},
     "novel_momentum_0.1": {"novel_momentum": 0.1},
     "novel_capacity_5": {"novel_capacity": 5},
     "discrete_mode": {"discrete_mode": True},

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
 import typing
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from owtt import fields
+from owtt import experiment, fields
 from owtt.cli import main
 from owtt.datagen import Batch, WorldSpec, export_stream, generate_stream
 from owtt.engine import RunConfig
@@ -80,11 +81,15 @@ def test_bad_report_format_rejected(tmp_path):
         experiment_from_dict(experiment_dict(tmp_path, report_formats=["pdf"]))
 
 
-def test_threshold_clamp_parsed_from_list(tmp_path):
+def test_an_experiment_setting_threshold_clamp_is_refused(tmp_path, capsys):
     data = experiment_dict(tmp_path)
     data["run"]["threshold_clamp"] = [0.4, 1.0]
-    exp = experiment_from_dict(data)
-    assert exp.run.threshold_clamp == (0.4, 1.0)
+    with pytest.raises(ConfigError, match=r"unknown run key\(s\): threshold_clamp"):
+        experiment_from_dict(data)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert "threshold_clamp" in json.loads(capsys.readouterr().err)["message"]
 
 
 def run_value_error(tmp_path, key, value):
@@ -93,14 +98,6 @@ def run_value_error(tmp_path, key, value):
     with pytest.raises(ConfigError, match=f"run.{key}") as err:
         experiment_from_dict(data)
     return str(err.value)
-
-
-def test_threshold_clamp_with_a_string_rejected(tmp_path):
-    run_value_error(tmp_path, "threshold_clamp", ["a", 1])
-
-
-def test_threshold_clamp_with_a_null_bound_rejected(tmp_path):
-    run_value_error(tmp_path, "threshold_clamp", [0.2, None])
 
 
 def test_integer_field_given_a_string_rejected(tmp_path):
@@ -127,7 +124,6 @@ def test_world_integer_field_given_a_string_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("run", "threshold_clamp", [2**1024, 1.0]),
     ("run", "learning_rate", 2**1024),
     ("world", "class_sep", -(2**1024)),
 ])
@@ -140,7 +136,7 @@ def test_an_integer_beyond_the_float_range_rejected(tmp_path, section, key, valu
 
 @pytest.mark.parametrize("cls, changes, message", [
     (RunConfig, {"learning_rate": "x"}, "learning_rate must be of type float, got 'x'"),
-    (RunConfig, {"threshold_clamp": (0.1,)}, "threshold_clamp must be a [lo, hi] pair"),
+    (RunConfig, {"fixed_threshold": [0.1, 0.2]}, "fixed_threshold must be of type float"),
     (RunConfig, {"feature_dim": 2.5}, "feature_dim must be of type int, got 2.5"),
     (RunConfig, {"enable_expansion": "no"}, "enable_expansion must be of type bool"),
     (RunConfig, {"novel_momentum": "0.1"}, "novel_momentum must be of type float"),
@@ -154,8 +150,15 @@ def test_a_library_config_is_typed_like_a_file_config(cls, changes, message):
     assert str(err.value).startswith(message)
 
 
-def test_a_library_threshold_clamp_is_kept_as_a_float_pair():
-    assert RunConfig(threshold_clamp=[0, 1]).validate().threshold_clamp == (0.0, 1.0)
+@pytest.mark.parametrize("config", [
+    RunConfig(learning_rate=1, fixed_threshold=0, novel_momentum=1, batch_size=None),
+    WorldSpec(class_sep=8, ratio=1, near_interp=0),
+], ids=["run", "world"])
+def test_validate_leaves_every_field_the_identical_object(config):
+    before = [getattr(config, f.name) for f in dataclasses.fields(config)]
+    assert config.validate() is config
+    assert all(getattr(config, f.name) is value
+               for f, value in zip(dataclasses.fields(config), before))
 
 
 def test_field_types_are_resolved_once_per_class(monkeypatch):
@@ -225,8 +228,7 @@ def test_config_hash_does_not_see_a_field_added_at_its_default(tmp_path, section
 def test_config_hash_names_a_field_set_to_its_default_like_one_left_out(tmp_path):
     explicit = experiment_dict(tmp_path)
     explicit["world"].update(class_sep=8, ratio=1, strong_mode="disjoint_clusters")
-    explicit["run"].update(learning_rate=0.005, lam=0.2, threshold_clamp=None,
-                           discrete_mode=False)
+    explicit["run"].update(learning_rate=0.005, lam=0.2, discrete_mode=False)
     assert (config_hash(experiment_from_dict(explicit))
             == config_hash(experiment_from_dict(experiment_dict(tmp_path))))
 
@@ -392,15 +394,6 @@ def test_library_numbers_keep_their_labels_and_tokens_parse_like_the_cli(tmp_pat
             == (tmp_path / "tokens" / "sweep.csv").read_bytes())
 
 
-def test_fixed_threshold_axis_clears_clamp(tmp_path):
-    data = experiment_dict(tmp_path)
-    data["run"]["threshold_clamp"] = [0.4, 1.0]
-    exp = experiment_from_dict(data)
-    point = apply_axis_value(exp, "fixed_threshold", 0.5)
-    assert point.run.fixed_threshold == 0.5
-    assert point.run.threshold_clamp is None
-
-
 def test_parallel_sweep_matches_serial(tmp_path):
     exp_a = load_experiment(write_experiment(tmp_path, output_dir=str(tmp_path / "serial")))
     exp_b = load_experiment(write_experiment(tmp_path, output_dir=str(tmp_path / "parallel")))
@@ -409,6 +402,30 @@ def test_parallel_sweep_matches_serial(tmp_path):
     rows_a = read_rows(tmp_path / "serial" / "sweep.csv")
     rows_b = read_rows(tmp_path / "parallel" / "sweep.csv")
     assert rows_a == rows_b
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(500, 8, 3), (500, 2, 2), (500, None, 1)])
+def test_a_sweep_starts_no_more_workers_than_it_can_use(tmp_path, monkeypatch, jobs, cpus,
+                                                        workers):
+    started = []
+
+    class SerialPool:  # records its size and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    run_sweep(load_experiment(write_experiment(tmp_path)), "keep_ratio", [0.25, 0.5, 1], jobs)
+    assert started == ([workers] if workers > 1 else [])
+    assert len(read_rows(tmp_path / "out" / "sweep.csv")) == 3
 
 
 # --- reports -------------------------------------------------------------------------
@@ -467,6 +484,36 @@ def test_report_reads_trace_columns_by_header_name(tmp_path, sweep):
         reversed_columns = [",".join(line.split(",")[::-1]) for line in lines]
         trace.write_text("\n".join([provenance, *reversed_columns]) + "\n", encoding="utf-8")
     assert {p.name: p.read_bytes() for p in write_report(exp.output_dir)} == expected
+
+
+def drop_a_field(line_index):
+    def edit(text):
+        lines = text.splitlines()
+        lines[line_index] = lines[line_index].rsplit(",", 1)[0]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("trace.csv", lambda text: "", "line 1: no header naming batch, acc_h, tau"),
+    ("trace.csv", lambda text: text.splitlines()[0] + "\n",
+     "line 2: no header naming batch, acc_h, tau"),
+    ("trace.csv", lambda text: text.replace(",acc_h,", ",acc_x,"), "line 2: no header naming acc_h"),
+    ("trace.csv", drop_a_field(3), "line 4: 5 fields under 6 columns"),
+    ("score_hist_final.csv", drop_a_field(2), "line 3: 3 fields under 4 columns"),
+], ids=["empty", "provenance-only", "no-acc_h", "short-row", "short-histogram-row"])
+def test_report_refuses_a_malformed_artifact_naming_file_and_line(tmp_path, capsys, name, edit,
+                                                                  message):
+    exp = load_experiment(write_experiment(tmp_path))
+    run_experiment(exp)
+    path = exp.output_dir / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(InvalidSpec) as err:
+        write_report(exp.output_dir)
+    assert str(err.value) == f"{path} {message}"
+    assert main(["report", str(exp.output_dir)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert (error["error"], error["message"]) == ("InvalidSpec", f"{path} {message}")
 
 
 # --- CLI ------------------------------------------------------------------------------

@@ -57,10 +57,8 @@ CONFIG_DIGESTS = {
             "summary.json": "48b6e2708daa7b1f0871b21078b256ed2ee7d3bf8b18dfc21e28650266bcd364",
         },
     ),
-    # Both non-adaptive threshold variants on the default world at 8 batches,
-    # recorded before the threshold policy moved into one engine function: a
-    # fixed threshold (the pool ends at 67) and a clamped adaptive split (the
-    # pool fills to its capacity of 100 and evicts).
+    # A fixed threshold on the default world at 8 batches, recorded before the
+    # threshold policy moved into one engine function (the pool ends at 67).
     "fixed-threshold": (
         WORLD,
         {"fixed_threshold": 0.3},
@@ -68,15 +66,6 @@ CONFIG_DIGESTS = {
             "predictions.csv": "fedcde9157a2d3a1fff0c30530d9011986e66d23b76e3529a2985b67174ad612",
             "trace.csv": "eafe3264f2ffb7d8d7f90aa2d3cf8348e146847c033027c84f743a4761cae373",
             "summary.json": "beb8b6adfe4f5a6741497656695d9f9607eebfa7bd8fd1b681821b6ffad4e6b8",
-        },
-    ),
-    "threshold-clamp": (
-        WORLD,
-        {"threshold_clamp": [0.2, 0.8]},
-        {
-            "predictions.csv": "d3cf42702f3b0422c0e45b14d09a1fdd2d040953a32f868d3da25c6e37ff40ed",
-            "trace.csv": "d0c4fc95c986e6836585696f196d808508db3479dbefe8b5cdc5d45dd9cf64b1",
-            "summary.json": "20f142006579736a133f3264224140ab05992cc92e1ba5047b7f18c05ad9e8bd",
         },
     ),
 }
