@@ -36,6 +36,10 @@ _TAG_BATCH = 6
 
 _MAX_PLACEMENT_TRIES = 20_000
 
+# Relative rounding margin, per dimension, of _place_means's distance screen
+# (its docstring derives it). Infinity sends every anchor to the exact test.
+_SCREEN_MARGIN = np.finfo(float).eps
+
 # Most float64 elements (1 GiB) one world array may hold: the source values
 # (n_source x d_in), the stream (n_batches x batch_size x d_in), the rotation
 # (d_in x d_in) and the strong means (k_t x d_in). A size typo raises
@@ -154,29 +158,72 @@ def _rng(spec: WorldSpec, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([spec.seed, *tags]))
 
 
+def _screen_window(squares, dist, radius, dim):
+    """(low, high) of _place_means's screen for anchors of squared norm
+    ``squares`` and clearance ``dist``: half of |a|^2 - c^2 minus and plus the
+    margin. A clearance at or below zero holds for every try, so no w lies
+    above either bound."""
+    need = dist * dist if dist > 0 else -math.inf
+    reach = squares**0.5 + abs(radius)
+    margin = _SCREEN_MARGIN * (dim + 8) * (reach * reach + max(need, 0.0))
+    return 0.5 * (squares - need - margin), 0.5 * (squares - need + margin)
+
+
 def _place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None):
     """Random points on a sphere, pairwise >= min_dist apart.
 
     Points additionally keep exclude_dist (defaults to min_dist) away from
-    every vector in exclude. Each try meets every anchor (the excluded vectors,
-    then the points placed so far) in one stacked product of row dot products,
-    which rounds as ``np.linalg.norm(v - q)`` does per row.
+    every vector in exclude. Each try v is first screened against every
+    anchor a (the excluded vectors, then the points placed so far) from one
+    product ``anchors @ v``: the squared distance is s = |a|^2 - 2w with
+    w = a.v - |v|^2 / 2, and each anchor keeps half of |a|^2 - c^2 (c its
+    clearance) minus and plus a margin as its window (low, high), halved
+    exactly as w is. A w above high puts s below c^2 by more than the
+    margin, and the try is refused at once; a w at or below low puts s above
+    c^2 by more than the margin, and the anchor is clear. Only the anchors in
+    between meet the exact test, one stacked product of row dot products
+    that rounds as ``np.linalg.norm(v - a)`` does per row, so every decision
+    equals the per-anchor norm test's.
+
+    The margin is _SCREEN_MARGIN * (dim + 8) * ((|a| + |radius|)^2 + c^2).
+    To first order in u = 2^-53, with S = (|a| + |v|)^2: |a|^2, a.v and |v|^2
+    are dot products of dim terms, off by at most dim u times |a|^2, |a||v|
+    and |v|^2, and the four roundings of c^2 and of the subtractions add at
+    most 3u (S + c^2), so 2w - (|a|^2 - c^2) is within (dim + 3) u S + 3u c^2
+    of its exact value. The exact test's sum of squared differences is within
+    (dim + 2) u s of s and its square root adds u, so it decides as s >= c^2
+    does unless |s - c^2| <= (dim + 5) u c^2. |v| exceeds |radius| by at most
+    (dim + 3) u. _SCREEN_MARGIN is eps = 2u, so the margin is about twice the
+    sum of those bounds.
     """
     exclude = np.asarray(exclude, dtype=float).reshape(-1, dim)
+    exclude_dist = min_dist if exclude_dist is None else exclude_dist
     anchors = np.empty((len(exclude) + count, dim))
     anchors[: len(exclude)] = exclude
     clearance = np.full(len(anchors), float(min_dist))
-    clearance[: len(exclude)] = min_dist if exclude_dist is None else exclude_dist
+    clearance[: len(exclude)] = exclude_dist
+    low, high = np.empty(len(anchors)), np.empty(len(anchors))
+    squares = (exclude[:, None] @ exclude[:, :, None])[:, 0, 0]
+    low[: len(exclude)], high[: len(exclude)] = _screen_window(squares, exclude_dist, radius, dim)
     n = len(exclude)
     for _ in range(_MAX_PLACEMENT_TRIES):
         v = rng.standard_normal(dim)
         v *= radius / np.linalg.norm(v)
-        gaps = anchors[:n] - v
-        if (np.sqrt((gaps[:, None] @ gaps[:, :, None])[:, 0, 0]) >= clearance[:n]).all():
-            anchors[n] = v
-            n += 1
-            if n == len(anchors):
-                return anchors[len(exclude):]
+        vv = v @ v
+        w = anchors[:n] @ v
+        w -= 0.5 * vv
+        if (w > low[:n]).any():  # some anchor is not clear by the screen
+            if (w > high[:n]).any():
+                continue
+            near = np.flatnonzero(w > low[:n])
+            gaps = anchors[near] - v
+            if not (np.sqrt((gaps[:, None] @ gaps[:, :, None])[:, 0, 0]) >= clearance[near]).all():
+                continue
+        anchors[n] = v
+        low[n], high[n] = _screen_window(vv, min_dist, radius, dim)
+        n += 1
+        if n == len(anchors):
+            return anchors[len(exclude):]
     raise InvalidSpec("could not place class means with the requested separation")
 
 
@@ -373,13 +420,28 @@ def generate_stream(spec: WorldSpec) -> List[Batch]:
 # --- stream export / ingestion ----------------------------------------------------
 
 
+def _stream_width(batches: Sequence[Batch]) -> int:
+    """The one row width of a stream's batches: InvalidSpec for a stream with
+    no batch, or naming the first batch whose width differs from batch 0's."""
+    if not batches:
+        raise InvalidSpec("the stream holds no batch")
+    width = batches[0].values.shape[1]
+    for t, batch in enumerate(batches):
+        if batch.values.shape[1] != width:
+            raise InvalidSpec(f"stream batch {t} has rows of width {batch.values.shape[1]}, "
+                              f"batch 0 has width {width}")
+    return width
+
+
 def export_stream(batches: Sequence[Batch], path) -> None:
     """Write a stream as little-endian float32 rows with an OWTT header.
 
     Row layout: batch index, hidden label, then the d_in input values.
-    Raises InvalidSpec naming the batch and row of the first finite value
-    outside float32's range, before the file is opened.
+    Raises InvalidSpec, before the file is opened, for a stream with no
+    batch or of mixed row widths, and naming the batch and row of the first
+    finite value outside float32's range.
     """
+    _stream_width(batches)
     sizes = [len(batch) for batch in batches]
     stamps = np.repeat(np.arange(len(batches)), sizes)
     values = np.concatenate([batch.values for batch in batches])
@@ -449,8 +511,9 @@ def load_stream(path) -> List[Batch]:
 
 
 def write_stream_csv(batches: Sequence[Batch], path) -> None:
-    """Human-inspectable CSV mirror of a stream."""
-    d_in = batches[0].values.shape[1]
+    """Human-inspectable CSV mirror of a stream; refuses what export_stream
+    refuses for its shape, before the file is opened."""
+    d_in = _stream_width(batches)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("batch,hidden_label," + ",".join(f"v{i}" for i in range(d_in)) + "\n")
         for t, batch in enumerate(batches):

@@ -39,6 +39,7 @@ from .scoring import (
     batch_discrete_scores,
     batch_ood_scores,
     clamp_scores,
+    threshold_floor,
 )
 
 # Threshold forced when OOD detection is disabled: clamped scores never
@@ -50,6 +51,9 @@ NO_REJECT_TAU = 1.0 + 1e-6
 # an unclamped split dives into the weak bulk, flooding the pool with
 # ordinary samples. The expansion threshold is therefore clamped by default.
 EXPANSION_CLAMP = (0.4, 1.0)
+# No clamped expansion threshold lies below this, and expand admits only
+# scores strictly above its threshold.
+EXPANSION_FLOOR = threshold_floor(EXPANSION_CLAMP)
 
 
 @dataclass
@@ -269,17 +273,26 @@ class Engine:
     ) -> Tuple[float, float]:
         """Expansion, self-training, and alignment updates for one batch; returns
         (clustering_loss, alignment_loss). Expansion scores the inference stage's
-        ``similarities``: nothing changes the pool between the stages."""
+        ``similarities``: nothing changes the pool between the stages.
+
+        Without a fixed threshold, a batch whose extended scores all sit at or
+        below EXPANSION_FLOOR only pushes them into the extended window: the
+        clamped search cannot return a threshold below the floor, so expand
+        would admit nothing, and both are skipped.
+        """
         cfg = self.config
         if cfg.enable_expansion:
             extended = batch_ood_scores(similarities)
-            expansion_tau = next_threshold(
-                self.extended_window,
-                extended,
-                EXPANSION_CLAMP,
-                cfg.fixed_threshold,
-            )
-            expand(self.pool, features, extended, expansion_tau)
+            if cfg.fixed_threshold is None and extended.max(initial=-math.inf) <= EXPANSION_FLOOR:
+                self.extended_window.push(extended)
+            else:
+                expansion_tau = next_threshold(
+                    self.extended_window,
+                    extended,
+                    EXPANSION_CLAMP,
+                    cfg.fixed_threshold,
+                )
+                expand(self.pool, features, extended, expansion_tau)
         if cfg.novel_momentum is not None and self.pool.novel_count:
             momentum_update_novel(self.pool, features[predicted == REJECT], cfg.novel_momentum)
 

@@ -124,6 +124,17 @@ def batch_discrete_scores(
     return np.where(total < 1e-12, 0.5, scores)
 
 
+def _first_candidate(lo: float) -> int:
+    """Index of the first grid candidate a clamp with lower end ``lo`` admits."""
+    return bisect_left(_GRID, lo - 1e-12)
+
+
+def threshold_floor(clamp_range: Tuple[float, float]) -> float:
+    """The smallest tau ``adaptive_threshold(window, clamp_range)`` returns for
+    any window: the first candidate the clamp admits, or the degenerate 1.0."""
+    return _GRID[min(_first_candidate(clamp_range[0]), len(_GRID) - 1)]
+
+
 def adaptive_threshold(
     window: ScoreWindow,
     clamp_range: Optional[Tuple[float, float]] = None,
@@ -149,7 +160,7 @@ def adaptive_threshold(
     stop = bisect_left(_GRID, scores[-1])
     if clamp_range is not None:
         lo, hi = clamp_range
-        start = max(start, bisect_left(_GRID, lo - 1e-12))
+        start = max(start, _first_candidate(lo))
         stop = min(stop, bisect_right(_GRID, hi + 1e-12))
     if start >= stop:
         return ThresholdEstimate(tau=1.0, degenerate=True)

@@ -240,6 +240,16 @@ def test_strong_means_of_a_wide_world_match_the_loop_oracle():
     np.testing.assert_array_equal(strong_means(spec), expected + base_offset(spec))
 
 
+def test_place_means_with_an_infinite_margin_tests_every_anchor_exactly(monkeypatch):
+    # No anchor is screened clear or too close: every one meets the stacked norm.
+    monkeypatch.setattr(datagen, "_SCREEN_MARGIN", np.inf)
+    test_strong_means_of_a_wide_world_match_the_loop_oracle()
+    exclude = np.random.default_rng(1).standard_normal((4, 6)) * 3.0
+    args = (12, 6, 3.0, 2.4, exclude, 3.3)
+    np.testing.assert_array_equal(datagen._place_means(np.random.default_rng(0), *args),
+                                  place_means(np.random.default_rng(0), *args))
+
+
 # --- stream generation ----------------------------------------------------------------
 
 
@@ -383,6 +393,29 @@ def test_export_writes_a_non_finite_value_as_it_is(tmp_path):
     export_stream(batches, tmp_path / "stream.owtt")
     loaded = load_stream(tmp_path / "stream.owtt")
     assert loaded[1].values[0, :3].tolist() == [np.inf, -np.inf, np.finfo(np.float32).max]
+
+
+def mixed_width_stream():
+    """Batches 0-2 with rows 4 wide, then batch 3 with rows 3 wide."""
+    return [Batch(np.ones((2, 4 if t < 3 else 3)), np.zeros(2)) for t in range(4)]
+
+
+@pytest.mark.parametrize("write, name", [(export_stream, "stream.owtt"),
+                                         (write_stream_csv, "stream.csv")])
+def test_stream_writers_refuse_an_empty_stream_before_opening_the_file(tmp_path, write, name):
+    with pytest.raises(InvalidSpec, match="^the stream holds no batch$"):
+        write([], tmp_path / name)
+    assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("write, name", [(export_stream, "stream.owtt"),
+                                         (write_stream_csv, "stream.csv")])
+def test_stream_writers_refuse_mixed_row_widths_naming_the_first_odd_batch(tmp_path, write,
+                                                                          name):
+    with pytest.raises(InvalidSpec, match="^stream batch 3 has rows of width 3, batch 0 has "
+                                          "width 4$"):
+        write(mixed_width_stream(), tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -10,6 +10,7 @@ from owtt import engine as engine_module
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
+    EXPANSION_FLOOR,
     NO_REJECT_TAU,
     Engine,
     RunConfig,
@@ -126,15 +127,10 @@ def test_non_finite_hyper_parameters_rejected(name, value):
 
 
 def crafted_engine(**cfg_kw):
-    """Engine whose prototypes are exactly the 2-D axes."""
-    cfg = RunConfig(
-        feature_dim=2,
-        batch_size=None,
-        enable_clustering=False,
-        enable_expansion=False,
-        enable_alignment=False,
-        **cfg_kw,
-    )
+    """Engine whose prototypes are exactly the 2-D axes; the stages it does not
+    name in ``cfg_kw`` are off."""
+    flags = dict(enable_clustering=False, enable_expansion=False, enable_alignment=False)
+    cfg = RunConfig(feature_dim=2, batch_size=None, **{**flags, **cfg_kw})
     source = np.array([[9.0, 0.0], [0.0, 9.0]] * 8)
     labels = np.array([0, 1] * 8)
     engine = Engine(cfg, source, labels, num_known=2)
@@ -192,6 +188,66 @@ def test_next_threshold_pushes_the_scores_then_applies_the_policy(clamp):
     tau = next_threshold(window, scores, clamp, None)
     assert window.count == 6
     assert tau == adaptive_threshold(window, clamp).tau
+
+
+# Rows whose scores against the axes are 0.4 (the floor, exactly), 0.35, 0.2 and 0.005.
+LOW_ROWS = [[0.6, -0.8], [0.65, -np.sqrt(1 - 0.65**2)], [0.8, 0.6], [0.1, 1.0]]
+
+
+def counting_expansion(monkeypatch):
+    """Count the engine's threshold searches and expand calls."""
+    calls = {"search": 0, "expand": 0}
+    search, expand = engine_module.adaptive_threshold, engine_module.expand
+
+    def counting_search(*args):
+        calls["search"] += 1
+        return search(*args)
+
+    def counting_expand(*args):
+        calls["expand"] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(engine_module, "adaptive_threshold", counting_search)
+    monkeypatch.setattr(engine_module, "expand", counting_expand)
+    return calls
+
+
+def test_a_batch_at_or_below_the_expansion_floor_skips_the_search_and_expand(monkeypatch):
+    engine = crafted_engine(enable_clustering=True, enable_expansion=True)
+    calls = counting_expansion(monkeypatch)
+    values = np.array(LOW_ROWS * 4)
+    outputs = engine.inference_stage(values)  # the inference threshold's search
+    assert outputs[2].max() == EXPANSION_FLOOR
+    engine.adaptation_stage(values, *outputs)
+    assert calls == {"search": 1, "expand": 0}
+    assert engine.extended_window.count == 16
+    assert engine.pool.novel_count == 0
+    # One score above the floor: the search and expand run, and the sample enters.
+    values = np.array(LOW_ROWS * 4 + [[-1.0, 0.1]])
+    engine.adaptation_stage(values, *engine.inference_stage(values))
+    assert calls == {"search": 3, "expand": 1}
+    assert engine.extended_window.count == 33
+    assert engine.pool.novel_count == 1
+
+
+def test_a_fixed_expansion_threshold_below_the_floor_still_admits(monkeypatch):
+    engine = crafted_engine(enable_clustering=True, enable_expansion=True, fixed_threshold=0.3)
+    calls = counting_expansion(monkeypatch)
+    values = np.array(LOW_ROWS[1:])  # only the 0.35 row beats 0.3
+    engine.adaptation_stage(values, *engine.inference_stage(values))
+    assert calls == {"search": 0, "expand": 1}
+    np.testing.assert_allclose(engine.pool.novel_matrix(), [LOW_ROWS[1]], atol=1e-12)
+
+
+def test_an_empty_batch_in_a_free_size_stream_runs_to_the_end():
+    spec = small_world(n_batches=5)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    stream.insert(2, Batch(np.empty((0, spec.d_in)), np.empty(0)))
+    result = Engine(RunConfig(batch_size=None), src_x, src_y, spec.k_s).run(stream)
+    assert [row.batch for row in result.trace] == [0, 1, 2, 3, 4, 5]
+    assert sorted({r.timestamp for r in result.records}) == [0, 1, 3, 4, 5]
+    assert len(result.records) == 5 * spec.batch_size
 
 
 # --- confidence-based selection -----------------------------------------------------

@@ -9,6 +9,7 @@ from oracles import (
     fifo_window,
     sorted_cumsum_threshold,
 )
+from owtt.engine import EXPANSION_CLAMP
 from owtt.errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
@@ -21,6 +22,7 @@ from owtt.scoring import (
     batch_ood_scores,
     clamp_scores,
     ood_score,
+    threshold_floor,
 )
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -397,3 +399,19 @@ def test_threshold_equals_sorted_cumsum_oracle_exactly(case):
     est = adaptive_threshold(window, clamp)
     tau, _, degenerate = sorted_cumsum_threshold(window.values(), clamp, MIN_WINDOW_SCORES)
     assert (est.tau, est.degenerate) == (tau, degenerate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=threshold_windows())
+def test_no_clamped_threshold_lies_below_the_floor(case):
+    window, clamp = case
+    assert adaptive_threshold(window, EXPANSION_CLAMP).tau >= threshold_floor(EXPANSION_CLAMP)
+    if clamp is not None:
+        assert adaptive_threshold(window, clamp).tau >= threshold_floor(clamp)
+
+
+@pytest.mark.parametrize("clamp, floor", [((0.4, 1.0), 0.4), ((0.4 + 1e-13, 1.0), 0.4),
+                                          ((0.4 + 1e-11, 1.0), 0.41), ((0.0, 0.2), 0.0),
+                                          ((1.0, 1.0), 1.0), ((1.5, 2.0), 1.0)])
+def test_the_floor_is_the_first_candidate_the_clamp_admits(clamp, floor):
+    assert threshold_floor(clamp) == floor

@@ -61,10 +61,10 @@ def test_digest_diff_exits_1_when_the_world_lists_differ(tmp_path, capsys):
     assert "wide-saturated 40 is listed only by the parent" in capsys.readouterr().err
 
 END_TO_END = [
-    {"name": "engine_samples_per_s", "better": "higher"},
-    {"name": "batch_ms_p50", "better": "lower"},
-    {"name": "acc_h", "better": "higher"},
-    {"name": "peak_rss_mb", "better": "lower"},
+    {"name": "engine_samples_per_s", "better": "higher", "bound": 0.24},
+    {"name": "batch_ms_p50", "better": "lower", "bound": 0.24},
+    {"name": "acc_h", "better": "higher", "bound": 0.2},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
 ]
 
 
@@ -88,18 +88,36 @@ def test_bench_pairs_holds_the_gain_rule_on_a_clear_gain():
     assert [row[0] for row in rows] == ["engine_samples_per_s", "batch_ms_p50", "acc_h"]
     rate, latency, acc = rows
     assert rate[1:7] == (102.25, 104.5, 106.75, 122.25, 124.5, 126.75)
-    assert rate[7:] == (10, 0, 0, True)
-    assert latency[7:] == (10, 0, 0, True)  # lower is better
-    assert acc[7:] == (0, 10, 0, False)  # ties count for neither side
+    assert rate[7:] == (10, 0, 0, True, False)
+    assert latency[7:] == (10, 0, 0, True, False)  # lower is better
+    assert acc[7:] == (0, 10, 0, False, False)  # ties count for neither side
 
 
 def test_bench_pairs_refuses_the_gain_below_nine_wins_or_inside_the_parent_iqr():
     # Eight wins of ten, each by 20: too few wins.
     rates = [120.0 + i for i in range(8)] + [100.0, 101.0]
-    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (8, 0, 2, False)
+    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (8, 0, 2, False,
+                                                                               False)
     # Ten wins of ten, each by 1: the median gap (1) is inside the parent's IQR (4.5).
     rates = [101.0 + i for i in range(10)]
-    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (10, 0, 0, False)
+    assert bench_pairs.summarize(hand_made_pairs(rates), END_TO_END)[0][7:] == (10, 0, 0, False,
+                                                                                False)
+
+
+def test_bench_pairs_flags_a_median_worse_than_the_parent_by_more_than_the_bound():
+    # Rates 70..79 against 100..109: the median is 28.7% lower and the latency
+    # median 40.3% higher, both beyond their bound of 0.24; acc_h never moves.
+    rate, latency, acc = bench_pairs.summarize(hand_made_pairs([70.0 + i for i in range(10)]),
+                                               END_TO_END)
+    assert (rate[7:], latency[7:]) == ((0, 0, 10, False, True), (0, 0, 10, False, True))
+    assert acc[-1] is False
+    # Rates 85..94: 14.4% lower and 16.8% slower, both inside the bound.
+    rows = bench_pairs.summarize(hand_made_pairs([85.0 + i for i in range(10)]), END_TO_END)
+    assert [row[-1] for row in rows] == [False, False, False]
+    # The bound is a fraction of the parent's median: 0.287 exceeds 0.24, not 0.3.
+    looser = [dict(spec, bound=0.3) for spec in END_TO_END]
+    rows = bench_pairs.summarize(hand_made_pairs([70.0 + i for i in range(10)]), looser)
+    assert [row[-1] for row in rows] == [False, True, False]
 
 
 def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatch, capsys):
@@ -114,7 +132,7 @@ def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatc
     assert calls == ["P", "C", "C", "P", "P", "C"]
     out = capsys.readouterr().out.splitlines()
     assert out[0] == " ".join(bench_pairs.COLUMNS)
-    assert out[1] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False"
+    assert out[1] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False False"
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
     assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "1"]) == 0
 

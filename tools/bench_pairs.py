@@ -8,8 +8,11 @@ object on each run's last output line. For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the change's
 wins, ties and losses by the metric's ``better`` direction, and whether the
 gain rule holds: the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's interquartile range.
-Exits 1 when any run is not ``correct``, otherwise 0.
+median beats the parent's by more than the parent's interquartile range. The
+``regressed`` column is true when the change's median is worse than the
+parent's by more than the metric's ``bound``, read as a fraction of the
+parent's median (a bound of 0.24 on a parent median of 100 samples/s flags a
+change median below 76). Exits 1 when any run is not ``correct``, otherwise 0.
 """
 import argparse
 import json
@@ -21,7 +24,7 @@ import numpy as np
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 COLUMNS = ("metric", "parent_q1", "parent_median", "parent_q3", "change_q1", "change_median",
-           "change_q3", "wins", "ties", "losses", "gain")
+           "change_q3", "wins", "ties", "losses", "gain", "regressed")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -57,8 +60,9 @@ def summarize(pairs, end_to_end):
         p_q1, p_med, p_q3 = np.percentile(parent, [25, 50, 75])
         c_q1, c_med, c_q3 = np.percentile(change, [25, 50, 75])
         gain = 10 * wins >= 9 * len(pairs) and bool(sign * (c_med - p_med) > p_q3 - p_q1)
+        regressed = bool(sign * (c_med - p_med) < -spec["bound"] * abs(p_med))
         table.append((name, p_q1, p_med, p_q3, c_q1, c_med, c_q3, wins,
-                      len(pairs) - wins - losses, losses, gain))
+                      len(pairs) - wins - losses, losses, gain, regressed))
     return table
 
 
