@@ -31,7 +31,6 @@ from .errors import (
     EmptyNovelPool,
     EmptyPrototypeSet,
     EmptyRecords,
-    EmptyWindow,
     InvalidSpec,
     MissingArtifacts,
     MissingPopulation,

@@ -70,9 +70,10 @@ class Batch:
         return self.values.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldSpec:
-    """Synthetic open-world benchmark description."""
+    """Synthetic open-world benchmark description, checked when built: field
+    types first (ConfigError), then values (InvalidSpec)."""
 
     d_in: int = 32
     # Leading input dimensions carrying class structure; the rest are
@@ -106,8 +107,7 @@ class WorldSpec:
     batch_size: int = 64
     seed: int = 0
 
-    def validate(self) -> "WorldSpec":
-        """``self``, its field types checked (ConfigError), then its values (InvalidSpec)."""
+    def __post_init__(self):
         check_fields(self)
         for key in ("class_sep", "within_std", "offset_scale", "bias_scale", "noise_std",
                     "rotation_angle", "strong_margin"):  # checks below pass NaN or inf
@@ -151,7 +151,6 @@ class WorldSpec:
                 raise InvalidSpec(
                     f"{' x '.join(keys)} is {size} elements, above {MAX_WORLD_ELEMENTS}"
                 )
-        return self
 
 
 def _rng(spec: WorldSpec, *tags: int) -> np.random.Generator:
@@ -345,7 +344,6 @@ def bias_vector(spec: WorldSpec) -> np.ndarray:
 
 def generate_source(spec: WorldSpec):
     """Source-domain training set: (values, labels), deterministic per seed."""
-    spec.validate()
     rng = _rng(spec, _TAG_SOURCE_SAMPLES)
     means = class_means(spec)
     labels = rng.integers(0, spec.k_s, size=spec.n_source)
@@ -412,7 +410,6 @@ def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> Batch:
 
 def generate_stream(spec: WorldSpec) -> List[Batch]:
     """The full test stream as a list of batches."""
-    spec.validate()
     constants = _world_constants(spec)
     return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
 
@@ -422,11 +419,14 @@ def generate_stream(spec: WorldSpec) -> List[Batch]:
 
 def _stream_width(batches: Sequence[Batch]) -> int:
     """The one row width of a stream's batches: InvalidSpec for a stream with
-    no batch, or naming the first batch whose width differs from batch 0's."""
+    no batch, or naming the first batch with no rows or whose width differs
+    from batch 0's."""
     if not batches:
         raise InvalidSpec("the stream holds no batch")
     width = batches[0].values.shape[1]
     for t, batch in enumerate(batches):
+        if not len(batch):  # load_stream refuses it
+            raise InvalidSpec(f"stream batch {t} has no rows")
         if batch.values.shape[1] != width:
             raise InvalidSpec(f"stream batch {t} has rows of width {batch.values.shape[1]}, "
                               f"batch 0 has width {width}")
@@ -438,8 +438,8 @@ def export_stream(batches: Sequence[Batch], path) -> None:
 
     Row layout: batch index, hidden label, then the d_in input values.
     Raises InvalidSpec, before the file is opened, for a stream with no
-    batch or of mixed row widths, and naming the batch and row of the first
-    finite value outside float32's range.
+    batch, a batch with no rows or mixed row widths, and naming the batch
+    and row of the first finite value outside float32's range.
     """
     _stream_width(batches)
     sizes = [len(batch) for batch in batches]

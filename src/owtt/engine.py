@@ -56,9 +56,10 @@ EXPANSION_CLAMP = (0.4, 1.0)
 EXPANSION_FLOOR = threshold_floor(EXPANSION_CLAMP)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Engine toggles and hyper-parameters for one run."""
+    """Engine toggles and hyper-parameters for one run, checked when built:
+    field types first, then values (both ConfigError)."""
 
     # Component toggles (the ablation axes).
     enable_ood_detection: bool = True
@@ -86,7 +87,7 @@ class RunConfig:
     batch_size: Optional[int] = 64
     seed: int = 0
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         check_fields(self)
         if self.enable_expansion and not (self.enable_clustering and self.enable_ood_detection):
             raise ConfigError(
@@ -116,7 +117,6 @@ class RunConfig:
             raise ConfigError("batch_size must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        return self
 
 
 class StageFailure(Exception):
@@ -207,7 +207,6 @@ class Engine:
         source_labels: np.ndarray,
         num_known: int,
     ):
-        config.validate()
         source_values = np.asarray(source_values, dtype=float)
         source_labels = check_source(source_values, source_labels, num_known)
         dim = config.feature_dim

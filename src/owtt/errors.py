@@ -21,10 +21,6 @@ class EmptyPrototypeSet(OwttError):
     """Scoring was attempted against an empty source prototype set."""
 
 
-class EmptyWindow(OwttError):
-    """Threshold estimation was attempted on an empty score window."""
-
-
 class EmptyEstimate(OwttError):
     """A divergence was asked of a Gaussian estimate that holds no samples."""
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure
 from .errors import ConfigError, InvalidSpec, MissingArtifacts, MissingPopulation
-from .fields import check_fields, checked_value
+from .fields import checked_value
 from .metrics import score_histogram, score_separation
 from .prototypes import save_pool
 
@@ -51,13 +51,20 @@ SWEEP_DEFAULTS: Dict[str, List] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; ``report_formats`` must be a list of REPORT_FORMATS names."""
+
     world: WorldSpec
     run: RunConfig
     output_dir: Path
     report_formats: List[str] = field(default_factory=lambda: list(REPORT_FORMATS))
     stream_file: Optional[Path] = None
+
+    def __post_init__(self):
+        formats = self.report_formats
+        if not isinstance(formats, list) or not all(f in REPORT_FORMATS for f in formats):
+            raise ConfigError(f"report_formats must be a subset of {REPORT_FORMATS}")
 
 
 def _build_section(cls, data: dict, section: str):
@@ -65,11 +72,14 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
-    return check_fields(cls(**data), f"{section}.")
+    try:
+        return cls(**data)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
-    """Build and validate an experiment from parsed JSON (strict keys)."""
+    """Build an experiment from parsed JSON (strict keys)."""
     if not isinstance(data, dict):
         raise ConfigError("experiment file must hold a JSON object")
     allowed = {"world", "run", "output_dir", "report_formats", "stream_file"}
@@ -98,13 +108,6 @@ def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> Experim
         world = dataclasses.replace(world, seed=seed)
         run = dataclasses.replace(run, seed=seed)
 
-    formats = data.get("report_formats", list(REPORT_FORMATS))
-    if not isinstance(formats, list) or not all(f in REPORT_FORMATS for f in formats):
-        raise ConfigError(f"report_formats must be a subset of {REPORT_FORMATS}")
-
-    world.validate()
-    run.validate()
-
     output_dir = Path(data["output_dir"])
     stream_file = data.get("stream_file")
     if base_dir is not None:
@@ -116,7 +119,7 @@ def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> Experim
         world=world,
         run=run,
         output_dir=output_dir,
-        report_formats=list(formats),
+        report_formats=data.get("report_formats", list(REPORT_FORMATS)),
         stream_file=Path(stream_file) if stream_file is not None else None,
     )
 
@@ -289,7 +292,7 @@ def apply_axis_value(exp: ExperimentConfig, axis: str, value) -> ExperimentConfi
     value = axis_value(axis, value)
     changes = ABLATION_VARIANTS[value] if axis == "ablation" else {axis: float(value)}
     section = "world" if axis == "ratio" else "run"
-    updated = dataclasses.replace(getattr(exp, section), **changes).validate()
+    updated = dataclasses.replace(getattr(exp, section), **changes)
     return dataclasses.replace(exp, **{section: updated})
 
 
@@ -313,7 +316,7 @@ def run_sweep(
         raise ConfigError("sweep values must be non-empty")
     if len(set(values)) < len(values):
         raise ConfigError(f"sweep values must differ, got {values}")
-    points = [apply_axis_value(exp, axis, value) for value in values]  # validates all
+    points = [apply_axis_value(exp, axis, value) for value in values]  # checks all
 
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -34,11 +34,9 @@ def _field_hints(cls) -> tuple:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def check_fields(config, prefix: str = ""):
-    """``config``, once every field has passed ``checked_value``; the error
-    names a field as ``prefix`` plus its name."""
+def check_fields(config) -> None:
+    """Pass every field of ``config`` through ``checked_value``."""
     for name, hint in _field_hints(type(config)):
         value = getattr(config, name)
         if type(value) is not hint:  # a value of exactly its type passes
-            checked_value(hint, value, prefix + name)
-    return config
+            checked_value(hint, value, name)

@@ -80,8 +80,10 @@ class PrototypePool:
 
 def check_source(rows: np.ndarray, labels, num_classes: int) -> np.ndarray:
     """The source labels as ints. Raises InvalidSpec unless ``num_classes`` is
-    positive, ``rows`` is 2-D and ``labels`` holds one integral class id in
-    0..num_classes-1 per row."""
+    a positive integer (a bool is not), ``rows`` is 2-D and ``labels`` holds
+    one integral class id in 0..num_classes-1 per row."""
+    if isinstance(num_classes, bool) or not isinstance(num_classes, (int, np.integer)):
+        raise InvalidSpec(f"the number of source classes must be an integer, got {num_classes!r}")
     if num_classes < 1:
         raise InvalidSpec(f"need at least one source class, got {num_classes}")
     if rows.ndim != 2:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
+from .errors import ConfigError, EmptyPrototypeSet, NonFiniteInput
 
 # Candidate thresholds: 0.00, 0.01, ..., 1.00.
 THRESHOLD_GRID = np.arange(101) / 100.0
@@ -144,11 +144,10 @@ def adaptive_threshold(
     Every candidate on the 0.00..1.00 grid that leaves at least one score on
     each side is scored; ties break toward the smallest candidate. When no
     candidate is valid (single-mode window, too few scores, or all candidates
-    excluded by clamp_range) the estimate is degenerate with tau = 1.0.
+    excluded by clamp_range) the estimate is degenerate with tau = 1.0; an
+    empty window is one with too few scores.
     """
     n = window.count
-    if n == 0:
-        raise EmptyWindow("cannot estimate a threshold from an empty window")
     if n < MIN_WINDOW_SCORES:
         return ThresholdEstimate(tau=1.0, degenerate=True)
 

@@ -19,7 +19,7 @@ DOCUMENTED = {
     "save_pool", "load_pool",
     # The error types.
     "OwttError", "ConfigError", "DegenerateEmbedding", "EmptyClass", "EmptyEstimate",
-    "EmptyNovelPool", "EmptyPrototypeSet", "EmptyRecords", "EmptyWindow", "InvalidSpec",
+    "EmptyNovelPool", "EmptyPrototypeSet", "EmptyRecords", "InvalidSpec",
     "MissingArtifacts", "MissingPopulation", "NonFiniteGradient", "NonFiniteInput",
     "NumericalFailure", "UnknownLabel",
 }
@@ -31,7 +31,7 @@ def test_the_package_exports_exactly_the_documented_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == DOCUMENTED
-    assert len(DOCUMENTED) == 34
+    assert len(DOCUMENTED) == 33
 
 
 def error_instance(cls):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 from unittest import mock
@@ -44,36 +45,49 @@ def small_spec(**kw):
 
 def test_invalid_ratio_rejected():
     with pytest.raises(InvalidSpec):
-        small_spec(ratio=0.0).validate()
+        small_spec(ratio=0.0)
     with pytest.raises(InvalidSpec):
-        small_spec(ratio=1.5).validate()
+        small_spec(ratio=1.5)
 
 
 def test_invalid_strong_mode_rejected():
     with pytest.raises(InvalidSpec):
-        small_spec(strong_mode="bananas").validate()
+        small_spec(strong_mode="bananas")
 
 
 def test_invalid_interp_rejected():
     with pytest.raises(InvalidSpec):
-        small_spec(strong_mode="near_clusters", near_interp=1.5).validate()
+        small_spec(strong_mode="near_clusters", near_interp=1.5)
 
 
 @pytest.mark.parametrize("mode", ["uniform_noise", "disjoint_clusters"])
 def test_interp_outside_near_clusters_rejected(mode):
     with pytest.raises(InvalidSpec, match=f"near_interp applies only to near_clusters, not {mode}"):
-        small_spec(strong_mode=mode, near_interp=0.7).validate()
-    small_spec(strong_mode=mode, near_interp=0.0).validate()
+        small_spec(strong_mode=mode, near_interp=0.7)
+    small_spec(strong_mode=mode, near_interp=0.0)
 
 
 def test_signal_dims_bounded_by_input_dims():
     with pytest.raises(InvalidSpec):
-        small_spec(d_in=8, signal_dims=16).validate()
+        small_spec(d_in=8, signal_dims=16)
 
 
 def test_negative_seed_rejected():
     with pytest.raises(InvalidSpec, match="seed"):
-        small_spec(seed=-1).validate()
+        small_spec(seed=-1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(class_sep=float("nan")), "class_sep must be finite, got nan"),
+    (dict(k_s=0), "k_s and k_t must lie in 1..20000"),
+])
+def test_a_world_the_generators_cannot_use_is_never_built(changes, message):
+    # generate_batch would make all-NaN rows of the first, and class_means
+    # would raise a bare IndexError on the second.
+    with pytest.raises(InvalidSpec, match=message):
+        WorldSpec(**changes)
+    with pytest.raises(InvalidSpec, match=message):
+        dataclasses.replace(WorldSpec(), **changes)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -83,7 +97,7 @@ def test_negative_seed_rejected():
 ])
 def test_non_finite_world_floats_rejected(key, value):
     with pytest.raises(InvalidSpec, match=f"{key} must be finite, got {value}"):
-        small_spec(**{key: value}).validate()
+        small_spec(**{key: value})
 
 
 @pytest.mark.parametrize("sizes, keys", [
@@ -96,11 +110,11 @@ def test_non_finite_world_floats_rejected(key, value):
 ])
 def test_a_world_array_above_the_element_budget_is_refused(sizes, keys):
     with pytest.raises(InvalidSpec, match=f"{keys} is [0-9]+ elements, above {MAX_WORLD_ELEMENTS}"):
-        small_spec(**sizes).validate()
+        small_spec(**sizes)
 
 
 def test_the_element_budget_admits_a_world_at_it():
-    small_spec(n_source=2**14, d_in=2**13, n_batches=2**4, batch_size=2**10).validate()
+    small_spec(n_source=2**14, d_in=2**13, n_batches=2**4, batch_size=2**10)
 
 
 @pytest.mark.parametrize("key", ["k_s", "k_t"])
@@ -108,7 +122,7 @@ def test_the_element_budget_admits_a_world_at_it():
 def test_more_means_than_placement_tries_are_refused(key, value):
     # Placing them would take minutes before failing: each mean costs at least one try.
     with pytest.raises(InvalidSpec, match="k_s and k_t must lie in 1..20000"):
-        small_spec(**{key: value}).validate()
+        small_spec(**{key: value})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -119,7 +133,7 @@ def test_more_means_than_placement_tries_are_refused(key, value):
 def test_a_world_scale_above_the_bound_is_refused(key, value):
     # Each generated values whose squared norms overflow, with a RuntimeWarning.
     with pytest.raises(InvalidSpec, match=r"world's scale is \S+, above 1e\+150"):
-        small_spec(**{key: value}).validate()
+        small_spec(**{key: value})
 
 
 @pytest.mark.parametrize("key", ["class_sep", "noise_std", "within_std"])
@@ -400,11 +414,24 @@ def mixed_width_stream():
     return [Batch(np.ones((2, 4 if t < 3 else 3)), np.zeros(2)) for t in range(4)]
 
 
-@pytest.mark.parametrize("write, name", [(export_stream, "stream.owtt"),
-                                         (write_stream_csv, "stream.csv")])
-def test_stream_writers_refuse_an_empty_stream_before_opening_the_file(tmp_path, write, name):
-    with pytest.raises(InvalidSpec, match="^the stream holds no batch$"):
-        write([], tmp_path / name)
+ZERO_ROW_STREAM = [Batch(np.ones((n, 4)), np.zeros(n)) for n in (2, 0, 2)]
+
+
+@pytest.mark.parametrize("write, name, batches, message", [
+    pytest.param(export_stream, "stream.owtt", [], "the stream holds no batch",
+                 id="export_stream-stream.owtt"),
+    pytest.param(write_stream_csv, "stream.csv", [], "the stream holds no batch",
+                 id="write_stream_csv-stream.csv"),
+    # load_stream refuses such a file in the same words
+    pytest.param(export_stream, "stream.owtt", ZERO_ROW_STREAM, "stream batch 1 has no rows",
+                 id="export_stream-zero_rows"),
+    pytest.param(write_stream_csv, "stream.csv", ZERO_ROW_STREAM, "stream batch 1 has no rows",
+                 id="write_stream_csv-zero_rows"),
+])
+def test_stream_writers_refuse_an_empty_stream_before_opening_the_file(tmp_path, write, name,
+                                                                      batches, message):
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        write(batches, tmp_path / name)
     assert not (tmp_path / name).exists()
 
 

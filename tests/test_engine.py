@@ -1,4 +1,6 @@
 import copy
+import re
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from owtt.errors import (
 )
 from owtt.experiment import ABLATION_VARIANTS
 from owtt.metrics import REJECT, compute_metrics
-from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool
+from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool, build_source_prototypes
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
 from oracles import reference_run
@@ -52,27 +54,32 @@ BASELINE = dict(enable_clustering=False, enable_expansion=False, enable_alignmen
 
 def test_expansion_requires_clustering_and_detection():
     with pytest.raises(ConfigError):
-        RunConfig(enable_clustering=False).validate()
+        RunConfig(enable_clustering=False)
     with pytest.raises(ConfigError):
-        RunConfig(enable_ood_detection=False).validate()
+        RunConfig(enable_ood_detection=False)
 
 
 def test_bad_ranges_rejected():
     with pytest.raises(ConfigError):
-        RunConfig(keep_ratio=0.0).validate()
+        RunConfig(keep_ratio=0.0)
     with pytest.raises(ConfigError):
-        RunConfig(learning_rate=-1.0).validate()
+        RunConfig(learning_rate=-1.0)
+
+
+def test_a_replaced_run_config_is_checked_again():
+    with pytest.raises(ConfigError, match="keep_ratio must lie in"):
+        dataclasses.replace(RunConfig(), keep_ratio=0.0)
 
 
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed"):
-        RunConfig(seed=-1).validate()
+        RunConfig(seed=-1)
 
 
 def test_a_novel_capacity_above_the_pool_bound_is_refused():
-    RunConfig(novel_capacity=MAX_NOVEL_CAPACITY).validate()
+    RunConfig(novel_capacity=MAX_NOVEL_CAPACITY)
     with pytest.raises(ConfigError, match=f"novel_capacity must be at most {MAX_NOVEL_CAPACITY}"):
-        RunConfig(novel_capacity=MAX_NOVEL_CAPACITY + 1).validate()
+        RunConfig(novel_capacity=MAX_NOVEL_CAPACITY + 1)
 
 
 @pytest.mark.parametrize("feature_dim, d_in, capacity, shape", [
@@ -120,7 +127,7 @@ def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(
 @pytest.mark.parametrize("name", ["learning_rate", "lam", "temperature"])
 def test_non_finite_hyper_parameters_rejected(name, value):
     with pytest.raises(ConfigError, match="finite"):
-        RunConfig(**{name: value}).validate()
+        RunConfig(**{name: value})
 
 
 # --- crafted two-prototype world: direct threshold semantics ----------------------
@@ -242,12 +249,15 @@ def test_a_fixed_expansion_threshold_below_the_floor_still_admits(monkeypatch):
 def test_an_empty_batch_in_a_free_size_stream_runs_to_the_end():
     spec = small_world(n_batches=5)
     src_x, src_y = generate_source(spec)
-    stream = generate_stream(spec)
-    stream.insert(2, Batch(np.empty((0, spec.d_in)), np.empty(0)))
-    result = Engine(RunConfig(batch_size=None), src_x, src_y, spec.k_s).run(stream)
-    assert [row.batch for row in result.trace] == [0, 1, 2, 3, 4, 5]
-    assert sorted({r.timestamp for r in result.records}) == [0, 1, 3, 4, 5]
-    assert len(result.records) == 5 * spec.batch_size
+    for position in (0, 2):  # at 0 the window is empty, so short: tau is 1.0
+        stream = generate_stream(spec)
+        stream.insert(position, Batch(np.empty((0, spec.d_in)), np.empty(0)))
+        result = Engine(RunConfig(batch_size=None), src_x, src_y, spec.k_s).run(stream)
+        assert [row.batch for row in result.trace] == [0, 1, 2, 3, 4, 5]
+        if position == 0:
+            assert result.trace[0].tau == 1.0
+        assert {r.timestamp for r in result.records} == {0, 1, 2, 3, 4, 5} - {position}
+        assert len(result.records) == 5 * spec.batch_size
 
 
 # --- confidence-based selection -----------------------------------------------------
@@ -570,6 +580,26 @@ def test_malformed_source_arrays_raise_invalid_spec(corrupt, message):
 def test_an_empty_source_raises_invalid_spec_before_any_statistic():
     with pytest.raises(InvalidSpec, match="at least one source class, got 0"):
         Engine(RunConfig(), np.zeros((0, 32)), np.zeros(0), 0)
+
+
+@pytest.mark.parametrize("num_known", [5.0, 2.5, True, np.float64(5)],
+                         ids=["float", "fraction", "bool", "numpy_float"])
+def test_a_class_count_that_is_not_an_integer_raises_invalid_spec(num_known):
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    message = f"number of source classes must be an integer, got {num_known!r}"
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        Engine(RunConfig(), src_x, src_y, num_known)
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        build_source_prototypes(src_x, src_y, num_known)
+
+
+def test_a_numpy_integer_class_count_is_accepted():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    as_numpy = Engine(RunConfig(), src_x, src_y, np.int64(spec.k_s))
+    np.testing.assert_array_equal(as_numpy.pool.all_matrix(),
+                                  Engine(RunConfig(), src_x, src_y, spec.k_s).pool.all_matrix())
 
 
 def test_integral_float_source_labels_match_int_labels():

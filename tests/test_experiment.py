@@ -5,6 +5,7 @@ import os
 import shutil
 import typing
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,7 @@ from owtt.engine import RunConfig
 from owtt.errors import ConfigError, InvalidSpec, MissingArtifacts
 from owtt.experiment import (
     ABLATION_VARIANTS,
+    ExperimentConfig,
     apply_axis_value,
     config_hash,
     experiment_from_dict,
@@ -79,6 +81,41 @@ def test_toggle_dependency_rejected(tmp_path):
 def test_bad_report_format_rejected(tmp_path):
     with pytest.raises(ConfigError, match="report_formats"):
         experiment_from_dict(experiment_dict(tmp_path, report_formats=["pdf"]))
+
+
+@pytest.mark.parametrize("formats", [["pdf"], "csv", ("csv",)])
+def test_a_library_experiment_with_bad_report_formats_is_refused(tmp_path, formats):
+    # Such an experiment would run and write no summary.
+    with pytest.raises(ConfigError, match=r"report_formats must be a subset of \('csv', 'json'\)"):
+        ExperimentConfig(WorldSpec(), RunConfig(), tmp_path, report_formats=formats)
+
+
+@pytest.mark.parametrize("config, name", [
+    (WorldSpec(), "seed"),
+    (RunConfig(), "keep_ratio"),
+    (ExperimentConfig(WorldSpec(), RunConfig(), Path("out")), "report_formats"),
+], ids=["world", "run", "experiment"])
+def test_a_config_field_cannot_be_assigned(config, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+
+
+def test_a_value_error_in_the_run_section_names_the_section(tmp_path):
+    assert run_value_error(tmp_path, "keep_ratio", 0.0) == "run.keep_ratio must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("section, error, message", [
+    ("world", InvalidSpec, "seed must be non-negative"),
+    ("run", ConfigError, "run.seed must be non-negative"),
+])
+def test_a_negative_file_seed_is_refused_under_a_seed_override(
+    tmp_path, monkeypatch, section, error, message
+):
+    monkeypatch.setenv("OWTT_SEED", "3")
+    data = experiment_dict(tmp_path)
+    data[section]["seed"] = -1
+    with pytest.raises(error, match=f"^{message}$"):
+        experiment_from_dict(data)
 
 
 def test_an_experiment_setting_threshold_clamp_is_refused(tmp_path, capsys):
@@ -146,19 +183,19 @@ def test_an_integer_beyond_the_float_range_rejected(tmp_path, section, key, valu
 ])
 def test_a_library_config_is_typed_like_a_file_config(cls, changes, message):
     with pytest.raises(ConfigError) as err:
-        cls(**changes).validate()
+        cls(**changes)
     assert str(err.value).startswith(message)
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(learning_rate=1, fixed_threshold=0, novel_momentum=1, batch_size=None),
-    WorldSpec(class_sep=8, ratio=1, near_interp=0),
-], ids=["run", "world"])
-def test_validate_leaves_every_field_the_identical_object(config):
-    before = [getattr(config, f.name) for f in dataclasses.fields(config)]
-    assert config.validate() is config
-    assert all(getattr(config, f.name) is value
-               for f, value in zip(dataclasses.fields(config), before))
+@pytest.mark.parametrize("cls, values", [
+    (RunConfig, dict(learning_rate=1, fixed_threshold=0, novel_momentum=1, batch_size=None)),
+    (WorldSpec, dict(class_sep=8, ratio=1, near_interp=0)),
+    (ExperimentConfig, dict(world=WorldSpec(), run=RunConfig(), output_dir=Path("out"),
+                            report_formats=["csv"], stream_file=None)),
+], ids=["run", "world", "experiment"])
+def test_construction_keeps_every_field_the_identical_object(cls, values):
+    config = cls(**values)
+    assert all(getattr(config, name) is value for name, value in values.items())
 
 
 def test_field_types_are_resolved_once_per_class(monkeypatch):
@@ -167,8 +204,8 @@ def test_field_types_are_resolved_once_per_class(monkeypatch):
     monkeypatch.setattr(typing, "get_type_hints", lambda cls: resolved.append(cls) or resolve(cls))
     fields._field_hints.cache_clear()
     for _ in range(3):
-        RunConfig().validate()
-        WorldSpec().validate()
+        RunConfig()
+        WorldSpec()
     assert resolved == [RunConfig, WorldSpec]
 
 
@@ -206,12 +243,12 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert config_hash(a) != config_hash(c)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class WiderWorld(WorldSpec):
     added: int = 3
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class WiderRun(RunConfig):
     added: int = 3
 
@@ -221,7 +258,7 @@ def test_config_hash_does_not_see_a_field_added_at_its_default(tmp_path, section
     exp = experiment_from_dict(experiment_dict(tmp_path))
     extended = wider(**dataclasses.asdict(getattr(exp, section)))
     assert config_hash(dataclasses.replace(exp, **{section: extended})) == config_hash(exp)
-    extended.added = 4
+    extended = dataclasses.replace(extended, added=4)
     assert config_hash(dataclasses.replace(exp, **{section: extended})) != config_hash(exp)
 
 

@@ -264,10 +264,9 @@ def test_expand_matches_brute_force_oracle(
         batch = unit_rows(rng.normal(size=(size, dim)))
         if size > 1:
             batch[-1] = batch[0]  # an in-batch duplicate must enter at most once
-        # The oracle returns 0 for an empty batch before it touches its
-        # window; in the engine the inference stage has already raised
-        # EmptyWindow for an empty first batch, so one composes nothing.
-        added = scored_expand(pool, batch, window, clamp_range, fixed_threshold) if size else 0
+        # An empty batch pushes no score and admits nothing; the oracle
+        # returns 0 for it before it touches its window.
+        added = scored_expand(pool, batch, window, clamp_range, fixed_threshold)
         expected = brute_force_expand(
             model, list(batch), model_window, 16, clamp_range, fixed_threshold
         )

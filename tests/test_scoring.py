@@ -10,7 +10,7 @@ from oracles import (
     sorted_cumsum_threshold,
 )
 from owtt.engine import EXPANSION_CLAMP
-from owtt.errors import ConfigError, EmptyPrototypeSet, EmptyWindow, NonFiniteInput
+from owtt.errors import ConfigError, EmptyPrototypeSet, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
     MIN_WINDOW_SCORES,
@@ -284,9 +284,10 @@ def test_below_activation_count_is_degenerate():
     assert MIN_WINDOW_SCORES == 8
 
 
-def test_empty_window_raises():
-    with pytest.raises(EmptyWindow):
-        adaptive_threshold(ScoreWindow(4))
+def test_empty_window_is_degenerate():
+    est = adaptive_threshold(ScoreWindow(4))
+    assert est.degenerate and est.tau == 1.0
+    assert brute_force_threshold([]) == (1.0, None, True)
 
 
 def test_clamp_excluding_every_candidate_is_degenerate():

@@ -154,6 +154,8 @@ def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, caps
         assert f"{tree}/report_cumulative_acc.csv" in files
     assert {"ablation/ablation_full/trace.csv", "keep_ratio/keep_ratio_1.0/trace.csv",
             "ratio/ratio_0.2/trace.csv", "run/pool.owtp"} <= set(files)
+    assert sorted(name for name in files if name.startswith("stream/")) == [
+        "stream/stream.csv", "stream/stream.owtt"]
 
 
 def test_ablation_table_rows_match_engine_runs_on_two_worlds():

@@ -4,8 +4,9 @@
 
 Writes, on a small world, the trees of the default ``owtt run``, of
 ``owtt sweep`` over the ablation variants, over ``keep_ratio`` (values given
-as spaced CLI tokens) and over ``ratio``, then ``owtt report`` of each, all
-through ``owtt.cli.main`` of this checkout. Prints one sorted line per file:
+as spaced CLI tokens) and over ``ratio``, then ``owtt report`` of each, and
+the binary and CSV files of ``owtt stream``, all through ``owtt.cli.main`` of
+this checkout. Prints one sorted line per file:
 ``sha256 tree/relative/path``. Two checkouts write the same artifacts exactly
 when their outputs diff empty. The trees go to a temporary directory, or to
 the directory given as the one argument, which is kept.
@@ -27,22 +28,29 @@ EXPERIMENT = {
     "run": {"batch_size": 16},
 }
 
-# (tree, owtt arguments after the experiment file)
+# (tree, owtt arguments after the experiment file, with "{tree}" standing for
+# the tree's directory)
 COMMANDS = (
     ("run", ["run"]),
     ("ablation", ["sweep", "--axis", "ablation"]),
     ("keep_ratio", ["sweep", "--axis", "keep_ratio", "--values", " 0.25, 0.5,1"]),
     ("ratio", ["sweep", "--axis", "ratio"]),
+    ("stream", ["stream", "--out", "{tree}/stream.owtt", "--csv", "{tree}/stream.csv"]),
 )
 
 
 def write_trees(root: Path) -> None:
-    """Each command's tree under ``root/<tree>``, with its report; raises on a failed command."""
+    """Each command's tree under ``root/<tree>``, with its report unless the
+    command writes a stream; raises on a failed command."""
     for tree, args in COMMANDS:
         experiment = root / f"{tree}.json"
         experiment.write_text(json.dumps({**EXPERIMENT, "output_dir": tree}))
-        command, *options = args
-        for argv in ([command, str(experiment), *options], ["report", str(root / tree)]):
+        (root / tree).mkdir(exist_ok=True)
+        command, *options = (arg.replace("{tree}", str(root / tree)) for arg in args)
+        argvs = [[command, str(experiment), *options]]
+        if command != "stream":
+            argvs.append(["report", str(root / tree)])
+        for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = owtt(argv)
             if code:
