@@ -36,13 +36,14 @@ _TAG_BATCH = 6
 
 _MAX_PLACEMENT_TRIES = 20_000
 
-# Relative rounding margin, per dimension, of _place_means's distance screen
-# (its docstring derives it). Infinity sends every anchor to the exact test.
-_SCREEN_MARGIN = np.finfo(float).eps
+# Most source (k_s) or strong (k_t) classes a world may have: the paper's
+# largest label space is ImageNet-C's 1,000 classes.
+MAX_CLASSES = 1024
 
 # Most float64 elements (1 GiB) one world array may hold: the source values
-# (n_source x d_in), the stream (n_batches x batch_size x d_in), the rotation
-# (d_in x d_in) and the strong means (k_t x d_in). A size typo raises
+# (n_source x d_in), the stream (n_batches x batch_size x d_in) and the
+# rotation (d_in x d_in); the last keeps d_in below 2**13.5, so the strong
+# means (k_t x d_in, k_t <= MAX_CLASSES) stay below 2**24. A size typo raises
 # InvalidSpec, not MemoryError.
 MAX_WORLD_ELEMENTS = 2**27
 
@@ -117,9 +118,10 @@ class WorldSpec:
             raise InvalidSpec("d_in must be at least 2")
         if not 2 <= self.signal_dims <= self.d_in:
             raise InvalidSpec("signal_dims must lie in [2, d_in]")
-        if not (1 <= self.k_s <= _MAX_PLACEMENT_TRIES and 1 <= self.k_t <= _MAX_PLACEMENT_TRIES):
-            # each mean takes at least one placement try, so more can never be placed
-            raise InvalidSpec(f"k_s and k_t must lie in 1..{_MAX_PLACEMENT_TRIES}")
+        for key in ("k_s", "k_t"):
+            if not 1 <= getattr(self, key) <= MAX_CLASSES:
+                raise InvalidSpec(f"k_s and k_t must lie in 1..{MAX_CLASSES}, got "
+                                  f"{key}={getattr(self, key)}")
         if self.class_sep <= 0 or self.within_std <= 0:
             raise InvalidSpec("class_sep and within_std must be positive")
         if self.noise_std < 0 or self.bias_scale < 0 or self.offset_scale < 0:
@@ -144,8 +146,7 @@ class WorldSpec:
             raise InvalidSpec("need at least one batch of size >= 2")
         if self.seed < 0:
             raise InvalidSpec("seed must be non-negative")
-        for keys in (("n_source", "d_in"), ("n_batches", "batch_size", "d_in"), ("d_in", "d_in"),
-                     ("k_t", "d_in")):
+        for keys in (("n_source", "d_in"), ("n_batches", "batch_size", "d_in"), ("d_in", "d_in")):
             size = math.prod(getattr(self, key) for key in keys)
             if size > MAX_WORLD_ELEMENTS:
                 raise InvalidSpec(
@@ -157,73 +158,33 @@ def _rng(spec: WorldSpec, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([spec.seed, *tags]))
 
 
-def _screen_window(squares, dist, radius, dim):
-    """(low, high) of _place_means's screen for anchors of squared norm
-    ``squares`` and clearance ``dist``: half of |a|^2 - c^2 minus and plus the
-    margin. A clearance at or below zero holds for every try, so no w lies
-    above either bound."""
-    need = dist * dist if dist > 0 else -math.inf
-    reach = squares**0.5 + abs(radius)
-    margin = _SCREEN_MARGIN * (dim + 8) * (reach * reach + max(need, 0.0))
-    return 0.5 * (squares - need - margin), 0.5 * (squares - need + margin)
-
-
-def _place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None):
+def _place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None,
+                 what="means", loosen="ask for fewer or raise dim"):
     """Random points on a sphere, pairwise >= min_dist apart.
 
     Points additionally keep exclude_dist (defaults to min_dist) away from
-    every vector in exclude. Each try v is first screened against every
-    anchor a (the excluded vectors, then the points placed so far) from one
-    product ``anchors @ v``: the squared distance is s = |a|^2 - 2w with
-    w = a.v - |v|^2 / 2, and each anchor keeps half of |a|^2 - c^2 (c its
-    clearance) minus and plus a margin as its window (low, high), halved
-    exactly as w is. A w above high puts s below c^2 by more than the
-    margin, and the try is refused at once; a w at or below low puts s above
-    c^2 by more than the margin, and the anchor is clear. Only the anchors in
-    between meet the exact test, one stacked product of row dot products
-    that rounds as ``np.linalg.norm(v - a)`` does per row, so every decision
-    equals the per-anchor norm test's.
-
-    The margin is _SCREEN_MARGIN * (dim + 8) * ((|a| + |radius|)^2 + c^2).
-    To first order in u = 2^-53, with S = (|a| + |v|)^2: |a|^2, a.v and |v|^2
-    are dot products of dim terms, off by at most dim u times |a|^2, |a||v|
-    and |v|^2, and the four roundings of c^2 and of the subtractions add at
-    most 3u (S + c^2), so 2w - (|a|^2 - c^2) is within (dim + 3) u S + 3u c^2
-    of its exact value. The exact test's sum of squared differences is within
-    (dim + 2) u s of s and its square root adds u, so it decides as s >= c^2
-    does unless |s - c^2| <= (dim + 5) u c^2. |v| exceeds |radius| by at most
-    (dim + 3) u. _SCREEN_MARGIN is eps = 2u, so the margin is about twice the
-    sum of those bounds.
+    every vector in exclude. Each try meets every anchor (the excluded vectors,
+    then the points placed so far) in one stacked product of row dot products,
+    which rounds as ``np.linalg.norm(v - q)`` does per row. Raises InvalidSpec
+    naming ``what``, how many were placed and ``loosen`` when the tries run out.
     """
     exclude = np.asarray(exclude, dtype=float).reshape(-1, dim)
-    exclude_dist = min_dist if exclude_dist is None else exclude_dist
     anchors = np.empty((len(exclude) + count, dim))
     anchors[: len(exclude)] = exclude
     clearance = np.full(len(anchors), float(min_dist))
-    clearance[: len(exclude)] = exclude_dist
-    low, high = np.empty(len(anchors)), np.empty(len(anchors))
-    squares = (exclude[:, None] @ exclude[:, :, None])[:, 0, 0]
-    low[: len(exclude)], high[: len(exclude)] = _screen_window(squares, exclude_dist, radius, dim)
+    clearance[: len(exclude)] = min_dist if exclude_dist is None else exclude_dist
     n = len(exclude)
     for _ in range(_MAX_PLACEMENT_TRIES):
         v = rng.standard_normal(dim)
         v *= radius / np.linalg.norm(v)
-        vv = v @ v
-        w = anchors[:n] @ v
-        w -= 0.5 * vv
-        if (w > low[:n]).any():  # some anchor is not clear by the screen
-            if (w > high[:n]).any():
-                continue
-            near = np.flatnonzero(w > low[:n])
-            gaps = anchors[near] - v
-            if not (np.sqrt((gaps[:, None] @ gaps[:, :, None])[:, 0, 0]) >= clearance[near]).all():
-                continue
-        anchors[n] = v
-        low[n], high[n] = _screen_window(vv, min_dist, radius, dim)
-        n += 1
-        if n == len(anchors):
-            return anchors[len(exclude):]
-    raise InvalidSpec("could not place class means with the requested separation")
+        gaps = anchors[:n] - v
+        if (np.sqrt((gaps[:, None] @ gaps[:, :, None])[:, 0, 0]) >= clearance[:n]).all():
+            anchors[n] = v
+            n += 1
+            if n == len(anchors):
+                return anchors[len(exclude):]
+    raise InvalidSpec(f"could not place {what}: {n - len(exclude)} of {count} placed in "
+                      f"{_MAX_PLACEMENT_TRIES} tries; {loosen}")
 
 
 def _anchor(spec: WorldSpec) -> np.ndarray:
@@ -246,7 +207,8 @@ def _embed_signal(spec: WorldSpec, points: np.ndarray) -> np.ndarray:
 
 def _raw_class_means(spec: WorldSpec) -> np.ndarray:
     rng = _rng(spec, _TAG_SOURCE_MEANS)
-    means = _place_means(rng, spec.k_s, spec.signal_dims, spec.class_sep, spec.class_sep)
+    means = _place_means(rng, spec.k_s, spec.signal_dims, spec.class_sep, spec.class_sep,
+                         what="source means", loosen="lower k_s or raise signal_dims")
     return _embed_signal(spec, means)
 
 
@@ -262,7 +224,7 @@ def strong_means(spec: WorldSpec) -> np.ndarray:
     interpolation factor, shrinking the distribution shift.
     """
     rng = _rng(spec, _TAG_STRONG_MEANS)
-    source = _raw_class_means(spec)[:, : spec.signal_dims]
+    raw = _raw_class_means(spec)
     far = spec.strong_margin * spec.class_sep
     placed = _place_means(
         rng,
@@ -270,15 +232,17 @@ def strong_means(spec: WorldSpec) -> np.ndarray:
         spec.signal_dims,
         far,
         spec.class_sep,
-        exclude=source,
+        exclude=raw[:, : spec.signal_dims],
         exclude_dist=far,
+        what="strong means",
+        loosen="lower k_t or k_s, or raise signal_dims",
     )
     disjoint = _embed_signal(spec, placed) + base_offset(spec)
     if spec.strong_mode == "near_clusters" and spec.near_interp > 0.0:
         # Pull each mean toward a source mean, stopping at class_sep distance:
         # at interp = 1 the novel clusters sit as close to the known classes
         # as the known classes sit to each other, not on top of them.
-        anchors = class_means(spec)[np.arange(spec.k_t) % spec.k_s]
+        anchors = (raw + base_offset(spec))[np.arange(spec.k_t) % spec.k_s]
         direction = disjoint - anchors
         dist = np.linalg.norm(direction, axis=1, keepdims=True)
         touch = anchors + direction * (spec.class_sep / dist)

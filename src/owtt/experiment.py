@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure
 from .errors import ConfigError, InvalidSpec, MissingArtifacts, MissingPopulation
-from .fields import checked_value
+from .fields import check_fields, checked_value
 from .metrics import score_histogram, score_separation
 from .prototypes import save_pool
 
@@ -53,7 +53,8 @@ SWEEP_DEFAULTS: Dict[str, List] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; ``report_formats`` must be a list of REPORT_FORMATS names."""
+    """One experiment, checked when built: every field has its type, and
+    ``report_formats`` is a list of REPORT_FORMATS names (ConfigError)."""
 
     world: WorldSpec
     run: RunConfig
@@ -62,6 +63,7 @@ class ExperimentConfig:
     stream_file: Optional[Path] = None
 
     def __post_init__(self):
+        check_fields(self)
         formats = self.report_formats
         if not isinstance(formats, list) or not all(f in REPORT_FORMATS for f in formats):
             raise ConfigError(f"report_formats must be a subset of {REPORT_FORMATS}")

@@ -1,7 +1,9 @@
-"""The type rule of config fields (``WorldSpec``, ``RunConfig``): a value of the
-annotated type, where a float field also takes an int in the float range and
-an int field refuses a bool. Any other value raises ConfigError naming the
-field; a value that passes is kept as it is."""
+"""The type rule of config fields (``WorldSpec``, ``RunConfig``,
+``ExperimentConfig``): a value of the annotated type, where a float field also
+takes an int in the float range and an int field refuses a bool. Any other
+value raises ConfigError naming the field; a value that passes is kept as it
+is. A field of a generic type such as ``List[str]``, which ``isinstance``
+cannot test, is left to its class."""
 from __future__ import annotations
 
 import dataclasses
@@ -29,9 +31,11 @@ def checked_value(hint, value, name: str):
 
 @functools.cache
 def _field_hints(cls) -> tuple:
-    """(name, type) per field, resolved once: that costs far more than a check."""
+    """(name, type) per field of a plain or Optional type, resolved once: that
+    costs far more than a check."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls)
+                 if typing.get_origin(hints[f.name]) in (None, typing.Union))
 
 
 def check_fields(config) -> None:

@@ -193,9 +193,10 @@ class ListPool:
 def place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None,
                 max_tries=20_000):
     """Random points on a sphere by a plain loop: each try is compared with every
-    excluded vector and every point placed so far by its own ``np.linalg.norm``.
-    The former body of ``datagen._place_means``; returns None where it raised
-    because ``max_tries`` tries placed fewer than ``count`` points."""
+    excluded vector and every point placed so far by its own ``np.linalg.norm``,
+    the per-anchor test that ``datagen._place_means``'s one stacked product must
+    match exactly. Returns None where ``max_tries`` tries placed fewer than
+    ``count`` points (``_place_means`` raises there)."""
     if exclude_dist is None:
         exclude_dist = min_dist
     placed = []

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import nearest_mean_accuracy, place_means
 from owtt import datagen
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
+    MAX_CLASSES,
     MAX_WORLD_ELEMENTS,
     MAX_WORLD_SCALE,
     Batch,
@@ -79,7 +81,7 @@ def test_negative_seed_rejected():
 
 @pytest.mark.parametrize("changes, message", [
     (dict(class_sep=float("nan")), "class_sep must be finite, got nan"),
-    (dict(k_s=0), "k_s and k_t must lie in 1..20000"),
+    (dict(k_s=0), "k_s and k_t must lie in 1..1024"),
 ])
 def test_a_world_the_generators_cannot_use_is_never_built(changes, message):
     # generate_batch would make all-NaN rows of the first, and class_means
@@ -106,7 +108,6 @@ def test_non_finite_world_floats_rejected(key, value):
     (dict(n_batches=2**22), "n_batches x batch_size x d_in"),
     (dict(batch_size=2**23), "n_batches x batch_size x d_in"),
     (dict(n_source=20, n_batches=1, batch_size=2, d_in=2**14), "d_in x d_in"),
-    (dict(k_t=20_000, d_in=8_000), "k_t x d_in"),
 ])
 def test_a_world_array_above_the_element_budget_is_refused(sizes, keys):
     with pytest.raises(InvalidSpec, match=f"{keys} is [0-9]+ elements, above {MAX_WORLD_ELEMENTS}"):
@@ -118,11 +119,23 @@ def test_the_element_budget_admits_a_world_at_it():
 
 
 @pytest.mark.parametrize("key", ["k_s", "k_t"])
-@pytest.mark.parametrize("value", [20_001, 2**40])
+@pytest.mark.parametrize("value", [1_025, 2**40])
 def test_more_means_than_placement_tries_are_refused(key, value):
-    # Placing them would take minutes before failing: each mean costs at least one try.
-    with pytest.raises(InvalidSpec, match="k_s and k_t must lie in 1..20000"):
+    # MAX_CLASSES bounds both counts, far below the placement tries.
+    small_spec(**{key: MAX_CLASSES, "n_source": MAX_CLASSES})
+    with pytest.raises(InvalidSpec, match=f"k_s and k_t must lie in 1..1024, got {key}={value}$"):
         small_spec(**{key: value})
+
+
+def test_a_stalling_placement_at_the_bound_gives_up_within_seconds():
+    # 1,024 means in 16 signal dims: 0.2-0.4 s on a 2-core Xeon. The slowest stall
+    # measured there, 1,024 strong means after 1,024 source means in 56 signal
+    # dims, took about 3 s: too long for this suite.
+    spec = small_spec(k_s=MAX_CLASSES, n_source=MAX_CLASSES, signal_dims=16)
+    start = time.perf_counter()
+    with pytest.raises(InvalidSpec, match="could not place source means: [0-9]+ of 1024 placed"):
+        class_means(spec)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("key, value", [
@@ -254,14 +267,38 @@ def test_strong_means_of_a_wide_world_match_the_loop_oracle():
     np.testing.assert_array_equal(strong_means(spec), expected + base_offset(spec))
 
 
-def test_place_means_with_an_infinite_margin_tests_every_anchor_exactly(monkeypatch):
-    # No anchor is screened clear or too close: every one meets the stacked norm.
-    monkeypatch.setattr(datagen, "_SCREEN_MARGIN", np.inf)
-    test_strong_means_of_a_wide_world_match_the_loop_oracle()
-    exclude = np.random.default_rng(1).standard_normal((4, 6)) * 3.0
-    args = (12, 6, 3.0, 2.4, exclude, 3.3)
-    np.testing.assert_array_equal(datagen._place_means(np.random.default_rng(0), *args),
-                                  place_means(np.random.default_rng(0), *args))
+@pytest.mark.parametrize("changes, message", [
+    (dict(k_s=8), "source means: 4 of 8 placed in 200 tries; lower k_s or raise signal_dims"),
+    (dict(k_s=3, k_t=8),
+     "strong means: 1 of 8 placed in 200 tries; lower k_t or k_s, or raise signal_dims"),
+], ids=["source", "strong"])
+def test_a_placement_refusal_names_the_set_and_how_many_were_placed(changes, message):
+    with mock.patch.object(datagen, "_MAX_PLACEMENT_TRIES", 200):
+        with pytest.raises(InvalidSpec, match=f"^could not place {message}$"):
+            strong_means(small_spec(signal_dims=2, **changes))
+
+
+@pytest.mark.parametrize("changes", [
+    dict(strong_mode="uniform_noise"), dict(strong_mode="disjoint_clusters"),
+    dict(strong_mode="near_clusters", near_interp=0.0),
+    dict(strong_mode="near_clusters", near_interp=0.5),
+])
+def test_strong_means_places_the_source_means_once(monkeypatch, changes):
+    calls = []
+    place = datagen._place_means
+    monkeypatch.setattr(datagen, "_place_means", lambda *a, **kw: calls.append(1) or place(*a, **kw))
+    strong_means(small_spec(**changes))
+    assert len(calls) == 2  # the source means, then the strong means
+
+
+def test_near_clusters_pull_the_disjoint_means_toward_the_source_means():
+    spec = small_spec(k_s=3, k_t=7, strong_mode="near_clusters", near_interp=0.6)
+    disjoint = strong_means(dataclasses.replace(spec, near_interp=0.0))
+    anchors = class_means(spec)[np.arange(spec.k_t) % spec.k_s]
+    direction = disjoint - anchors
+    touch = anchors + direction * (spec.class_sep / np.linalg.norm(direction, axis=1, keepdims=True))
+    expected = disjoint + spec.near_interp * (touch - disjoint)
+    assert strong_means(spec).tobytes() == expected.tobytes()
 
 
 # --- stream generation ----------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import typing
 import warnings
@@ -88,6 +89,21 @@ def test_a_library_experiment_with_bad_report_formats_is_refused(tmp_path, forma
     # Such an experiment would run and write no summary.
     with pytest.raises(ConfigError, match=r"report_formats must be a subset of \('csv', 'json'\)"):
         ExperimentConfig(WorldSpec(), RunConfig(), tmp_path, report_formats=formats)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(world={}), "world must be of type WorldSpec, got {}"),
+    (dict(run=None), "run must be of type RunConfig, got None"),
+    (dict(output_dir="out"), "output_dir must be of type Path, got 'out'"),
+    (dict(stream_file="stream.bin"), "stream_file must be of type Path, got 'stream.bin'"),
+], ids=["world", "run", "output_dir", "stream_file"])
+def test_a_library_experiment_with_a_field_of_the_wrong_type_is_refused(tmp_path, changes,
+                                                                        message):
+    # run_experiment would fail on it with a bare AttributeError.
+    values = dict(world=WorldSpec(), run=RunConfig(), output_dir=tmp_path / "out") | changes
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**values)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("config, name", [
