@@ -223,8 +223,11 @@ def strong_means(spec: WorldSpec) -> np.ndarray:
     In near_clusters mode each mean is pulled toward a source mean by the
     interpolation factor, shrinking the distribution shift.
     """
+    return _strong_means(spec, _raw_class_means(spec))
+
+
+def _strong_means(spec: WorldSpec, raw: np.ndarray) -> np.ndarray:
     rng = _rng(spec, _TAG_STRONG_MEANS)
-    raw = _raw_class_means(spec)
     far = spec.strong_margin * spec.class_sep
     placed = _place_means(
         rng,
@@ -335,8 +338,10 @@ def _apply_shift(values, rotation, bias, noise_std, rng):
 
 def _world_constants(spec: WorldSpec):
     """(class means, strong means or None, rotation, bias) shared by every batch."""
-    strong = None if spec.strong_mode == "uniform_noise" else strong_means(spec)
-    return class_means(spec), strong, rotation_matrix(spec), spec.bias_scale * bias_vector(spec)
+    raw = _raw_class_means(spec)  # placed once, for both kinds of mean
+    strong = None if spec.strong_mode == "uniform_noise" else _strong_means(spec, raw)
+    bias = spec.bias_scale * bias_vector(spec)
+    return raw + base_offset(spec), strong, rotation_matrix(spec), bias
 
 
 def generate_batch(spec: WorldSpec, t: int) -> Batch:

@@ -2,16 +2,17 @@
 
 Per batch: an inference stage (score, threshold, predict-or-reject) followed
 by an adaptation stage (prototype expansion, confidence-based sample
-selection, clustering and alignment gradients, one optimizer step).
+selection, clustering and alignment gradients, one optimizer step), which
+``Engine.step`` runs on one batch and ``Engine.run`` folds over a stream.
 Predictions for a batch are final before the next batch is read, so the
-record stream for any prefix is invariant to later data.
+outcomes of any prefix are invariant to later data.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,23 +120,54 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
 
 
-class StageFailure(Exception):
-    """A stage error aborted the run; carries everything finalized so far."""
+@dataclass(frozen=True, slots=True, eq=False)
+class BatchOutcome:
+    """One finished batch: per sample its prediction (REJECT when rejected) and
+    OOD score; the threshold they were made with; the novel-pool size after
+    adaptation; the batch's two losses."""
 
-    def __init__(self, batch_index: int, records, trace, cause: Exception):
+    batch: int
+    predicted: np.ndarray  # (B,) int
+    score: np.ndarray  # (B,) float
+    tau: float
+    pn_size: int
+    clustering_loss: float
+    alignment_loss: float
+
+
+COLUMNS = ("batch", "index", "predicted", "score", "tau", "hidden")  # PredictionRecord's order
+
+
+def prediction_columns(outcomes: Sequence[BatchOutcome],
+                       hidden: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
+    """Finished batches as per-sample COLUMNS in stream order; ``index`` counts
+    within the batch, and ``tau`` repeats the batch's threshold."""
+    if not outcomes:
+        return dict.fromkeys(COLUMNS, np.empty(0))
+    blocks = zip(*((np.full(len(h), o.batch), np.arange(len(h)), o.predicted, o.score,
+                    np.full(len(h), o.tau), h) for o, h in zip(outcomes, hidden)))
+    return dict(zip(COLUMNS, map(np.concatenate, blocks)))
+
+
+class StageFailure(Exception):
+    """A stage error aborted the run at ``batch_index``; ``run`` fills in the
+    outcomes, hidden labels and trace rows of the batches before it."""
+
+    def __init__(self, batch_index: int, outcomes, hidden, trace, cause: Exception):
         super().__init__(f"run aborted at batch {batch_index}: {cause}")
         self.batch_index = batch_index
-        self.records = records
+        self.outcomes = outcomes
+        self.hidden = hidden
         self.trace = trace
         self.cause = cause
 
     def __reduce__(self):  # Exception pickles only args; rebuild from the fields
-        return type(self), (self.batch_index, self.records, self.trace, self.cause)
+        return type(self), (self.batch_index, self.outcomes, self.hidden, self.trace, self.cause)
 
 
 @dataclass(slots=True)
 class PredictionRecord:
-    """One finalized prediction; append-only once its batch closes."""
+    """One finalized prediction, as ``RunResult.records`` lists them."""
 
     timestamp: int
     index: int
@@ -145,7 +177,7 @@ class PredictionRecord:
     hidden_label: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     """Cumulative metrics, engine state and the batch's losses after one batch."""
 
@@ -161,20 +193,31 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    records: List[PredictionRecord]
+    """Per batch: its outcome, hidden labels (the stream's array) and trace row."""
+
+    outcomes: List[BatchOutcome]
+    hidden: List[np.ndarray]
     trace: List[TraceRow]
     report: MetricsReport
     num_known: int
     engine: "Engine" = field(repr=False)
 
+    @cached_property
+    def records(self) -> List[PredictionRecord]:
+        """One PredictionRecord per sample, built once, on first access; only the
+        benchmark harness (perfbench/harness.py) reads it, until it reads columns."""
+        columns = prediction_columns(self.outcomes, self.hidden).values()
+        return list(map(PredictionRecord, *(column.tolist() for column in columns)))
+
 
 def select_confident(scores: np.ndarray, tau: float, keep_ratio: float) -> np.ndarray:
     """Indices of the ceil(keep_ratio * n) samples with scores farthest from tau.
 
-    Ties break toward the smaller sample index.
+    keep_ratio counts as its decimal: 0.07 * 100, 7.000000000000001 in floats,
+    keeps 7 (a relative 1e-12 of slack). Ties break toward the smaller index.
     """
     scores = np.asarray(scores, dtype=float)
-    count = math.ceil(keep_ratio * scores.shape[0])
+    count = math.ceil(keep_ratio * scores.shape[0] * (1.0 - 1e-12))
     chosen = (-np.abs(scores - tau)).argsort(kind="stable")[:count]
     chosen.sort()
     return chosen
@@ -235,6 +278,7 @@ class Engine:
         self.target_stats = GaussianStats.empty(config.feature_dim)
         self.plain_window = ScoreWindow(config.window_length)
         self.extended_window = ScoreWindow(config.window_length)
+        self.batch_index = 0  # of the next batch step reads
 
     # --- inference stage ---------------------------------------------------------
 
@@ -334,40 +378,43 @@ class Engine:
             self.adapter = sgd_momentum_step(self.adapter, gradient)
         return clustering_value, alignment_value
 
-    # --- full run -------------------------------------------------------------------
+    # --- one batch, and the run as a fold over batches ------------------------------
+
+    def step(self, batch: Batch) -> BatchOutcome:
+        """Predict one batch, then adapt on it. A batch of the wrong size raises
+        ConfigError and one of the wrong width InvalidSpec, before any state
+        changes; a stage error raises StageFailure, and the engine is spent."""
+        t, size, width = self.batch_index, self.config.batch_size, self.adapter.weight.shape[1]
+        if size is not None and len(batch) != size:
+            raise ConfigError(f"batch {t} has {len(batch)} samples, config expects {size}")
+        if batch.values.shape[1:] != (width,):
+            raise InvalidSpec(f"batch {t} has rows of width {batch.values.shape[-1]}, "
+                              f"the source has width {width}")
+        try:
+            features, similarities, scores, tau, predicted = self.inference_stage(batch.values)
+            # An update that overflows is refused by type, not by warning:
+            # sgd_momentum_step raises NonFiniteGradient.
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses = self.adaptation_stage(batch.values, features, similarities, scores,
+                                               tau, predicted)
+        except Exception as exc:
+            raise StageFailure(t, [], [], [], exc) from exc
+        self.batch_index = t + 1
+        return BatchOutcome(t, predicted, scores, tau, self.pool.novel_count, *losses)
 
     def run(self, stream: Iterable[Batch]) -> RunResult:
-        """One pass over the stream; inference strictly precedes adaptation."""
-        records: List[PredictionRecord] = []
-        trace: List[TraceRow] = []
+        """Fold step over the stream into outcomes, hidden labels and trace rows."""
+        outcomes, hidden, trace = [], [], []
         running = RunningMetrics(self.num_known)
-
-        width = self.adapter.weight.shape[1]
-        for t, batch in enumerate(stream):
-            if self.config.batch_size is not None and len(batch) != self.config.batch_size:
-                raise ConfigError(
-                    f"batch {t} has {len(batch)} samples, config expects "
-                    f"{self.config.batch_size}"
-                )
-            if batch.values.shape[1:] != (width,):
-                raise InvalidSpec(
-                    f"batch {t} has rows of width {batch.values.shape[-1]}, "
-                    f"the source has width {width}"
-                )
+        for batch in stream:
             try:
-                features, similarities, scores, tau, predicted = self.inference_stage(batch.values)
-                n = len(batch)
-                records.extend(map(PredictionRecord, repeat(t, n), range(n), predicted.tolist(),
-                                   scores.tolist(), repeat(tau, n), batch.hidden.tolist()))
-                # An update that overflows is refused by type, not by warning:
-                # sgd_momentum_step raises NonFiniteGradient.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    losses = self.adaptation_stage(
-                        batch.values, features, similarities, scores, tau, predicted
-                    )
-            except Exception as exc:
-                raise StageFailure(t, records, trace, exc) from exc
-            running.update(predicted, batch.hidden)
-            trace.append(TraceRow(t, *running.snapshot(), self.pool.novel_count, tau, *losses))
-
-        return RunResult(records, trace, running.report(), self.num_known, self)
+                o = self.step(batch)
+            except StageFailure as failure:
+                failure.outcomes, failure.hidden, failure.trace = outcomes, hidden, trace
+                raise
+            running.update(o.predicted, batch.hidden)
+            outcomes.append(o)
+            hidden.append(batch.hidden)
+            trace.append(TraceRow(o.batch, *running.snapshot(), o.pn_size, o.tau,
+                                  o.clustering_loss, o.alignment_loss))
+        return RunResult(outcomes, hidden, trace, running.report(), self.num_known, self)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .datagen import WorldSpec, generate_source, generate_stream, load_stream
-from .engine import Engine, RunConfig, RunResult, StageFailure
+from .engine import Engine, RunConfig, RunResult, StageFailure, prediction_columns
 from .errors import ConfigError, InvalidSpec, MissingArtifacts, MissingPopulation
 from .fields import check_fields, checked_value
 from .metrics import score_histogram, score_separation
@@ -173,21 +173,21 @@ def _provenance(exp: ExperimentConfig) -> str:
     return f"# config={config_hash(exp)} seed={exp.run.seed}"
 
 
-def _write_predictions(path: Path, provenance: str, records) -> None:
+def _write_predictions(path: Path, provenance: str, columns) -> None:
+    keys = ("batch", "index", "predicted", "hidden", "score", "tau")
     _write_csv(
         path,
         provenance,
         ["batch", "index", "predicted", "hidden", "score", "threshold"],
-        (
-            (r.timestamp, r.index, r.predicted_label, r.hidden_label, r.ood_score, r.threshold_used)
-            for r in records
-        ),
+        zip(*(columns[key].tolist() for key in keys)),
     )
 
 
 def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) -> dict:
     prov = _provenance(exp)
-    _write_predictions(out / "predictions.csv", prov, result.records)
+    columns = prediction_columns(result.outcomes, result.hidden)
+    scores, hidden, batch = columns["score"], columns["hidden"], columns["batch"]
+    _write_predictions(out / "predictions.csv", prov, columns)
     _write_csv(
         out / "trace.csv",
         prov,
@@ -195,10 +195,10 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         ((t.batch, t.acc_s, t.acc_n, t.acc_h, t.pn_size, t.tau) for t in result.trace),
     )
 
-    first_batch = [r for r in result.records if r.timestamp == result.records[0].timestamp]
-    last_batch = [r for r in result.records if r.timestamp == result.records[-1].timestamp]
-    for name, records in (("score_hist_first.csv", first_batch), ("score_hist_final.csv", last_batch)):
-        edges, weak, strong = score_histogram(records, result.num_known)
+    # The first and the last batch that holds samples.
+    for name, rows in (("score_hist_first.csv", batch == batch[0]),
+                       ("score_hist_final.csv", batch == batch[-1])):
+        edges, weak, strong = score_histogram(scores[rows], hidden[rows], result.num_known)
         _write_csv(
             out / name,
             prov,
@@ -211,7 +211,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
 
     report = result.report
     try:
-        sep = score_separation(result.records, result.num_known)
+        sep = score_separation(scores, hidden, result.num_known)
     except MissingPopulation:
         sep = (None, None, None)
     summary = {
@@ -253,7 +253,8 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
         result = engine.run(stream)
         save_pool(engine.pool, out / "pool.owtp")
     except StageFailure as failure:
-        _write_predictions(out / "predictions.csv", _provenance(exp), failure.records)
+        _write_predictions(out / "predictions.csv", _provenance(exp),
+                           prediction_columns(failure.outcomes, failure.hidden))
         error = {
             "error": type(failure.cause).__name__,
             "message": str(failure.cause),

@@ -74,29 +74,26 @@ def compute_metrics(records: Sequence, num_known: int) -> MetricsReport:
     return running.report()
 
 
-def score_separation(records: Sequence, num_known: int) -> Tuple[float, float, float]:
+def score_separation(scores: np.ndarray, hidden: np.ndarray,
+                     num_known: int) -> Tuple[float, float, float]:
     """Mean scores of the weak and strong populations and their gap (strong - weak)."""
-    if not records:
+    if not len(scores):
         raise EmptyRecords("no prediction records")
-    weak = [r.ood_score for r in records if r.hidden_label < num_known]
-    strong = [r.ood_score for r in records if r.hidden_label >= num_known]
-    if not weak or not strong:
+    weak, strong = scores[hidden < num_known], scores[hidden >= num_known]
+    if not weak.size or not strong.size:
         raise MissingPopulation("need both weak and strong samples")
-    mean_weak = float(np.mean(weak))
-    mean_strong = float(np.mean(strong))
+    mean_weak, mean_strong = float(np.mean(weak)), float(np.mean(strong))
     return mean_weak, mean_strong, mean_strong - mean_weak
 
 
-def score_histogram(records: Sequence, num_known: int, bins: int = 64):
+def score_histogram(scores: np.ndarray, hidden: np.ndarray, num_known: int, bins: int = 64):
     """Score histograms over [0, 1] split by hidden population.
 
     Returns (edges, weak_counts, strong_counts); edges has bins + 1 entries.
     """
-    if not records:
+    if not len(scores):
         raise EmptyRecords("no prediction records")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    weak = np.array([r.ood_score for r in records if r.hidden_label < num_known])
-    strong = np.array([r.ood_score for r in records if r.hidden_label >= num_known])
-    weak_counts, _ = np.histogram(weak, bins=edges)
-    strong_counts, _ = np.histogram(strong, bins=edges)
+    weak_counts, _ = np.histogram(scores[hidden < num_known], bins=edges)
+    strong_counts, _ = np.histogram(scores[hidden >= num_known], bins=edges)
     return edges, weak_counts, strong_counts

@@ -4,6 +4,7 @@ Everything here is written definitionally (plain loops, direct formulas)
 and deliberately shares no code path with the package.
 """
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -476,7 +477,8 @@ def reference_run(config, source_values, source_labels, num_known, stream, weigh
     with detection off, or the brute-force split) and predict; then expand
     (brute_force_expand on its own window), refresh the novel rows with each
     rejected row in turn, take the clustering gradient over the
-    ceil(keep_ratio * n) samples farthest from tau, labelled by the nearest
+    ceil(keep_ratio * n) samples farthest from tau (keep_ratio read as its
+    decimal), labelled by the nearest
     row of the whole pool, blend the accepted rows into the target
     statistics (plain EMA) and add lam times the alignment gradient once
     the target holds 2 * feature_dim rows; last, one momentum step.
@@ -529,7 +531,7 @@ def reference_run(config, source_values, source_labels, num_known, stream, weigh
 
         gradient = np.zeros_like(weight)
         if config.enable_clustering:
-            count = math.ceil(config.keep_ratio * len(scores))
+            count = math.ceil(Fraction(repr(config.keep_ratio)) * len(scores))
             farthest = sorted(range(len(scores)), key=lambda i: -abs(scores[i] - tau))
             chosen = sorted(farthest[:count])
             confident = features[chosen]

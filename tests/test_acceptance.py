@@ -17,7 +17,7 @@ from oracles import (
 )
 from owtt.adapter import AdapterState, embed_backward, embed_batch
 from owtt.datagen import WorldSpec, generate_source, generate_stream
-from owtt.engine import Engine, PredictionRecord, RunConfig
+from owtt.engine import Engine, PredictionRecord, RunConfig, prediction_columns
 from owtt.metrics import REJECT, compute_metrics, score_separation
 from owtt.objective import (
     GaussianStats,
@@ -48,8 +48,7 @@ def run_default(seed, stream=None, world_overrides=None, **config_overrides):
 
 
 def batch_gap(result, spec, batch):
-    records = [r for r in result.records if r.timestamp == batch]
-    return score_separation(records, spec.k_s)[2]
+    return score_separation(result.outcomes[batch].score, result.hidden[batch], spec.k_s)[2]
 
 
 @pytest.fixture(scope="module")
@@ -208,31 +207,22 @@ def test_criterion_04_metrics_oracle():
 
 
 def test_criterion_05_causality_and_determinism(default_runs):
-    """Reruns are bit-identical; a stream prefix yields identical records."""
+    """Reruns are bit-identical; a stream prefix yields identical predictions."""
     spec = default_runs[0]["spec"]
     reference = default_runs[0]["full"]
 
     rerun, _ = run_default(0)
-    assert [
-
-        (r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used)
-        for r in rerun.records
-    ] == [
-        (r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used)
-        for r in reference.records
-    ]
+    keys = ("batch", "index", "predicted", "score", "tau")
+    expected = prediction_columns(reference.outcomes, reference.hidden)
+    columns = prediction_columns(rerun.outcomes, rerun.hidden)
+    assert all(np.array_equal(columns[key], expected[key]) for key in keys)
     assert np.array_equal(rerun.engine.adapter.weight, reference.engine.adapter.weight)
 
     stream = generate_stream(spec)
     prefix, _ = run_default(0, stream=stream[:10])
-    reference_prefix = [r for r in reference.records if r.timestamp < 10]
-    assert [
-        (r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used)
-        for r in prefix.records
-    ] == [
-        (r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used)
-        for r in reference_prefix
-    ]
+    columns = prediction_columns(prefix.outcomes, prefix.hidden)
+    cut = expected["batch"] < 10
+    assert all(np.array_equal(columns[key], expected[key][cut]) for key in keys)
 
 
 # -- 6 ------------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import owtt
-from owtt.engine import PredictionRecord, TraceRow
+from owtt.engine import BatchOutcome, TraceRow, prediction_columns
 
 DOCUMENTED = {
     # The run API.
@@ -39,16 +40,23 @@ def error_instance(cls):
     if cls is owtt.EmptyClass:
         return cls(3)
     if cls is owtt.StageFailure:
-        record = PredictionRecord(1, 0, owtt.REJECT, 0.75, 0.5, 7)
+        outcome = BatchOutcome(1, np.array([owtt.REJECT, 3]), np.array([0.75, 0.25]), 0.5, 2,
+                               1.25, 0.125)
         row = TraceRow(1, 0.5, 0.25, 1 / 3, 2, 0.5, 1.25, 0.125)
-        return cls(2, [record], [row], owtt.NonFiniteInput("input row 0 holds a NaN or inf value"))
+        return cls(2, [outcome], [np.array([7, 3])], [row],
+                   owtt.NonFiniteInput("input row 0 holds a NaN or inf value"))
     return cls(f"{cls.__name__} message")
 
 
 def fields(error):
-    """An error's attributes; a nested error compares by type and message."""
-    return {key: (type(value), str(value)) if isinstance(value, Exception) else value
-            for key, value in vars(error).items()}
+    """An error's attributes; a nested error compares by type and message, a
+    stage failure's outcomes by their prediction columns."""
+    values = {key: (type(value), str(value)) if isinstance(value, Exception) else value
+              for key, value in vars(error).items()}
+    if isinstance(error, owtt.StageFailure):
+        columns = prediction_columns(values.pop("outcomes"), values.pop("hidden"))
+        values["columns"] = {key: column.tolist() for key, column in columns.items()}
+    return values
 
 
 ERROR_TYPES = sorted(

@@ -289,6 +289,16 @@ def test_strong_means_places_the_source_means_once(monkeypatch, changes):
     monkeypatch.setattr(datagen, "_place_means", lambda *a, **kw: calls.append(1) or place(*a, **kw))
     strong_means(small_spec(**changes))
     assert len(calls) == 2  # the source means, then the strong means
+    calls.clear()
+    spec = small_spec(**changes)
+    source, strong, *_ = datagen._world_constants(spec)  # what generate_stream uses
+    uniform = spec.strong_mode == "uniform_noise"
+    assert len(calls) == (1 if uniform else 2)  # the source means once, for both kinds
+    assert source.tobytes() == class_means(spec).tobytes()
+    if uniform:
+        assert strong is None
+    else:
+        assert strong.tobytes() == strong_means(spec).tobytes()
 
 
 def test_near_clusters_pull_the_disjoint_means_toward_the_source_means():

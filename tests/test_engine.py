@@ -18,13 +18,14 @@ from owtt.engine import (
     RunConfig,
     StageFailure,
     next_threshold,
+    prediction_columns,
     select_confident,
 )
 from owtt.errors import (
     ConfigError, DegenerateEmbedding, EmptyRecords, InvalidSpec, NonFiniteGradient, NonFiniteInput
 )
 from owtt.experiment import ABLATION_VARIANTS
-from owtt.metrics import REJECT, compute_metrics
+from owtt.metrics import REJECT, RunningMetrics
 from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool, build_source_prototypes
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
@@ -35,6 +36,10 @@ def small_world(**kw):
     defaults = dict(n_source=300, n_batches=12, batch_size=32, seed=0)
     defaults.update(kw)
     return WorldSpec(**defaults)
+
+
+def columns(result):
+    return prediction_columns(result.outcomes, result.hidden)
 
 
 def run_world(spec, **cfg_kw):
@@ -256,8 +261,9 @@ def test_an_empty_batch_in_a_free_size_stream_runs_to_the_end():
         assert [row.batch for row in result.trace] == [0, 1, 2, 3, 4, 5]
         if position == 0:
             assert result.trace[0].tau == 1.0
-        assert {r.timestamp for r in result.records} == {0, 1, 2, 3, 4, 5} - {position}
-        assert len(result.records) == 5 * spec.batch_size
+        sizes = [len(o.predicted) for o in result.outcomes]
+        assert sizes == [0 if t == position else spec.batch_size for t in range(6)]
+        assert set(columns(result)["batch"].tolist()) == {0, 1, 2, 3, 4, 5} - {position}
 
 
 # --- confidence-based selection -----------------------------------------------------
@@ -279,21 +285,31 @@ def test_selection_rounds_up_and_breaks_ties_by_index():
     np.testing.assert_array_equal(select_confident(scores, 0.5, 0.5), [0, 1])
 
 
+@pytest.mark.parametrize("keep_ratio, n, count", [
+    (0.07, 100, 7),  # 0.07 * 100 is 7.000000000000001
+    (0.55, 200, 110),  # 110.00000000000001
+    (0.5, 64, 32),
+    (0.07, 7, 1),  # 0.49 rounds up
+    (0.55, 201, 111),  # 110.55
+    (1.0, 3, 3),
+])
+def test_selection_counts_keep_ratio_as_its_decimal(keep_ratio, n, count):
+    scores = np.linspace(0.0, 1.0, n)
+    assert len(select_confident(scores, 0.5, keep_ratio)) == count
+
+
 # --- full-run contracts ---------------------------------------------------------------
 
 
-def record_tuples(result):
-    return [
-        (r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used, r.hidden_label)
-        for r in result.records
-    ]
+def same_columns(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[key], b[key]) for key in a)
 
 
 def test_rerun_is_bit_identical():
     spec = small_world()
     a = run_world(spec)
     b = run_world(spec)
-    assert record_tuples(a) == record_tuples(b)
+    assert same_columns(columns(a), columns(b))
     assert np.array_equal(a.engine.adapter.weight, b.engine.adapter.weight)
 
 
@@ -303,8 +319,8 @@ def test_prefix_invariance():
     stream = generate_stream(spec)
     full = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(stream)
     prefix = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(stream[:4])
-    cut = [t for t in record_tuples(full) if t[0] < 4]
-    assert record_tuples(prefix) == cut
+    cut = columns(full)["batch"] < 4
+    assert same_columns(columns(prefix), {k: v[cut] for k, v in columns(full).items()})
 
 
 def test_all_toggles_off_leaves_adapter_untouched():
@@ -329,16 +345,16 @@ def test_baseline_predictions_are_nearest_prototype():
 
     for t, batch in enumerate(stream):
         nearest = np.argmax(embed_batch(batch.values, adapter) @ protos.T, axis=1)
-        for i, rec in enumerate([r for r in result.records if r.timestamp == t]):
-            if rec.predicted_label != REJECT:
-                assert rec.predicted_label == nearest[i]
+        predicted = result.outcomes[t].predicted
+        kept = predicted != REJECT
+        np.testing.assert_array_equal(predicted[kept], nearest[kept])
 
 
 def test_detection_off_never_rejects_whole_run():
     spec = small_world()
     result = run_world(spec, enable_ood_detection=False, enable_clustering=False,
                        enable_expansion=False, enable_alignment=False)
-    assert all(r.predicted_label != REJECT for r in result.records)
+    assert (columns(result)["predicted"] != REJECT).all()
     assert result.report.acc_n == 0.0
     assert result.report.acc_h == 0.0
 
@@ -416,7 +432,7 @@ def test_rejected_samples_never_update_target_stats():
                     enable_expansion=False, enable_clustering=False)
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(strong_only)
-    assert all(r.predicted_label == REJECT for r in result.records)
+    assert (columns(result)["predicted"] == REJECT).all()
     assert engine.target_stats.count == 0
 
 
@@ -429,8 +445,7 @@ def test_hidden_labels_do_not_influence_predictions():
     ]
     a = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(stream)
     b = Engine(RunConfig(seed=0, batch_size=spec.batch_size), src_x, src_y, spec.k_s).run(scrambled)
-    assert [r.predicted_label for r in a.records] == [r.predicted_label for r in b.records]
-    assert [r.ood_score for r in a.records] == [r.ood_score for r in b.records]
+    assert all(np.array_equal(columns(a)[k], columns(b)[k]) for k in ("predicted", "score"))
 
 
 def test_batch_size_contract_enforced():
@@ -462,7 +477,9 @@ def test_trace_matches_report_at_final_batch():
 
 def test_report_equals_a_recount_of_the_records():
     result = run_world(small_world())
-    assert result.report == compute_metrics(result.records, result.num_known)
+    recount = RunningMetrics(result.num_known)
+    recount.update(columns(result)["predicted"], columns(result)["hidden"])
+    assert result.report == recount.report()
 
 
 def test_empty_stream_raises_empty_records():
@@ -507,8 +524,7 @@ def test_nan_in_a_stream_batch_aborts_with_a_typed_cause():
     assert err.value.batch_index == 3
     assert isinstance(err.value.cause, NonFiniteInput)
     assert "row 0" in str(err.value.cause)
-    assert len(err.value.records) == 3 * spec.batch_size
-    assert len(err.value.trace) == 3
+    assert len(err.value.outcomes) == len(err.value.hidden) == len(err.value.trace) == 3
 
 
 def test_an_overflowing_stream_row_aborts_with_a_typed_cause():
@@ -636,7 +652,7 @@ def test_single_sample_batches_run_alignment_with_n_equal_one():
     cfg = RunConfig(seed=0, batch_size=1)
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(singles)
-    assert len(result.records) == len(singles)
+    assert [len(o.predicted) for o in result.outcomes] == [1] * len(singles)
     # Past the warm-up the alignment gradient ran on one-sample batches.
     assert engine.target_stats.count >= 2 * cfg.feature_dim
     assert engine.target_stats.last_blend == cfg.beta
@@ -652,7 +668,7 @@ def test_all_reject_stream_leaves_alignment_without_a_gradient():
         src_x, src_y, spec.k_s,
     )
     result = engine.run(generate_stream(spec))
-    assert all(r.predicted_label == REJECT for r in result.records)
+    assert (columns(result)["predicted"] == REJECT).all()
     assert engine.target_stats.count == 0
     assert all(row.alignment_loss == 0.0 for row in result.trace)
     assert engine_state_is_finite(engine)
@@ -665,7 +681,7 @@ def test_all_accept_stream_absorbs_every_sample_into_the_target():
                     enable_ood_detection=False, enable_expansion=False)
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(generate_stream(spec))
-    assert all(r.predicted_label != REJECT for r in result.records)
+    assert (columns(result)["predicted"] != REJECT).all()
     assert all(t.tau == NO_REJECT_TAU for t in result.trace)
     assert engine.target_stats.count == spec.n_batches * spec.batch_size
     assert all(row.alignment_loss > 0.0 for row in result.trace)
@@ -688,7 +704,7 @@ def test_all_equal_score_window_gives_the_degenerate_threshold(adapt):
     assert result.trace[0].tau == 1.0
     if not adapt:
         # The adapter never moves, so every window holds one repeated score.
-        assert len({r.ood_score for r in result.records}) == 1
+        assert np.unique(columns(result)["score"]).size == 1
         assert all(t.tau == 1.0 for t in result.trace)
     assert engine_state_is_finite(engine)
 
@@ -718,7 +734,7 @@ def test_finite_stream_leaves_finite_engine_state(
                     novel_momentum=novel_momentum)
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(stream)
-    assert len(result.records) == batch_size * n_batches
+    assert len(columns(result)["predicted"]) == batch_size * n_batches
     assert np.isfinite([(r.clustering_loss, r.alignment_loss) for r in result.trace]).all()
     assert engine_state_is_finite(engine)
 
@@ -746,10 +762,9 @@ def assert_matches_reference(spec, config):
                           config.momentum_coeff, config.seed).weight
     expected = reference_run(config, src_x, src_y, spec.k_s, stream, weight)
     result = Engine(config, src_x, src_y, spec.k_s).run(stream)
-    predicted = np.array([r.predicted_label for r in result.records])
-    scores = np.array([r.ood_score for r in result.records])
-    assert np.array_equal(predicted, np.concatenate(expected.predicted)), "predictions"
-    assert np.array_equal(scores, np.concatenate(expected.scores)), "scores"
+    assert np.array_equal(columns(result)["predicted"], np.concatenate(expected.predicted)), \
+        "predictions"
+    assert np.array_equal(columns(result)["score"], np.concatenate(expected.scores)), "scores"
     assert [t.tau for t in result.trace] == expected.taus, "taus"
     assert [t.pn_size for t in result.trace] == [
         min(n, config.novel_capacity) for n in np.cumsum(expected.added)
@@ -773,3 +788,147 @@ def test_engine_matches_the_reference_run_when_the_pool_evicts():
     config = RunConfig(feature_dim=64, batch_size=512, seed=0)
     expected = assert_matches_reference(spec, config)
     assert max(expected.added) > config.novel_capacity
+
+
+# --- the per-batch step and the run's columns ------------------------------------------
+
+
+def outcome_bytes(o):
+    return (o.batch, o.predicted.dtype, o.predicted.tobytes(), o.score.tobytes(), o.tau,
+            o.pn_size, o.clustering_loss, o.alignment_loss)
+
+
+@pytest.mark.parametrize("free_size", [False, True], ids=["fixed_size", "free_size"])
+def test_a_hand_fold_of_step_equals_run(free_size):
+    spec = small_world(n_batches=8)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    if free_size:  # ragged batches, one of them empty
+        sizes = [32, 5, 0, 17, 32, 1, 9, 20]
+        stream = [Batch(b.values[:n], b.hidden[:n]) for b, n in zip(stream, sizes)]
+    config = RunConfig(seed=0, batch_size=None if free_size else spec.batch_size)
+
+    folded = Engine(config, src_x, src_y, spec.k_s)
+    running, outcomes, trace = RunningMetrics(spec.k_s), [], []
+    for batch in stream:
+        o = folded.step(batch)
+        running.update(o.predicted, batch.hidden)
+        outcomes.append(o)
+        trace.append(engine_module.TraceRow(o.batch, *running.snapshot(), o.pn_size, o.tau,
+                                            o.clustering_loss, o.alignment_loss))
+    result = Engine(config, src_x, src_y, spec.k_s).run(stream)
+
+    assert [outcome_bytes(o) for o in outcomes] == [outcome_bytes(o) for o in result.outcomes]
+    assert trace == result.trace
+    assert all(h is batch.hidden for h, batch in zip(result.hidden, stream, strict=True))
+    assert folded.batch_index == result.engine.batch_index == len(stream)
+    assert folded.pool.all_matrix().tobytes() == result.engine.pool.all_matrix().tobytes()
+    assert folded.adapter.weight.tobytes() == result.engine.adapter.weight.tobytes()
+
+
+@pytest.mark.parametrize("position, nan_batch, config", [
+    (0, 0, {}),  # the inference stage fails
+    (3, 3, {}),
+    (0, None, dict(learning_rate=1e308)),  # the adaptation stage fails
+    (4, None, dict(lam=1e308)),
+])
+def test_a_stage_failure_carries_exactly_the_finished_prefix(position, nan_batch, config):
+    spec = WorldSpec(n_source=200, n_batches=6, batch_size=16)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    if nan_batch is not None:
+        stream[nan_batch].values[0, 2] = np.nan
+    config = RunConfig(batch_size=16, **config)
+    engine = Engine(config, src_x, src_y, spec.k_s)
+    with pytest.raises(StageFailure) as failure:
+        engine.run(stream)
+    failure = failure.value
+    assert failure.batch_index == engine.batch_index == position
+    assert [h is b.hidden for h, b in zip(failure.hidden, stream)] == [True] * position
+    if position:
+        prefix = Engine(config, src_x, src_y, spec.k_s).run(stream[:position])
+        assert [outcome_bytes(o) for o in failure.outcomes] == [
+            outcome_bytes(o) for o in prefix.outcomes]
+        assert failure.trace == prefix.trace
+    else:
+        assert (failure.outcomes, failure.hidden, failure.trace) == ([], [], [])
+
+
+def test_a_stage_failure_from_step_alone_carries_no_prefix():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    stream[1].values[0, 0] = np.nan
+    engine = Engine(RunConfig(batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+    engine.step(stream[0])
+    with pytest.raises(StageFailure) as failure:
+        engine.step(stream[1])
+    assert (failure.value.outcomes, failure.value.hidden, failure.value.trace) == ([], [], [])
+    assert failure.value.batch_index == engine.batch_index == 1
+
+
+def test_a_malformed_batch_raises_its_own_type_before_any_state_changes():
+    spec = small_world()
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    engine = Engine(RunConfig(batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+    engine.step(stream[0])
+    weight = engine.adapter.weight.copy()
+    short = Batch(stream[1].values[:16], stream[1].hidden[:16])
+    narrow = Batch(stream[1].values[:, :16], stream[1].hidden)
+    with pytest.raises(ConfigError, match="batch 1 has 16 samples, config expects 32"):
+        engine.step(short)
+    with pytest.raises(InvalidSpec, match="batch 1 has rows of width 16, the source has width 32"):
+        engine.step(narrow)
+    assert engine.batch_index == 1 and np.array_equal(engine.adapter.weight, weight)
+    for bad, error in ((short, ConfigError), (narrow, InvalidSpec)):
+        fresh = Engine(RunConfig(batch_size=spec.batch_size), src_x, src_y, spec.k_s)
+        with pytest.raises(error, match="batch 2 has"):
+            fresh.run(stream[:2] + [bad])
+
+
+def test_the_records_view_is_built_once_on_first_access(monkeypatch):
+    built, init = [], engine_module.PredictionRecord.__init__
+
+    def counting_init(record, *fields):
+        built.append(fields)
+        init(record, *fields)
+
+    monkeypatch.setattr(engine_module.PredictionRecord, "__init__", counting_init)
+    spec = small_world(n_batches=4)
+    result = run_world(spec)
+    assert built == []  # run builds no per-sample record
+    records = result.records
+    assert len(built) == len(records) == 4 * spec.batch_size
+    assert result.records is records and len(built) == len(records)
+    rows = [(r.timestamp, r.index, r.predicted_label, r.ood_score, r.threshold_used,
+             r.hidden_label) for r in records]
+    assert rows == list(zip(*(column.tolist() for column in columns(result).values())))
+    types = {tuple(type(value) for value in row) for row in rows}
+    assert types == {(int, int, int, float, float, int)}
+
+
+def test_a_run_retains_a_bounded_number_of_bytes_per_sample():
+    import tracemalloc
+
+    spec = WorldSpec(n_batches=100, seed=0)
+    src_x, src_y = generate_source(spec)
+    template = generate_stream(spec)
+
+    def fresh(n):  # new arrays for every batch, as a generator would make them
+        for t in range(n):
+            batch = template[t % len(template)]
+            yield Batch(batch.values.copy(), batch.hidden.copy())
+
+    def peak(n):
+        engine = Engine(RunConfig(seed=0), src_x, src_y, spec.k_s)
+        tracemalloc.start()
+        try:
+            result = engine.run(fresh(n))
+            assert len(result.outcomes) == n
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak(2000) - peak(200)) / (1800 * spec.batch_size)
+    assert growth <= 40.0, f"{growth:.1f} bytes per sample"

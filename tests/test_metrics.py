@@ -138,24 +138,30 @@ def test_cumulative_trace_final_row_matches_whole_run():
 
 
 def test_score_separation_hand_case():
-    records = [rec(0, 0, score=0.2), rec(1, 1, score=0.2), rec(REJECT, K_S, score=0.8)]
-    weak, strong, gap = score_separation(records, K_S)
+    scores, hidden = np.array([0.2, 0.2, 0.8]), np.array([0, 1, K_S])
+    weak, strong, gap = score_separation(scores, hidden, K_S)
     assert (weak, strong, gap) == (pytest.approx(0.2), pytest.approx(0.8), pytest.approx(0.6))
 
 
 def test_score_separation_identical_distributions():
-    records = [rec(0, 0, score=0.5), rec(REJECT, K_S, score=0.5)]
-    assert score_separation(records, K_S)[2] == pytest.approx(0.0)
+    assert score_separation(np.array([0.5, 0.5]), np.array([0, K_S]), K_S)[2] == pytest.approx(0.0)
 
 
 def test_score_separation_requires_both_populations():
     with pytest.raises(MissingPopulation):
-        score_separation([rec(0, 0)], K_S)
+        score_separation(np.array([0.5]), np.array([0]), K_S)
+
+
+def test_score_separation_and_histogram_refuse_an_empty_column():
+    with pytest.raises(EmptyRecords):
+        score_separation(np.empty(0), np.empty(0, dtype=int), K_S)
+    with pytest.raises(EmptyRecords):
+        score_histogram(np.empty(0), np.empty(0, dtype=int), K_S)
 
 
 def test_score_histogram_counts_and_shape():
-    records = [rec(0, 0, score=0.005), rec(0, 0, score=0.01), rec(REJECT, K_S, score=0.99)]
-    edges, weak, strong = score_histogram(records, K_S, bins=64)
+    scores, hidden = np.array([0.005, 0.01, 0.99]), np.array([0, 0, K_S])
+    edges, weak, strong = score_histogram(scores, hidden, K_S, bins=64)
     assert edges.shape == (65,)
     assert weak.sum() == 2 and strong.sum() == 1
     assert weak[0] == 2 and strong[-1] == 1

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 from owtt import Engine, RunConfig, WorldSpec, generate_source, generate_stream
@@ -156,6 +157,12 @@ def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, caps
             "ratio/ratio_0.2/trace.csv", "run/pool.owtp"} <= set(files)
     assert sorted(name for name in files if name.startswith("stream/")) == [
         "stream/stream.csv", "stream/stream.owtt"]
+    assert sorted(name for name in files if name.startswith("failed/")) == [
+        "failed/error.json", "failed/predictions.csv"]
+    error = json.loads((root / "failed/error.json").read_text())
+    assert (error["error"], error["batch"]) == ("NonFiniteInput", 2)
+    rows = (root / "failed/predictions.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["0"] * 16 + ["1"] * 16  # the finished prefix
 
 
 def test_ablation_table_rows_match_engine_runs_on_two_worlds():
