@@ -63,13 +63,13 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     a tiny row is refused, although its direction is well defined.
     """
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).all(axis=1)
-        raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         raw = values @ adapter.weight.T
         norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
     if not (NORM_EPS <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):
+        finite = np.isfinite(values).all(axis=1)  # a NaN or inf input row has a NaN or inf norm
+        if not finite.all():
+            raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds a NaN or inf value")
         finite = np.isfinite(norms)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -105,15 +105,14 @@ def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterSta
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != adapter.weight.shape:
         raise InvalidSpec(f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}")
-    if not np.isfinite(gradient).all():
-        raise NonFiniteGradient("gradient contains NaN or inf entries")
     buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient
     weight = adapter.weight - adapter.learning_rate * buffer
     squared_norm = np.vdot(weight, weight)
-    if not np.isfinite(squared_norm):
-        raise NonFiniteGradient(
-            f"the step leaves the weight's squared norm at {squared_norm}: lower learning_rate"
-        )
+    if not np.isfinite(squared_norm):  # a NaN or inf gradient entry reaches it
+        if not np.isfinite(gradient).all():
+            raise NonFiniteGradient("gradient contains NaN or inf entries")
+        raise NonFiniteGradient(f"the step leaves the weight's squared norm at {squared_norm}: "
+                                "lower learning_rate")
     return AdapterState(
         weight=weight,
         momentum_buffer=buffer,

@@ -143,7 +143,7 @@ def prediction_columns(outcomes: Sequence[BatchOutcome],
     """Finished batches as per-sample COLUMNS in stream order; ``index`` counts
     within the batch, and ``tau`` repeats the batch's threshold."""
     if not outcomes:
-        return dict.fromkeys(COLUMNS, np.empty(0))
+        return {name: np.empty(0, float if name in ("score", "tau") else int) for name in COLUMNS}
     blocks = zip(*((np.full(len(h), o.batch), np.arange(len(h)), o.predicted, o.score,
                     np.full(len(h), o.tau), h) for o, h in zip(outcomes, hidden)))
     return dict(zip(COLUMNS, map(np.concatenate, blocks)))
@@ -151,7 +151,9 @@ def prediction_columns(outcomes: Sequence[BatchOutcome],
 
 class StageFailure(Exception):
     """A stage error aborted the run at ``batch_index``; ``run`` fills in the
-    outcomes, hidden labels and trace rows of the batches before it."""
+    outcomes, hidden labels and trace rows of the batches before it. The engine is
+    then spent, not rolled back: each later ``step`` runs no stage and raises a fresh
+    StageFailure with the same ``batch_index`` and ``cause``."""
 
     def __init__(self, batch_index: int, outcomes, hidden, trace, cause: Exception):
         super().__init__(f"run aborted at batch {batch_index}: {cause}")
@@ -279,6 +281,7 @@ class Engine:
         self.plain_window = ScoreWindow(config.window_length)
         self.extended_window = ScoreWindow(config.window_length)
         self.batch_index = 0  # of the next batch step reads
+        self._cause: Optional[Exception] = None  # of the StageFailure that spent the engine
 
     # --- inference stage ---------------------------------------------------------
 
@@ -385,6 +388,8 @@ class Engine:
         ConfigError and one of the wrong width InvalidSpec, before any state
         changes; a stage error raises StageFailure, and the engine is spent."""
         t, size, width = self.batch_index, self.config.batch_size, self.adapter.weight.shape[1]
+        if self._cause is not None:
+            raise StageFailure(t, [], [], [], self._cause) from self._cause
         if size is not None and len(batch) != size:
             raise ConfigError(f"batch {t} has {len(batch)} samples, config expects {size}")
         if batch.values.shape[1:] != (width,):
@@ -398,6 +403,7 @@ class Engine:
                 losses = self.adaptation_stage(batch.values, features, similarities, scores,
                                                tau, predicted)
         except Exception as exc:
+            self._cause = exc
             raise StageFailure(t, [], [], [], exc) from exc
         self.batch_index = t + 1
         return BatchOutcome(t, predicted, scores, tau, self.pool.novel_count, *losses)

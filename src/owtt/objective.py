@@ -9,6 +9,7 @@ feature map to the trainable weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +20,12 @@ from .prototypes import PrototypePool
 # Added to covariance diagonals before inversion: early in a stream the
 # estimated covariance can be rank-deficient.
 COV_EPS = 1e-4
+
+
+@lru_cache(maxsize=4)
+def _ridge(dim: int) -> np.ndarray:
+    """``COV_EPS * np.eye(dim)`` as a read-only view, built once per width."""
+    return np.broadcast_to(COV_EPS * np.eye(dim), (dim, dim))
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class GaussianStats:
     def __post_init__(self):
         regularized = logdet = inverse = None
         if self.count:
-            regularized = self.covariance + COV_EPS * np.eye(self.mean.shape[0])
+            regularized = self.covariance + _ridge(self.mean.shape[0])
             try:
                 chol = np.linalg.cholesky(regularized)
             except np.linalg.LinAlgError as exc:
@@ -87,7 +94,7 @@ def update_target_stats(
     n = batch_features.shape[0]
     if n == 0:
         return stats
-    batch_mean = batch_features.mean(axis=0)
+    batch_mean = batch_features.sum(axis=0) / n  # np.mean's reduction, unwrapped
     centered = batch_features - batch_mean
     if n > 1:
         batch_cov = centered.T @ centered / (n - 1)

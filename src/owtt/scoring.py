@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyPrototypeSet, NonFiniteInput
+from .errors import ConfigError, EmptyPrototypeSet, InvalidSpec, NonFiniteInput
 
 # Candidate thresholds: 0.00, 0.01, ..., 1.00.
 THRESHOLD_GRID = np.arange(101) / 100.0
@@ -61,10 +61,14 @@ class ScoreWindow:
     def push(self, scores: Sequence[float]) -> "ScoreWindow":
         """Append scores (oldest evicted at capacity); finite values clamp to [0, 1].
 
-        A NaN or inf score raises NonFiniteInput naming its position, before
-        the window changes.
+        A scalar is one score. Scores not 1-D raise InvalidSpec, and a NaN or inf
+        score NonFiniteInput naming its position, both before the window changes.
         """
-        scores = np.atleast_1d(np.asarray(scores, dtype=float))
+        scores = np.asarray(scores, dtype=float)
+        if scores.ndim != 1:
+            if scores.ndim:
+                raise InvalidSpec(f"scores must be 1-D, got shape {scores.shape}")
+            scores = scores.reshape(1)
         finite = np.isfinite(scores)
         if finite.size:
             i = int(finite.argmin())  # the first NaN or inf, if there is one
@@ -151,8 +155,7 @@ def adaptive_threshold(
     if n < MIN_WINDOW_SCORES:
         return ThresholdEstimate(tau=1.0, degenerate=True)
 
-    scores = window.values()
-    scores.sort()
+    scores = np.sort(window._scores)
     # Candidate g leaves a score on each side when scores[0] <= g < scores[-1],
     # so the valid candidates are one run of the grid, start..stop-1.
     start = bisect_left(_GRID, scores[0])
@@ -164,8 +167,8 @@ def adaptive_threshold(
     if start >= stop:
         return ThresholdEstimate(tau=1.0, degenerate=True)
 
-    csum = np.cumsum(scores)
-    csq = np.cumsum(scores * scores)
+    csum = scores.cumsum()
+    csq = (scores * scores).cumsum()
     k = scores.searchsorted(THRESHOLD_GRID[start:stop], side="right")  # 1..n-1 below
     below = k - 1
     n_lo, n_hi = k, n - k

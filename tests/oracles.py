@@ -274,6 +274,46 @@ def embed(values, weight):
     return np.array([r / norm for r in raw])
 
 
+def scan_first_embed_error(values, weight, norm_eps=1e-12):
+    """(error type name, message) that mapping the rows of ``values`` through
+    ``weight`` to unit norm must raise, or None, found in the order the checks
+    once ran: every input scanned for a NaN or inf first, then the norms (an
+    overflowing norm before one below ``norm_eps``)."""
+    for i, row in enumerate(values):
+        if not all(math.isfinite(v) for v in row):
+            return "NonFiniteInput", f"input row {i} holds a NaN or inf value"
+    norms = []
+    for row in values:
+        raw = [sum(w * v for w, v in zip(weight_row, row)) for weight_row in weight]
+        norms.append(math.sqrt(sum(r * r for r in raw)))
+    for i, norm in enumerate(norms):
+        if not math.isfinite(norm):
+            return "NonFiniteInput", f"input row {i} overflows: its embedding norm is {norm}"
+    if norms and min(norms) < norm_eps:
+        i = norms.index(min(norms))
+        return ("DegenerateEmbedding",
+                f"embedding norm {norms[i]:.3e} below {norm_eps:.0e} at row {i}")
+    return None
+
+
+def scan_first_step_error(weight, buffer, gradient, learning_rate, momentum):
+    """(error type name, message) that one classical-momentum step must
+    raise, or None, found in the order the checks once ran: the gradient
+    scanned for a NaN or inf first, then the stepped weight's squared norm."""
+    flat = [g for row in gradient for g in row]
+    if not all(math.isfinite(g) for g in flat):
+        return "NonFiniteGradient", "gradient contains NaN or inf entries"
+    squared = 0.0
+    for w_row, b_row, g_row in zip(weight, buffer, gradient):
+        for w, b, g in zip(w_row, b_row, g_row):
+            stepped = w - learning_rate * (momentum * b + g)
+            squared += stepped * stepped
+    if not math.isfinite(squared):
+        return ("NonFiniteGradient",
+                f"the step leaves the weight's squared norm at {squared}: lower learning_rate")
+    return None
+
+
 def cumulative_trace(records, num_known):
     """Per-batch (batch, acc_s, acc_n, acc_h) rows, each a recount of every
     record up to and including that batch."""

@@ -4,7 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import _chain_to_weight, embed, finite_difference_gradient, relative_error
+from oracles import (
+    _chain_to_weight,
+    embed,
+    finite_difference_gradient,
+    relative_error,
+    scan_first_embed_error,
+    scan_first_step_error,
+)
 from owtt.adapter import (
     AdapterState,
     embed_backward,
@@ -141,6 +148,81 @@ def test_non_finite_input_raises_naming_the_row(bad):
     values[2, 1] = bad
     with pytest.raises(NonFiniteInput, match="row 2"):
         embed_batch(values, adapter)
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# NaN or +-inf values planted at drawn flat positions (taken modulo the size).
+PLANTED = st.lists(st.tuples(st.integers(0, 10**6), NON_FINITE), max_size=3)
+
+
+def raised(call):
+    """(error type name, message) of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    d_out=st.integers(1, 5),
+    d_in=st.integers(1, 6),
+    planted=PLANTED,
+    neighbour=st.sampled_from([None, "overflowing", "tiny"]),
+    neighbour_row=st.integers(0, 7),
+)
+@example(seed=0, n=3, d_out=2, d_in=3, planted=[(7, np.nan)], neighbour="overflowing",
+         neighbour_row=0)
+@example(seed=0, n=3, d_out=2, d_in=3, planted=[(1, -np.inf)], neighbour="tiny",
+         neighbour_row=2)
+def test_embed_batch_raises_what_an_input_scan_first_raises(
+    seed, n, d_out, d_in, planted, neighbour, neighbour_row
+):
+    # The input scan runs only once the norm check fails: every NaN or inf
+    # input must still raise what scanning the inputs first raised.
+    rng = np.random.default_rng(seed)
+    adapter = make_adapter(rng.normal(size=(d_out, d_in)))
+    values = rng.normal(size=(n, d_in))
+    if neighbour == "overflowing":
+        values[neighbour_row % n] = 1e200
+    elif neighbour == "tiny":
+        values[neighbour_row % n] *= 1e-20
+    for position, bad in planted:
+        values.flat[position % values.size] = bad
+    expected = scan_first_embed_error(values.tolist(), adapter.weight.tolist())
+    assert raised(lambda: embed_batch(values, adapter)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 5),
+    planted=PLANTED,
+    overflowing=st.integers(-1, 19),  # the flat position of an entry whose step overflows
+)
+@example(seed=0, rows=2, cols=2, planted=[(3, np.inf)], overflowing=0)
+def test_sgd_momentum_step_raises_what_a_gradient_scan_first_raises(
+    seed, rows, cols, planted, overflowing
+):
+    rng = np.random.default_rng(seed)
+    adapter = make_adapter(rng.normal(size=(rows, cols)), lr=1e-2 if overflowing < 0 else 1e10)
+    adapter.momentum_buffer = rng.normal(size=(rows, cols))
+    gradient = rng.normal(size=(rows, cols))
+    if overflowing >= 0:
+        gradient.flat[overflowing % gradient.size] = 1e300
+    for position, bad in planted:
+        gradient.flat[position % gradient.size] = bad
+    expected = scan_first_step_error(adapter.weight.tolist(), adapter.momentum_buffer.tolist(),
+                                     gradient.tolist(), adapter.learning_rate,
+                                     adapter.momentum_coeff)
+    # An overflowing step warns before it is refused; the engine runs its steps
+    # with overflow warnings off.
+    with np.errstate(over="ignore"):
+        assert raised(lambda: sgd_momentum_step(adapter, gradient)) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -489,6 +489,16 @@ def test_empty_stream_raises_empty_records():
         Engine(RunConfig(seed=0), src_x, src_y, spec.k_s).run([])
 
 
+def test_the_columns_of_no_batches_are_six_empty_arrays_of_the_run_dtypes():
+    full = columns(run_world(small_world(n_batches=2)))
+    empty = prediction_columns([], [])
+    assert list(empty) == list(full) == list(engine_module.COLUMNS)
+    assert {name: a.dtype for name, a in empty.items()} == {
+        name: a.dtype for name, a in full.items()}
+    assert all(a.shape == (0,) for a in empty.values())
+    assert len({id(a) for a in empty.values()}) == len(empty)  # no array is shared
+
+
 def test_losses_recorded_per_batch():
     spec = small_world()
     result = run_world(spec)
@@ -865,6 +875,28 @@ def test_a_stage_failure_from_step_alone_carries_no_prefix():
         engine.step(stream[1])
     assert (failure.value.outcomes, failure.value.hidden, failure.value.trace) == ([], [], [])
     assert failure.value.batch_index == engine.batch_index == 1
+
+
+def test_a_spent_engine_refuses_every_later_step_and_runs_no_stage():
+    # lam=1e308 makes batch 4's alignment gradient overflow; its half-done
+    # updates stay, and no later step adds to them.
+    spec = WorldSpec(batch_size=16)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    engine = Engine(RunConfig(batch_size=16, lam=1e308), src_x, src_y, spec.k_s)
+    with pytest.raises(StageFailure) as first:
+        engine.run(stream)
+    first = first.value
+    assert first.batch_index == 4
+    weight = engine.adapter.weight.copy()
+    assert (engine.plain_window.count, engine.target_stats.count) == (80, 36)
+    for batch in (stream[4], stream[5], Batch(stream[5].values[:3], stream[5].hidden[:3])):
+        with pytest.raises(StageFailure) as again:
+            engine.step(batch)
+        assert again.value is not first and again.value.__cause__ is first.cause
+        assert (again.value.batch_index, again.value.cause) == (4, first.cause)
+        assert (engine.plain_window.count, engine.target_stats.count) == (80, 36)
+        assert engine.batch_index == 4 and np.array_equal(engine.adapter.weight, weight)
 
 
 def test_a_malformed_batch_raises_its_own_type_before_any_state_changes():

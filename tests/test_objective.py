@@ -14,9 +14,11 @@ from oracles import (
     unfused_kl_divergence,
     unfused_kl_gradient,
 )
+from owtt import objective
 from owtt.adapter import AdapterState, embed_backward, embed_batch
 from owtt.errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from owtt.objective import (
+    COV_EPS,
     GaussianStats,
     clustering_loss,
     clustering_loss_gradient,
@@ -192,6 +194,27 @@ def test_empty_batch_is_noop():
     empty = GaussianStats.empty(2)
     stats = update_target_stats(empty, np.empty((0, 2)), 0.2)
     assert stats is empty and stats.count == 0
+
+
+def test_the_cached_ridge_is_read_only_and_no_estimate_holds_it():
+    ridge = objective._ridge(3)
+    assert ridge is objective._ridge(3) and not ridge.flags.writeable
+    assert ridge.tobytes() == (COV_EPS * np.eye(3)).tobytes()
+    with pytest.raises(ValueError):
+        ridge[0, 0] = 1.0
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(7, 3))
+    target = GaussianStats.empty(3)
+    estimates = [fit_gaussian(features)]
+    for batch in (features, features[:1], features[2:]):
+        target = update_target_stats(target, batch, 0.3)
+        estimates.append(target)
+    assert estimates[1].mean.tobytes() == features.mean(axis=0).tobytes()
+    for stats in estimates:
+        assert not np.shares_memory(stats.regularized, ridge)
+        assert stats.regularized.flags.writeable
+        assert stats.regularized.tobytes() == (
+            stats.covariance + COV_EPS * np.eye(3)).tobytes()
 
 
 def test_covariance_stays_symmetric_across_updates():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from oracles import (
     sorted_cumsum_threshold,
 )
 from owtt.engine import EXPANSION_CLAMP
-from owtt.errors import ConfigError, EmptyPrototypeSet, NonFiniteInput
+from owtt.errors import ConfigError, EmptyPrototypeSet, InvalidSpec, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
     MIN_WINDOW_SCORES,
@@ -234,6 +236,19 @@ def test_window_push_refuses_a_non_finite_score_and_keeps_its_values(value):
         window.push([0.5, value, 0.3, value])
     np.testing.assert_array_equal(window.values(), before)
     assert adaptive_threshold(window).tau == 0.1
+
+
+def test_window_push_takes_a_scalar_as_one_score():
+    window = ScoreWindow(4).push(0.25).push(np.float64(2.0))
+    assert window.values().tolist() == [0.25, 1.0]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (0, 3), (1, 1), (3, 1, 2)])
+def test_window_push_refuses_scores_that_are_not_1d_before_the_window_changes(shape):
+    window = ScoreWindow(8).push([0.2, 0.4])
+    with pytest.raises(InvalidSpec, match=re.escape(f"scores must be 1-D, got shape {shape}")):
+        window.push(np.full(shape, 0.5))
+    assert window.values().tolist() == [0.2, 0.4]
 
 
 @settings(max_examples=200, deadline=None)

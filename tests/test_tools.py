@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from owtt import Engine, RunConfig, WorldSpec, generate_source, generate_stream
 from owtt.experiment import ABLATION_VARIANTS
 
@@ -20,6 +22,7 @@ digest_diff = load_tool("digest_diff")
 bench_pairs = load_tool("bench_pairs")
 artifact_digests = load_tool("artifact_digests")
 ablation_table = load_tool("ablation_table")
+step_profile = load_tool("step_profile")
 
 PARENT = """\
 default-long 0 aa 0.5 10
@@ -184,3 +187,20 @@ def test_ablation_table_rows_match_engine_runs_on_two_worlds():
     assert cells[1:6] == [f"{sum(acc[v]) / 2:.3f}" for v in ablation_table.VARIANTS]
     assert cells[6] == str(sum(a > b for a, b in zip(acc["od_da"], acc["full"])))
     assert len(lines) == 3
+
+
+def test_step_profile_reads_calls_per_batch_on_a_two_batch_world(monkeypatch, capsys):
+    two_batches = step_profile.harness.Workload(world=dict(n_batches=2), config={}, streams=1)
+    monkeypatch.setitem(step_profile.harness.WORKLOADS, "two-batch", two_batches)
+    assert step_profile.main(["two-batch"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# two-batch: 1 worlds, 2 batches", step_profile.HEADER]
+    rows = [line.split(" ", 2) for line in lines[2:]]
+    engine_calls = {name[name.index("(") + 1:-1]: float(per_batch)
+                    for _, per_batch, name in rows if name.startswith("owtt/engine.py:")}
+    assert engine_calls["run"] == 0.5  # one run over two batches
+    assert engine_calls["step"] == engine_calls["inference_stage"] == 1.0
+    times = [float(us) for us, _, _ in rows]
+    assert min(times) >= 0.0 and times == sorted(times, reverse=True)
+    with pytest.raises(SystemExit):
+        step_profile.main(["two-batch", "--worlds", "2"])  # the workload has one world
