@@ -7,6 +7,7 @@ embeddings it produces, and losses hand their feature gradients back to
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def embed_batch(values: np.ndarray, adapter: AdapterState) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        raw = values @ adapter.weight.T
+        raw = values.dot(adapter.weight.T)
         norms = np.sqrt((raw * raw).sum(axis=1))  # np.linalg.norm(raw, axis=1), unwrapped
     if not (NORM_EPS <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):
         finite = np.isfinite(values).all(axis=1)  # a NaN or inf input row has a NaN or inf norm
@@ -88,11 +89,11 @@ def embed_backward(grad_features, features, values, adapter: AdapterState) -> np
     `features` must be `embed_batch(values, adapter)`.
     """
     values = np.asarray(values, dtype=float)
-    raw = values @ adapter.weight.T
+    raw = values.dot(adapter.weight.T)
     norms = np.sqrt((raw * raw).sum(axis=1))
     radial = (features * grad_features).sum(axis=1, keepdims=True)
     grad_pre = (grad_features - features * radial) / norms[:, None]
-    return grad_pre.T @ values
+    return grad_pre.T.dot(values)
 
 
 def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterState:
@@ -105,10 +106,11 @@ def sgd_momentum_step(adapter: AdapterState, gradient: np.ndarray) -> AdapterSta
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != adapter.weight.shape:
         raise InvalidSpec(f"gradient shape {gradient.shape} != weight shape {adapter.weight.shape}")
-    buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient
-    weight = adapter.weight - adapter.learning_rate * buffer
-    squared_norm = np.vdot(weight, weight)
-    if not np.isfinite(squared_norm):  # a NaN or inf gradient entry reaches it
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused below
+        buffer = adapter.momentum_coeff * adapter.momentum_buffer + gradient
+        weight = adapter.weight - adapter.learning_rate * buffer
+        squared_norm = np.vdot(weight, weight)
+    if not math.isfinite(squared_norm):  # a NaN or inf gradient entry reaches it
         if not np.isfinite(gradient).all():
             raise NonFiniteGradient("gradient contains NaN or inf entries")
         raise NonFiniteGradient(f"the step leaves the weight's squared norm at {squared_norm}: "

@@ -291,11 +291,11 @@ class Engine:
         against the pool as the batch found it."""
         cfg = self.config
         features = embed_batch(batch_values, self.adapter)
-        similarities = features @ self.pool.all_matrix().T
+        similarities = features.dot(self.pool.all_matrix().T)
         source_similarities = similarities[:, : self.pool.num_source]
         if cfg.discrete_mode:
             # Its own product: the table's novel columns can differ from it in the last bit.
-            novel_similarities = features @ self.pool.novel_matrix().T
+            novel_similarities = features.dot(self.pool.novel_matrix().T)
             raw = batch_discrete_scores(source_similarities, novel_similarities)
         else:
             raw = batch_ood_scores(source_similarities)
@@ -349,7 +349,7 @@ class Engine:
         if cfg.enable_clustering:
             selected = select_confident(scores, tau, cfg.keep_ratio)
             confident = features[selected]
-            pseudo_labels = (confident @ self.pool.all_matrix().T).argmax(axis=1)
+            pseudo_labels = confident.dot(self.pool.all_matrix().T).argmax(axis=1)
             clustering_value, clustering_grad = clustering_loss_gradient(
                 confident, pseudo_labels, self.pool, cfg.temperature
             )

@@ -127,7 +127,7 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
     t_inv = target.inverse
     delta = source.mean - target.mean
     trace_term = float((t_inv * source.regularized.T).sum())
-    mahal = float(delta @ t_inv @ delta)
+    mahal = float(delta.dot(t_inv).dot(delta))
     kl = 0.5 * (trace_term + mahal - delta.shape[0] + target.logdet - source.logdet)
     if kl < 0.0:
         if kl < -1e-8:
@@ -151,20 +151,27 @@ def kl_gradient(source: GaussianStats, target: GaussianStats) -> Tuple[float, np
 
     n = centered.shape[0]
     t_inv = target.inverse
-    grad_mean = t_inv @ (target.mean - source.mean)
+    grad_mean = t_inv.dot(target.mean - source.mean)
     grad_features = (grad_mean / n)[None, :]  # the mean term, shared by every row
     if n > 1:
         delta = source.mean - target.mean
         outer = delta[:, None] * delta
-        grad_cov = 0.5 * (t_inv - t_inv @ source.regularized @ t_inv - t_inv @ outer @ t_inv)
-        grad_features = (2.0 / (n - 1)) * centered @ grad_cov + grad_features
+        grad_cov = 0.5 * (t_inv - t_inv.dot(source.regularized).dot(t_inv)
+                          - t_inv.dot(outer).dot(t_inv))
+        grad_features = ((2.0 / (n - 1)) * centered).dot(grad_cov) + grad_features
     grad_features *= target.last_blend
     return kl, grad_features
 
 
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    peak = rows.max(axis=1)
-    return peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
+def _softmax_nll(logits: np.ndarray, picked) -> float:
+    """Summed NLL of the targets ``logits[picked]`` under the row softmax; turns
+    the C-contiguous ``logits`` into softmax minus one-hot in place."""
+    peak = logits.max(axis=1)
+    lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    total = float((lse - logits[picked]).sum())
+    np.exp(np.subtract(logits, lse[:, None], out=logits), out=logits)
+    logits[picked] -= 1.0
+    return total
 
 
 def clustering_loss_gradient(
@@ -200,26 +207,19 @@ def clustering_loss_gradient(
     source = slice(None) if top < k_s else labels < k_s  # a slice copies no rows
 
     if low < k_s:
-        rows = features[source] @ protos.T / temperature
-        lse = _logsumexp(rows)
-        picked = (np.arange(rows.shape[0]), labels[source])
-        total += float((lse - rows[picked]).sum())
-        soft = np.exp(rows - lse[:, None])
-        soft[picked] -= 1.0
-        grad_features[source] = soft @ protos / temperature
+        rows = features[source].dot(protos.T) / temperature
+        total += _softmax_nll(rows, (np.arange(rows.shape[0]), labels[source]))
+        grad_features[source] = rows.dot(protos) / temperature
     if top >= k_s:
         sel = ~source
         subset = features[sel]
         novel = pool.novel_matrix()[labels[sel] - k_s]
         # The source logits, then the novel logit in the last column.
         rows = np.empty((subset.shape[0], k_s + 1))
-        np.divide(subset @ protos.T, temperature, out=rows[:, :-1])
+        np.divide(subset.dot(protos.T), temperature, out=rows[:, :-1])
         np.divide((subset * novel).sum(axis=1), temperature, out=rows[:, -1])
-        lse = _logsumexp(rows)
-        total += float((lse - rows[:, -1]).sum())
-        soft = np.exp(rows - lse[:, None])
-        soft[:, -1] -= 1.0
-        grad_features[sel] = (soft[:, :-1] @ protos + soft[:, -1:] * novel) / temperature
+        total += _softmax_nll(rows, (slice(None), -1))
+        grad_features[sel] = (rows[:, :-1].dot(protos) + rows[:, -1:] * novel) / temperature
 
     grad_features /= n
     return total / n, grad_features

@@ -248,7 +248,7 @@ def momentum_update_novel(pool: PrototypePool, rows: np.ndarray, momentum: float
     _check_finite(rows, "momentum", NonFiniteInput)
     keep = 1.0 - momentum
     for row, pull in zip(rows, momentum * rows):
-        idx = (novel @ row).argmax()
+        idx = novel.dot(row).argmax()
         blended = keep * novel[idx] + pull
         norm = math.sqrt(blended.dot(blended))  # what np.linalg.norm computes for a 1-D row
         if norm < NORM_EPS:

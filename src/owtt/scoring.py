@@ -172,10 +172,9 @@ def adaptive_threshold(
     k = scores.searchsorted(THRESHOLD_GRID[start:stop], side="right")  # 1..n-1 below
     below = k - 1
     n_lo, n_hi = k, n - k
-    var_lo = np.maximum(csq[below] / n_lo - (csum[below] / n_lo) ** 2, 0.0)
-    var_hi = np.maximum(
-        (csq[-1] - csq[below]) / n_hi - ((csum[-1] - csum[below]) / n_hi) ** 2, 0.0
-    )
+    sum_lo, sq_lo = csum[below], csq[below]
+    var_lo = np.maximum(sq_lo / n_lo - (sum_lo / n_lo) ** 2, 0.0)
+    var_hi = np.maximum((csq[-1] - sq_lo) / n_hi - ((csum[-1] - sum_lo) / n_hi) ** 2, 0.0)
     objective = var_lo + var_hi
 
     best = int(objective.argmin())  # argmin takes the first (smallest) candidate

@@ -414,19 +414,22 @@ def unfused_clustering_loss(features, labels, source, novel, temperature):
     return total / n
 
 
-def unfused_clustering_gradient(features, labels, source, novel, temperature, weight, raw):
-    """Gradient of unfused_clustering_loss with respect to the adapter weight,
-    each label subset taking its own product with the source rows."""
+def subset_clustering_objective(features, labels, source, novel, temperature):
+    """(unfused_clustering_loss, its gradient per feature row), each label
+    subset taking its own product with the source rows."""
     n = features.shape[0]
     if n == 0:
-        return np.zeros_like(weight)
+        return 0.0, np.zeros_like(features)
     labels = np.asarray(labels, dtype=int)
     k_s = source.shape[0]
+    total = 0.0
     grad = np.zeros_like(features)
     src = labels < k_s
     if np.any(src):
         rows = features[src] @ source.T / temperature
-        soft = np.exp(rows - _logsumexp_rows(rows)[:, None])
+        lse = _logsumexp_rows(rows)
+        total += float(np.sum(lse - rows[np.arange(rows.shape[0]), labels[src]]))
+        soft = np.exp(rows - lse[:, None])
         soft[np.arange(soft.shape[0]), labels[src]] -= 1.0
         grad[src] = soft @ source / temperature
     if np.any(~src):
@@ -434,10 +437,21 @@ def unfused_clustering_gradient(features, labels, source, novel, temperature, we
         rows = features[~src] @ source.T / temperature
         own = np.sum(features[~src] * own_rows, axis=1) / temperature
         rows = np.hstack([rows, own[:, None]])
-        soft = np.exp(rows - _logsumexp_rows(rows)[:, None])
+        lse = _logsumexp_rows(rows)
+        total += float(np.sum(lse - own))
+        soft = np.exp(rows - lse[:, None])
         soft[:, -1] -= 1.0
         grad[~src] = (soft[:, :-1] @ source + soft[:, -1:] * own_rows) / temperature
     grad /= n
+    return total / n, grad
+
+
+def unfused_clustering_gradient(features, labels, source, novel, temperature, weight, raw):
+    """Gradient of unfused_clustering_loss with respect to the adapter weight,
+    each label subset taking its own product with the source rows."""
+    if features.shape[0] == 0:
+        return np.zeros_like(weight)
+    grad = subset_clustering_objective(features, labels, source, novel, temperature)[1]
     return _chain_to_weight(grad, features, weight, raw)
 
 

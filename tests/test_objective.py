@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     finite_difference_gradient,
     relative_error,
+    subset_clustering_objective,
     unfused_clustering_gradient,
     unfused_clustering_loss,
     unfused_kl_divergence,
@@ -390,6 +391,40 @@ def test_fused_clustering_matches_unfused_oracle(seed, n, k_s, n_novel, mode, te
     assert np.array_equal(grad, expected_grad)
     assert agrees_within_1e12(loss, expected_loss)
     assert clustering_loss(feats, labels, pool, temperature) == loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_source_rows=st.integers(0, 5),
+    n_novel_rows=st.integers(0, 5),
+    k_s=st.integers(1, 4),
+    temperature=st.sampled_from([0.05, 0.1, 1.0]),
+)
+@example(seed=0, n_source_rows=4, n_novel_rows=0, k_s=3, temperature=0.1)
+@example(seed=0, n_source_rows=1, n_novel_rows=0, k_s=2, temperature=0.1)
+@example(seed=0, n_source_rows=0, n_novel_rows=1, k_s=2, temperature=0.1)
+@example(seed=0, n_source_rows=1, n_novel_rows=1, k_s=2, temperature=0.1)
+def test_clustering_gradient_writes_none_of_its_inputs(
+    seed, n_source_rows, n_novel_rows, k_s, temperature
+):
+    # Read-only inputs make any write into them raise. With source labels only,
+    # the source subset is the caller's own label array, not a copy.
+    adapter, raw, pool, _ = random_instance(seed, k_s=k_s, n=n_source_rows + n_novel_rows)
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([rng.integers(0, k_s, size=n_source_rows),
+                             rng.integers(k_s, k_s + pool.novel_count, size=n_novel_rows)])
+    rng.shuffle(labels)
+    feats = embed_batch(raw, adapter)
+    for array in (feats, labels, pool._rows):
+        array.setflags(write=False)
+
+    loss, grad = clustering_loss_gradient(feats, labels, pool, temperature)
+    expected_loss, expected_grad = subset_clustering_objective(
+        feats, labels, pool.source_matrix(), pool.novel_matrix(), temperature
+    )
+    assert loss == expected_loss
+    assert np.array_equal(grad, expected_grad)
 
 
 @settings(max_examples=150, deadline=None)

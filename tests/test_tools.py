@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,17 +192,46 @@ def test_ablation_table_rows_match_engine_runs_on_two_worlds():
 
 
 def test_step_profile_reads_calls_per_batch_on_a_two_batch_world(monkeypatch, capsys):
-    two_batches = step_profile.harness.Workload(world=dict(n_batches=2), config={}, streams=1)
-    monkeypatch.setitem(step_profile.harness.WORKLOADS, "two-batch", two_batches)
-    assert step_profile.main(["two-batch"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["# two-batch: 1 worlds, 2 batches", step_profile.HEADER]
-    rows = [line.split(" ", 2) for line in lines[2:]]
-    engine_calls = {name[name.index("(") + 1:-1]: float(per_batch)
-                    for _, per_batch, name in rows if name.startswith("owtt/engine.py:")}
-    assert engine_calls["run"] == 0.5  # one run over two batches
-    assert engine_calls["step"] == engine_calls["inference_stage"] == 1.0
-    times = [float(us) for us, _, _ in rows]
-    assert min(times) >= 0.0 and times == sorted(times, reverse=True)
+    harness = step_profile.harness
+    two_batches = harness.Workload(world=dict(n_batches=2), config={}, streams=1)
+    monkeypatch.setitem(harness.WORKLOADS, "two-batch", two_batches)
+    profiled = []
+    generate_stream = step_profile.datagen.generate_stream
+    monkeypatch.setattr(step_profile.datagen, "generate_stream",
+                        lambda spec: profiled.append(spec.seed) or generate_stream(spec))
+    held_out = harness.HELD_OUT_SEED
+    for seed, flags in [(harness.DEFAULT_SEED, []), (held_out, ["--seed", str(held_out)])]:
+        profiled.clear()
+        assert step_profile.main(["two-batch", *flags]) == 0
+        assert profiled == harness.Runner("two-batch", seed).worlds
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"# two-batch at seed {seed}: 1 worlds, 2 batches",
+                             step_profile.HEADER]
+        rows = [line.split(" ", 2) for line in lines[2:]]
+        engine_calls = {name[name.index("(") + 1:-1]: float(per_batch)
+                        for _, per_batch, name in rows if name.startswith("owtt/engine.py:")}
+        assert engine_calls["run"] == 0.5  # one run over two batches
+        assert engine_calls["step"] == engine_calls["inference_stage"] == 1.0
+        times = [float(us) for us, _, _ in rows]
+        assert min(times) >= 0.0 and times == sorted(times, reverse=True)
     with pytest.raises(SystemExit):
         step_profile.main(["two-batch", "--worlds", "2"])  # the workload has one world
+
+
+def test_step_profile_exits_quietly_when_its_reader_closes_after_the_header():
+    # The rows repeat a thousandfold, more than a pipe holds, so the profile
+    # is still writing when the reader closes.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import step_profile as p; "
+        "p.harness.WORKLOADS['two-batch'] = "
+        "p.harness.Workload(world=dict(n_batches=2), config={}, streams=1); "
+        "table = p.table; p.table = lambda stats, batches: table(stats, batches) * 1000; "
+        "sys.exit(p.main(['two-batch']))"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code, str(TOOLS)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "# two-batch at seed 0: 1 worlds, 2 batches\n"
+    assert proc.stdout.readline() == step_profile.HEADER + "\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")

@@ -1,15 +1,17 @@
 """Profile the engine's per-batch work on a benchmark workload with cProfile.
 
-    python3 tools/step_profile.py WORKLOAD [--worlds N]
+    python3 tools/step_profile.py WORKLOAD [--worlds N] [--seed S]
 
-Builds the first N worlds (default 1) of the workload's default-seed world set
-(``harness.WORKLOADS`` and ``harness.Runner``), then runs ``Engine.run`` on each
+Builds the first N worlds (default 1) of the workload's world set at seed S
+(``harness.WORKLOADS`` and ``harness.Runner``; S defaults to
+``harness.DEFAULT_SEED``), then runs ``Engine.run`` on each
 under cProfile with one BLAS thread; world generation and ``Engine``
 construction are not profiled. Prints one line per function, slowest first:
 its self time in microseconds per batch, its calls per batch and its name.
 cProfile adds a fixed cost to every call, so small functions read slower than
 they run untraced: compare lines of two profiles, not a line with the
-benchmark's clock.
+benchmark's clock. A reader that closes the pipe early, as ``| head`` does,
+ends the listing quietly with status 0.
 """
 import argparse
 import cProfile
@@ -30,12 +32,13 @@ from owtt import datagen, engine  # noqa: E402
 HEADER = "self_us_per_batch calls_per_batch function"
 
 
-def profile(name: str, worlds: int):
-    """(pstats.Stats of ``Engine.run`` over the first ``worlds`` worlds, batches run)."""
+def profile(name: str, worlds: int, seed: int):
+    """(pstats.Stats of ``Engine.run`` over the first ``worlds`` worlds of
+    ``seed``, batches run)."""
     workload = harness.WORKLOADS[name]
     profiler = cProfile.Profile()
     batches = 0
-    for world in harness.Runner(name, harness.DEFAULT_SEED).worlds[:worlds]:
+    for world in harness.Runner(name, seed).worlds[:worlds]:
         spec = datagen.WorldSpec(**workload.world, seed=world)
         config = engine.RunConfig(**workload.config, seed=world)
         values, labels = datagen.generate_source(spec)
@@ -65,15 +68,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(harness.WORKLOADS))
     parser.add_argument("--worlds", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     args = parser.parse_args(argv)
     streams = harness.WORKLOADS[args.workload].streams
     if not 1 <= args.worlds <= streams:
         parser.error(f"--worlds must lie in 1..{streams}")
-    stats, batches = profile(args.workload, args.worlds)
-    print(f"# {args.workload}: {args.worlds} worlds, {batches} batches")
-    print(HEADER)
-    for self_us, calls, name in table(stats, batches):
-        print(f"{self_us:.2f} {calls:.2f} {name}")
+    stats, batches = profile(args.workload, args.worlds, args.seed)
+    try:
+        print(f"# {args.workload} at seed {args.seed}: {args.worlds} worlds, {batches} batches")
+        print(HEADER)
+        for self_us, calls, name in table(stats, batches):
+            print(f"{self_us:.2f} {calls:.2f} {name}")
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+    except BrokenPipeError:
+        # The reader has what it wanted; point stdout at devnull so that the
+        # flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
