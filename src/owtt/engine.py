@@ -293,16 +293,16 @@ class Engine:
         features = embed_batch(batch_values, self.adapter)
         similarities = features.dot(self.pool.all_matrix().T)
         source_similarities = similarities[:, : self.pool.num_source]
+        nearest = source_similarities.argmax(axis=1)
         if cfg.discrete_mode:
             # Its own product: the table's novel columns can differ from it in the last bit.
             novel_similarities = features.dot(self.pool.novel_matrix().T)
             raw = batch_discrete_scores(source_similarities, novel_similarities)
         else:
-            raw = batch_ood_scores(source_similarities)
+            raw = batch_ood_scores(source_similarities, nearest)
         scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
         tau = next_threshold(self.plain_window, scores, None, fixed)
-        nearest = source_similarities.argmax(axis=1)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, similarities, scores, tau, predicted
 

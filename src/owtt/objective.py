@@ -77,7 +77,6 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
     mean = features.mean(axis=0)
     centered = features - mean
     cov = centered.T @ centered / features.shape[0]
-    cov = 0.5 * (cov + cov.T)
     return GaussianStats(mean=mean, covariance=cov, count=features.shape[0])
 
 
@@ -106,7 +105,6 @@ def update_target_stats(
         mean = (1.0 - momentum) * stats.mean + momentum * batch_mean
         cov = (1.0 - momentum) * stats.covariance + momentum * batch_cov
         blend = momentum
-    cov = 0.5 * (cov + cov.T)
     return GaussianStats(
         mean=mean,
         covariance=cov,
@@ -126,7 +124,7 @@ def kl_divergence(source: GaussianStats, target: GaussianStats) -> float:
         raise EmptyEstimate("both Gaussian estimates must hold samples")
     t_inv = target.inverse
     delta = source.mean - target.mean
-    trace_term = float((t_inv * source.regularized.T).sum())
+    trace_term = float((t_inv * source.regularized).sum())
     mahal = float(delta.dot(t_inv).dot(delta))
     kl = 0.5 * (trace_term + mahal - delta.shape[0] + target.logdet - source.logdet)
     if kl < 0.0:
@@ -166,7 +164,7 @@ def kl_gradient(source: GaussianStats, target: GaussianStats) -> Tuple[float, np
 def _softmax_nll(logits: np.ndarray, picked) -> float:
     """Summed NLL of the targets ``logits[picked]`` under the row softmax; turns
     the C-contiguous ``logits`` into softmax minus one-hot in place."""
-    peak = logits.max(axis=1)
+    peak = logits[np.arange(len(logits)), logits.argmax(axis=1)]  # the row maxima
     lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
     total = float((lse - logits[picked]).sum())
     np.exp(np.subtract(logits, lse[:, None], out=logits), out=logits)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,6 +124,26 @@ def build_source_prototypes(
     return prototypes
 
 
+def _admit(close: np.ndarray, cap: int) -> list:
+    """The candidates ``expand`` admits, in visit order: i enters unless
+    ``close[j, i]`` for one of the last ``cap`` admissions j. The live rows' OR,
+    in ints of bits, is ``newer`` (the rows since the last full block of ``cap``)
+    with the top of ``older`` (that block's suffix ORs, popped as rows leave)."""
+    packed = np.packbits(close, axis=1, bitorder="little")
+    width, data, count, frombytes = packed.shape[1], packed.tobytes(), len(close), int.from_bytes
+    admitted, rows, newer, i, older = [], [], 0, -1, [0] * (min(cap, count) + 1)  # no block yet
+    while True:
+        blocked = (newer | older.pop()) >> (i + 1)  # one pop per admission
+        i += (~blocked & (blocked + 1)).bit_length()  # jump to the lowest clear bit after i
+        if i >= count:
+            return admitted
+        admitted.append(i)
+        rows.append(row := frombytes(data[i * width : (i + 1) * width], "little"))
+        newer |= row
+        if len(rows) % cap == 0:
+            older, newer = [0, *accumulate(reversed(rows[-cap:]), int.__or__)], 0
+
+
 def expand(
     pool: PrototypePool, batch_features: np.ndarray, scores: np.ndarray, tau: float
 ) -> int:
@@ -132,29 +153,23 @@ def expand(
     batch found it, so each candidate (score > tau) beats tau against that
     pool and is blocked only by a still-live (not yet evicted) admission of
     this batch with ``1 - cos <= tau`` to it: near-duplicates cannot all
-    enter. Candidates are visited in descending score order; their cosines
-    come from one product of the candidates, transiently ``count**2``
-    doubles. The admissions enter the pool after the visit as one block,
-    oldest first, which leaves the same FIFO queue as pushing each in turn.
+    enter. Candidates are visited in descending score order, jumping from one
+    admission to the next (``_admit``); their cosines come from one product
+    of the candidates, transiently ``count**2`` doubles plus ``count**2 / 8``
+    bytes of bitsets. The admissions enter the pool as one block, oldest
+    first, which leaves the same FIFO queue as pushing each in turn.
 
     The visit stops at the first candidate whose initial score is <= tau:
     such candidates are never visited, even when an eviction later in the
     batch would raise their score above tau.
     """
-    count = np.count_nonzero(scores > tau)
-    if not count:
+    above = (scores > tau).nonzero()[0]
+    if not above.size:
         return 0
-    order = (-scores).argsort(kind="stable")
-    candidates = batch_features[order[:count]]
-    cap = pool.novel_capacity
+    candidates = batch_features[above[(-scores[above]).argsort(kind="stable")]]
     close = candidates @ candidates.T
     close = np.subtract(1.0, close, out=close) <= tau  # admission j blocks candidate i
-    latest = np.full(count, -cap - 1)  # newest admission ordinal close to each candidate
-    admitted = []
-    for i in range(count):
-        if latest[i] < len(admitted) - cap:  # no close admission is still live
-            np.putmask(latest, close[i], len(admitted))
-            admitted.append(i)
+    admitted = _admit(close, pool.novel_capacity)
     pool.push_novel(candidates[admitted])
     return len(admitted)
 

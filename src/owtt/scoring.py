@@ -89,12 +89,14 @@ def ood_score(feature: np.ndarray, source_prototypes) -> float:
     return float(1.0 - np.max(mat @ np.asarray(feature, dtype=float)))
 
 
-def batch_ood_scores(similarities: np.ndarray) -> np.ndarray:
+def batch_ood_scores(similarities: np.ndarray, nearest=None) -> np.ndarray:
     """Strong-OOD scores from a batch's cosine similarities to prototype rows,
-    ``features @ prototypes.T`` for unit-norm features, one column per prototype."""
+    ``features @ prototypes.T`` for unit-norm features, one column per prototype;
+    each row maximum is read at its argmax, ``nearest`` when the caller has it."""
     if similarities.shape[1] == 0:
         raise EmptyPrototypeSet("no prototypes")
-    return 1.0 - similarities.max(axis=1)
+    nearest = similarities.argmax(axis=1) if nearest is None else nearest
+    return 1.0 - similarities[np.arange(len(nearest)), nearest]
 
 
 def batch_discrete_scores(

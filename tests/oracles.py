@@ -257,6 +257,20 @@ def brute_force_expand(pool, batch, window, window_capacity, clamp_range=None,
     return added
 
 
+def putmask_admissions(close, cap):
+    """The admission loop ``expand`` ran before its bitset scan, kept verbatim:
+    one Python iteration per candidate, the newest close admission ordinal of
+    each candidate kept in an array. Returns the admitted candidate indices."""
+    count = len(close)
+    latest = np.full(count, -cap - 1)  # newest admission ordinal close to each candidate
+    admitted = []
+    for i in range(count):
+        if latest[i] < len(admitted) - cap:  # no close admission is still live
+            np.putmask(latest, close[i], len(admitted))
+            admitted.append(i)
+    return admitted
+
+
 def list_momentum_update(pool, feature, momentum):
     """Blend the first most similar novel row of a ListPool toward feature."""
     best = 0
@@ -453,6 +467,17 @@ def unfused_clustering_gradient(features, labels, source, novel, temperature, we
         return np.zeros_like(weight)
     grad = subset_clustering_objective(features, labels, source, novel, temperature)[1]
     return _chain_to_weight(grad, features, weight, raw)
+
+
+def max_peak_softmax_nll(logits, picked):
+    """``objective._softmax_nll`` as it was before it read each row's peak at
+    the row's argmax, kept verbatim: the peak is ``logits.max(axis=1)``."""
+    peak = logits.max(axis=1)
+    lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    total = float((lse - logits[picked]).sum())
+    np.exp(np.subtract(logits, lse[:, None], out=logits), out=logits)
+    logits[picked] -= 1.0
+    return total
 
 
 def unfused_kl_divergence(source, target):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (
     finite_difference_gradient,
+    max_peak_softmax_nll,
     relative_error,
     subset_clustering_objective,
     unfused_clustering_gradient,
@@ -218,12 +220,41 @@ def test_the_cached_ridge_is_read_only_and_no_estimate_holds_it():
             stats.covariance + COV_EPS * np.eye(3)).tobytes()
 
 
+# Logits with exact ties and signed zeros among the row maxima.
+TIED_LOGITS = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 9), st.integers(1, 6)),
+    elements=st.sampled_from([-30.0, -1.5, -0.0, 0.0, 2.0, 40.0]) | st.floats(-50.0, 50.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=TIED_LOGITS, data=st.data())
+def test_softmax_nll_reads_the_peak_at_the_argmax_bit_for_bit(logits, data):
+    n, width = logits.shape
+    picked = ((np.arange(n), np.array(data.draw(st.lists(st.integers(0, width - 1),
+                                                          min_size=n, max_size=n)), int))
+              if data.draw(st.booleans()) else (slice(None), -1))
+    ours, theirs = logits.copy(), logits.copy()
+    total, expected = objective._softmax_nll(ours, picked), max_peak_softmax_nll(theirs, picked)
+    assert np.float64(total).tobytes() == np.float64(expected).tobytes()
+    assert ours.tobytes() == theirs.tobytes()
+
+
 def test_covariance_stays_symmetric_across_updates():
+    # Exactly: no estimate re-symmetrizes its covariance, and kl_divergence
+    # reads the regularized source covariance in place of its transpose.
     rng = np.random.default_rng(8)
-    stats = GaussianStats.empty(4)
-    for _ in range(10):
-        stats = update_target_stats(stats, rng.normal(size=(7, 4)), 0.3)
-        np.testing.assert_allclose(stats.covariance, stats.covariance.T, atol=1e-12)
+    for dim, sizes in ((4, [7] * 10), (16, [1, 2, 16, 40, 1, 3, 17]), (64, [1, 2, 64, 100, 5])):
+        stats = GaussianStats.empty(dim)
+        for n in sizes:
+            batch = rng.normal(size=(2 * n, dim))
+            fitted = fit_gaussian(batch[:n])
+            for estimate in (fitted, fit_gaussian(batch[::2]),
+                             update_target_stats(stats, batch[1::2], 0.3)):
+                assert np.array_equal(estimate.covariance, estimate.covariance.T)
+                assert np.array_equal(estimate.regularized, estimate.regularized.T)
+            stats = update_target_stats(stats, batch[:n], 0.3)
+            assert np.array_equal(stats.covariance, stats.covariance.T)
 
 
 # --- KL divergence ------------------------------------------------------------------

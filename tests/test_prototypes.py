@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import ListPool, brute_force_expand, list_momentum_update
+from oracles import ListPool, brute_force_expand, list_momentum_update, putmask_admissions
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import WorldSpec, generate_source, generate_stream
 from owtt.engine import EXPANSION_CLAMP, next_threshold
@@ -16,6 +16,7 @@ from owtt.prototypes import (
     MAX_NOVEL_CAPACITY,
     UNIT_NORM_TOL,
     PrototypePool,
+    _admit,
     build_source_prototypes,
     expand,
     load_pool,
@@ -297,6 +298,16 @@ def test_expand_matches_brute_force_oracle_when_a_batch_overflows_the_pool(capac
         assert added[-1] == expected
         assert np.array_equal(pool.all_matrix(), model.matrix())
     assert max(added) > capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300), cap=st.integers(1, 130),
+       density=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6, 1.0]))
+def test_bitset_admissions_match_the_putmask_loop(seed, count, cap, density):
+    # Asymmetric, with any diagonal; past 64 candidates a bitset spans several
+    # words, and a small cap rebuilds the older stack many times per call.
+    close = np.random.default_rng(seed).random((count, count)) < density
+    assert _admit(close, cap) == putmask_admissions(close, cap)
 
 
 # --- momentum refresh of novel prototypes ----------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (
     brute_force_threshold,
@@ -79,6 +80,19 @@ def test_empty_prototypes_raise():
 def test_batch_scores_without_prototype_columns_raise():
     with pytest.raises(EmptyPrototypeSet):
         batch_ood_scores(np.empty((3, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(similarities=hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 9), st.integers(1, 6)),
+    elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0),
+))
+def test_batch_scores_equal_one_minus_the_row_maxima_bit_for_bit(similarities):
+    # Exact ties, signed zeros and one-column tables: a row maximum read at
+    # the argmax is the maximum, and 1 - (+0.0) and 1 - (-0.0) are both 1.
+    expected = (1.0 - similarities.max(axis=1)).tobytes()
+    assert batch_ood_scores(similarities).tobytes() == expected
+    assert batch_ood_scores(similarities, similarities.argmax(axis=1)).tobytes() == expected
 
 
 def test_extended_equals_plain_with_empty_novel_pool():

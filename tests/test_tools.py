@@ -137,10 +137,14 @@ def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatc
     assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "3"]) == 1
     assert calls == ["P", "C", "C", "P", "P", "C"]
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == " ".join(bench_pairs.COLUMNS)
-    assert out[1] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False False"
+    assert out[0] == "# workload=default-long seed=0 seconds=30 pairs=3"
+    assert out[1] == " ".join(bench_pairs.COLUMNS)
+    assert out[2] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False False"
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
-    assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "1"]) == 0
+    assert bench_pairs.main(["P", "C", "--workload", "wide-saturated", "--pairs", "1",
+                             "--seed", "7919", "--seconds", "12.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "# workload=wide-saturated seed=7919 seconds=12.5 pairs=1")
 
 
 def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, capsys):

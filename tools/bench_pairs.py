@@ -4,15 +4,17 @@
 
 Runs ``perfbench/run.py`` in the two checkouts alternately, the parent first
 on odd pairs (1, 3, ...) and the change first on even ones, and reads the JSON
-object on each run's last output line. For every end-to-end metric of
-``BENCHMARK.json`` it prints each side's median and quartiles, the change's
-wins, ties and losses by the metric's ``better`` direction, and whether the
-gain rule holds: the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's interquartile range. The
-``regressed`` column is true when the change's median is worse than the
-parent's by more than the metric's ``bound``, read as a fraction of the
-parent's median (a bound of 0.24 on a parent median of 100 samples/s flags a
-change median below 76). Exits 1 when any run is not ``correct``, otherwise 0.
+object on each run's last output line. The tool's own output starts with one
+line naming what it measured, ``# workload=W seed=S seconds=N pairs=K``.
+Then, for every end-to-end metric of ``BENCHMARK.json``, it prints each
+side's median and quartiles, the change's wins, ties and losses by the
+metric's ``better`` direction, and whether the gain rule holds: the change
+wins at least nine tenths of the pairs and its median beats the parent's by
+more than the parent's interquartile range. The ``regressed`` column is true
+when the change's median is worse than the parent's by more than the
+metric's ``bound``, read as a fraction of the parent's median (a bound of
+0.24 on a parent median of 100 samples/s flags a change median below 76).
+Exits 1 when any run is not ``correct``, otherwise 0.
 """
 import argparse
 import json
@@ -75,6 +77,8 @@ def main(argv) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    print(f"# workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
+          f"pairs={args.pairs}", flush=True)
     pairs = []
     for k in range(1, args.pairs + 1):
         sides = (args.parent_dir, args.change_dir)[:: 1 if k % 2 else -1]
