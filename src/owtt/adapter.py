@@ -18,6 +18,9 @@ from .errors import DegenerateEmbedding, InvalidSpec, NonFiniteGradient, NonFini
 # aborts instead of silently renormalizing noise.
 NORM_EPS = 1e-12
 
+# Half-width of the uniform noise added to the initial identity map.
+INIT_NOISE = 0.01
+
 
 @dataclass
 class AdapterState:
@@ -35,7 +38,6 @@ def init_adapter(
     learning_rate: float,
     momentum_coeff: float = 0.9,
     seed: int = 0,
-    noise_scale: float = 0.01,
 ) -> AdapterState:
     """Identity map padded/truncated to shape, plus small uniform noise.
 
@@ -46,7 +48,7 @@ def init_adapter(
     weight = np.zeros((feature_dim, input_dim))
     k = min(feature_dim, input_dim)
     weight[:k, :k] = np.eye(k)
-    weight += rng.uniform(-noise_scale, noise_scale, size=weight.shape)
+    weight += rng.uniform(-INIT_NOISE, INIT_NOISE, size=weight.shape)
     return AdapterState(
         weight=weight,
         momentum_buffer=np.zeros_like(weight),

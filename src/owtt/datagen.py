@@ -55,17 +55,24 @@ MAX_WORLD_SCALE = 1e150
 
 @dataclass
 class Batch:
-    """One stream batch: input rows and their evaluation-only labels."""
+    """One stream batch: input rows and their non-negative integer evaluation-only labels."""
 
     values: np.ndarray  # (B, d_in) float64
     hidden: np.ndarray  # (B,) int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.hidden = np.asarray(self.hidden, dtype=int)
-        if self.values.ndim != 2 or self.hidden.shape != self.values.shape[:1]:
+        labels = np.asarray(self.hidden)
+        labels = labels.astype(int if labels.dtype.kind in "bi" else float, copy=False)
+        if self.values.ndim != 2 or labels.shape != self.values.shape[:1]:
             raise InvalidSpec(f"a batch needs 2-D values and one label per row, got values "
-                              f"of shape {self.values.shape} and labels of shape {self.hidden.shape}")
+                              f"of shape {self.values.shape} and labels of shape {labels.shape}")
+        if labels.dtype.kind == "f" or labels.min(initial=0) < 0:  # one min() passes int labels
+            valid = (labels >= 0) & (labels < 2.0**63) & (labels == np.round(labels))
+            if not valid.all():
+                i = int(np.argmin(valid))
+                raise InvalidSpec(f"hidden label {i} is {labels[i]:g}, not a non-negative integer")
+        self.hidden = labels.astype(int, copy=False)
 
     def __len__(self) -> int:
         return self.values.shape[0]

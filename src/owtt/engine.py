@@ -151,20 +151,19 @@ def prediction_columns(outcomes: Sequence[BatchOutcome],
 
 class StageFailure(Exception):
     """A stage error aborted the run at ``batch_index``; ``run`` fills in the
-    outcomes, hidden labels and trace rows of the batches before it. The engine is
-    then spent, not rolled back: each later ``step`` runs no stage and raises a fresh
+    outcomes and hidden labels of the batches before it. The engine is then spent,
+    not rolled back: each later ``step`` runs no stage and raises a fresh
     StageFailure with the same ``batch_index`` and ``cause``."""
 
-    def __init__(self, batch_index: int, outcomes, hidden, trace, cause: Exception):
+    def __init__(self, batch_index: int, outcomes, hidden, cause: Exception):
         super().__init__(f"run aborted at batch {batch_index}: {cause}")
         self.batch_index = batch_index
         self.outcomes = outcomes
         self.hidden = hidden
-        self.trace = trace
         self.cause = cause
 
     def __reduce__(self):  # Exception pickles only args; rebuild from the fields
-        return type(self), (self.batch_index, self.outcomes, self.hidden, self.trace, self.cause)
+        return type(self), (self.batch_index, self.outcomes, self.hidden, self.cause)
 
 
 @dataclass(slots=True)
@@ -179,27 +178,13 @@ class PredictionRecord:
     hidden_label: int
 
 
-@dataclass(slots=True)
-class TraceRow:
-    """Cumulative metrics, engine state and the batch's losses after one batch."""
-
-    batch: int
-    acc_s: Optional[float]
-    acc_n: Optional[float]
-    acc_h: Optional[float]
-    pn_size: int
-    tau: float
-    clustering_loss: float
-    alignment_loss: float
-
-
 @dataclass
 class RunResult:
-    """Per batch: its outcome, hidden labels (the stream's array) and trace row."""
+    """Per batch: its outcome, hidden labels (the stream's array) and cumulative accuracies."""
 
     outcomes: List[BatchOutcome]
     hidden: List[np.ndarray]
-    trace: List[TraceRow]
+    accuracies: List[Tuple[Optional[float], Optional[float], Optional[float]]]
     report: MetricsReport
     num_known: int
     engine: "Engine" = field(repr=False)
@@ -297,7 +282,7 @@ class Engine:
         if cfg.discrete_mode:
             # Its own product: the table's novel columns can differ from it in the last bit.
             novel_similarities = features.dot(self.pool.novel_matrix().T)
-            raw = batch_discrete_scores(source_similarities, novel_similarities)
+            raw = batch_discrete_scores(source_similarities, novel_similarities, nearest)
         else:
             raw = batch_ood_scores(source_similarities, nearest)
         scores = clamp_scores(raw)
@@ -389,7 +374,7 @@ class Engine:
         changes; a stage error raises StageFailure, and the engine is spent."""
         t, size, width = self.batch_index, self.config.batch_size, self.adapter.weight.shape[1]
         if self._cause is not None:
-            raise StageFailure(t, [], [], [], self._cause) from self._cause
+            raise StageFailure(t, [], [], self._cause) from self._cause
         if size is not None and len(batch) != size:
             raise ConfigError(f"batch {t} has {len(batch)} samples, config expects {size}")
         if batch.values.shape[1:] != (width,):
@@ -404,23 +389,22 @@ class Engine:
                                                tau, predicted)
         except Exception as exc:
             self._cause = exc
-            raise StageFailure(t, [], [], [], exc) from exc
+            raise StageFailure(t, [], [], exc) from exc
         self.batch_index = t + 1
         return BatchOutcome(t, predicted, scores, tau, self.pool.novel_count, *losses)
 
     def run(self, stream: Iterable[Batch]) -> RunResult:
-        """Fold step over the stream into outcomes, hidden labels and trace rows."""
-        outcomes, hidden, trace = [], [], []
+        """Fold step over the stream into outcomes, hidden labels and cumulative accuracies."""
+        outcomes, hidden, accuracies = [], [], []
         running = RunningMetrics(self.num_known)
         for batch in stream:
             try:
                 o = self.step(batch)
             except StageFailure as failure:
-                failure.outcomes, failure.hidden, failure.trace = outcomes, hidden, trace
+                failure.outcomes, failure.hidden = outcomes, hidden
                 raise
             running.update(o.predicted, batch.hidden)
             outcomes.append(o)
             hidden.append(batch.hidden)
-            trace.append(TraceRow(o.batch, *running.snapshot(), o.pn_size, o.tau,
-                                  o.clustering_loss, o.alignment_loss))
-        return RunResult(outcomes, hidden, trace, running.report(), self.num_known, self)
+            accuracies.append(running.snapshot())
+        return RunResult(outcomes, hidden, accuracies, running.report(), self.num_known, self)

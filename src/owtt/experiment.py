@@ -192,7 +192,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         out / "trace.csv",
         prov,
         ["batch", "acc_s", "acc_n", "acc_h", "pn_size", "tau"],
-        ((t.batch, t.acc_s, t.acc_n, t.acc_h, t.pn_size, t.tau) for t in result.trace),
+        ((o.batch, *acc, o.pn_size, o.tau) for o, acc in zip(result.outcomes, result.accuracies)),
     )
 
     # The first and the last batch that holds samples.
@@ -222,9 +222,9 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         "acc_h": report.acc_h,
         "n_weak": report.n_weak,
         "n_strong": report.n_strong,
-        "n_batches": len(result.trace),
-        "final_novel_prototypes": result.trace[-1].pn_size,
-        "final_tau": result.trace[-1].tau,
+        "n_batches": len(result.outcomes),
+        "final_novel_prototypes": result.outcomes[-1].pn_size,
+        "final_tau": result.outcomes[-1].tau,
         "mean_weak_score": sep[0],
         "mean_strong_score": sep[1],
         "score_gap": sep[2],

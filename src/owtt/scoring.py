@@ -100,21 +100,21 @@ def batch_ood_scores(similarities: np.ndarray, nearest=None) -> np.ndarray:
 
 
 def batch_discrete_scores(
-    source_similarities: np.ndarray, novel_similarities: np.ndarray
+    source_similarities: np.ndarray, novel_similarities: np.ndarray, nearest: np.ndarray
 ) -> np.ndarray:
     """Score variant weighing source affinity against mean top-m novel affinity,
     from a batch's similarities to the source and to the novel prototypes.
 
-    With similarity s to the best source prototype and u the mean of the
-    top-m (m = TOP_M) similarities to novel prototypes, the score is
-    (1-s)*s/(s+u) + u*u/(s+u), and 0.5 where s+u < 1e-12 (no evidence
-    either way). Falls back to the plain score while the novel pool is
-    empty; with fewer than m novel prototypes the mean runs over all of
-    them. The top-m similarities are summed in descending order.
+    With s the similarity to the best source prototype, read at ``nearest``
+    (the row argmax of the source similarities), and u the mean of the top-m
+    (m = TOP_M) similarities to novel prototypes, the score is
+    (1-s)*s/(s+u) + u*u/(s+u), or 0.5 where s+u < 1e-12 (no evidence either
+    way); the plain score while the novel pool is empty. The mean runs over
+    all novel prototypes when fewer than m, summed in descending order.
     """
     if source_similarities.shape[1] == 0:
         raise EmptyPrototypeSet("no source prototypes")
-    best_source = source_similarities.max(axis=1)
+    best_source = source_similarities[np.arange(len(nearest)), nearest]
     m = min(TOP_M, novel_similarities.shape[1])
     if m == 0:
         return 1.0 - best_source

@@ -328,13 +328,17 @@ def scan_first_step_error(weight, buffer, gradient, learning_rate, momentum):
     return None
 
 
-def cumulative_trace(records, num_known):
-    """Per-batch (batch, acc_s, acc_n, acc_h) rows, each a recount of every
-    record up to and including that batch."""
-    batches = sorted({r.timestamp for r in records})
+def cumulative_trace(columns, num_known):
+    """Per-batch (batch, acc_s, acc_n, acc_h) rows from prediction columns (the
+    ``batch``, ``predicted`` and ``hidden`` arrays, one entry per sample), each a
+    recount of every sample up to and including that batch."""
+    samples = [
+        SimpleNamespace(batch=t, predicted_label=p, hidden_label=h)
+        for t, p, h in zip(*(columns[key].tolist() for key in ("batch", "predicted", "hidden")))
+    ]
     return [
-        (t, *recount_metrics([r for r in records if r.timestamp <= t], num_known))
-        for t in batches
+        (t, *recount_metrics([s for s in samples if s.batch <= t], num_known))
+        for t in sorted({s.batch for s in samples})
     ]
 
 

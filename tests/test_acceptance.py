@@ -296,6 +296,6 @@ def test_criterion_10_expansion_bound(default_runs):
     """Novel pool never exceeds its capacity; disabled expansion keeps it empty."""
     for seed in SEEDS:
         full = default_runs[seed]["full"]
-        assert all(row.pn_size <= 100 for row in full.trace)
+        assert all(o.pn_size <= 100 for o in full.outcomes)
         baseline = default_runs[seed]["baseline"]
-        assert all(row.pn_size == 0 for row in baseline.trace)
+        assert all(o.pn_size == 0 for o in baseline.outcomes)

@@ -117,7 +117,7 @@ def test_identical_gradient_sequences_are_bit_identical():
 
 
 def test_init_adapter_starts_near_identity():
-    adapter = init_adapter(2, 4, learning_rate=0.1, seed=0, noise_scale=0.01)
+    adapter = init_adapter(2, 4, learning_rate=0.1, seed=0)
     np.testing.assert_allclose(adapter.weight[:2, :2], np.eye(2), atol=0.011)
     np.testing.assert_allclose(adapter.weight[:, 2:], 0.0, atol=0.011)
 

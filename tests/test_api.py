@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import owtt
-from owtt.engine import BatchOutcome, TraceRow, prediction_columns
+from owtt.engine import BatchOutcome, prediction_columns
 
 DOCUMENTED = {
     # The run API.
@@ -42,8 +42,7 @@ def error_instance(cls):
     if cls is owtt.StageFailure:
         outcome = BatchOutcome(1, np.array([owtt.REJECT, 3]), np.array([0.75, 0.25]), 0.5, 2,
                                1.25, 0.125)
-        row = TraceRow(1, 0.5, 0.25, 1 / 3, 2, 0.5, 1.25, 0.125)
-        return cls(2, [outcome], [np.array([7, 3])], [row],
+        return cls(2, [outcome], [np.array([7, 3])],
                    owtt.NonFiniteInput("input row 0 holds a NaN or inf value"))
     return cls(f"{cls.__name__} message")
 

@@ -1,7 +1,9 @@
 import dataclasses
 import re
 import struct
+import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -187,9 +189,6 @@ def test_source_deterministic_per_seed():
 def test_easy_source_regime_nearest_mean_oracle():
     spec = WorldSpec(k_s=5, class_sep=6.0, within_std=1.0, n_source=2000, seed=0)
     train_x, train_y = generate_source(spec)
-    held = WorldSpec(k_s=5, class_sep=6.0, within_std=1.0, n_source=2000, seed=0)
-    # held-out draw: same world geometry, fresh sample noise via a shifted seed
-    # on the sampling stage only is not exposed, so split the one draw instead.
     half = len(train_x) // 2
     acc = nearest_mean_accuracy(
         train_x[:half], train_y[:half], train_x[half:], train_y[half:], spec.k_s
@@ -593,7 +592,9 @@ MUTATIONS = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=MUTATIONS)
 def test_a_mutated_stream_file_loads_or_raises_invalid_spec(tmp_path, mutation):
-    path = exported(tmp_path)
+    # Each example writes new files in its own directory: truncating and
+    # rewriting one file per example waits on the disk.
+    path = exported(Path(tempfile.mkdtemp(dir=tmp_path)))
     data = bytearray(path.read_bytes())
     kind, *args = mutation
     if kind == "truncate":
@@ -609,6 +610,7 @@ def test_a_mutated_stream_file_loads_or_raises_invalid_spec(tmp_path, mutation):
         row, column, value = args
         width = 2 + HEADER.unpack_from(data)[2]
         struct.pack_into("<f", data, HEADER.size + 4 * (row * width + column), value)
+    path = path.with_name("mutated.owtt")
     path.write_bytes(bytes(data))
     try:
         batches = load_stream(path)
@@ -643,3 +645,27 @@ def test_a_batch_with_fewer_labels_than_rows_is_refused():
 def test_a_batch_of_another_shape_is_refused(values, hidden):
     with pytest.raises(InvalidSpec, match="2-D values and one label per row"):
         Batch(values, hidden)
+
+
+@pytest.mark.parametrize("hidden, shown", [
+    (np.array([0, 1, -1, -2]), "-1"), (np.array([0, 1, -1.0, 2.5]), "-1"),
+    (np.array([0, 1, 2.7, -1]), "2.7"), (np.array([0, 1, np.nan, -1]), "nan"),
+    (np.array([0, 1, np.inf, -1]), "inf"), (np.array([0, 1, 2.0**63, -1]), "9.22337e+18"),
+    (np.array([0, 1, 2**64 - 1, 3], dtype=np.uint64), "1.84467e+19"),
+])
+def test_a_batch_refuses_a_negative_or_non_integral_label(hidden, shown):
+    # A -1 label would count as a weak sample, and as a correct one whenever
+    # the engine rejects it (REJECT is -1).
+    message = f"hidden label 2 is {shown}, not a non-negative integer"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        Batch(np.zeros((4, 3)), hidden)
+
+
+@pytest.mark.parametrize("hidden", [
+    [0, 1, 7], np.array([0.0, 1.0, 7.0]), np.array([0, 1, 7], dtype=np.uint8),
+    np.array([0, 1, 7], dtype=np.float32), np.array([False, True, True]),
+])
+def test_a_batch_takes_non_negative_integral_labels_of_any_dtype_as_ints(hidden):
+    batch = Batch(np.zeros((3, 2)), hidden)
+    assert batch.hidden.dtype == int
+    assert batch.hidden.tolist() == np.asarray(hidden).astype(int).tolist()

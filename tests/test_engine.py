@@ -29,7 +29,7 @@ from owtt.metrics import REJECT, RunningMetrics
 from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool, build_source_prototypes
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
-from oracles import reference_run
+from oracles import cumulative_trace, reference_run
 
 
 def small_world(**kw):
@@ -258,9 +258,9 @@ def test_an_empty_batch_in_a_free_size_stream_runs_to_the_end():
         stream = generate_stream(spec)
         stream.insert(position, Batch(np.empty((0, spec.d_in)), np.empty(0)))
         result = Engine(RunConfig(batch_size=None), src_x, src_y, spec.k_s).run(stream)
-        assert [row.batch for row in result.trace] == [0, 1, 2, 3, 4, 5]
+        assert [o.batch for o in result.outcomes] == [0, 1, 2, 3, 4, 5]
         if position == 0:
-            assert result.trace[0].tau == 1.0
+            assert result.outcomes[0].tau == 1.0
         sizes = [len(o.predicted) for o in result.outcomes]
         assert sizes == [0 if t == position else spec.batch_size for t in range(6)]
         assert set(columns(result)["batch"].tolist()) == {0, 1, 2, 3, 4, 5} - {position}
@@ -362,13 +362,13 @@ def test_detection_off_never_rejects_whole_run():
 def test_expansion_disabled_keeps_pool_empty():
     spec = small_world()
     result = run_world(spec, enable_expansion=False)
-    assert all(t.pn_size == 0 for t in result.trace)
+    assert all(o.pn_size == 0 for o in result.outcomes)
 
 
 def test_pool_bounded_by_capacity():
     spec = small_world(n_batches=20)
     result = run_world(spec, novel_capacity=7)
-    assert all(t.pn_size <= 7 for t in result.trace)
+    assert all(o.pn_size <= 7 for o in result.outcomes)
 
 
 def test_expansion_pushes_the_pool_at_most_once_per_batch(monkeypatch):
@@ -469,10 +469,17 @@ def test_a_stream_narrower_than_the_source_raises_invalid_spec():
 def test_trace_matches_report_at_final_batch():
     spec = small_world()
     result = run_world(spec)
-    final = result.trace[-1]
-    assert final.acc_s == result.report.acc_s
-    assert final.acc_n == result.report.acc_n
-    assert final.acc_h == result.report.acc_h
+    acc_s, acc_n, acc_h = result.accuracies[-1]
+    assert acc_s == result.report.acc_s
+    assert acc_n == result.report.acc_n
+    assert acc_h == result.report.acc_h
+
+
+@pytest.mark.parametrize("config", [{}, {"discrete_mode": True}, {"fixed_threshold": 0.3}])
+def test_every_accuracies_row_is_a_recount_of_the_columns_so_far(config):
+    result = run_world(small_world(n_batches=12), **config)
+    rows = [(o.batch, *acc) for o, acc in zip(result.outcomes, result.accuracies, strict=True)]
+    assert rows == cumulative_trace(columns(result), result.num_known)
 
 
 def test_report_equals_a_recount_of_the_records():
@@ -502,10 +509,10 @@ def test_the_columns_of_no_batches_are_six_empty_arrays_of_the_run_dtypes():
 def test_losses_recorded_per_batch():
     spec = small_world()
     result = run_world(spec)
-    assert len(result.trace) == spec.n_batches
-    assert all(row.clustering_loss > 0.0 for row in result.trace)
-    assert all(row.alignment_loss >= 0.0 for row in result.trace)
-    assert any(row.alignment_loss > 0.0 for row in result.trace)
+    assert len(result.outcomes) == spec.n_batches
+    assert all(o.clustering_loss > 0.0 for o in result.outcomes)
+    assert all(o.alignment_loss >= 0.0 for o in result.outcomes)
+    assert any(o.alignment_loss > 0.0 for o in result.outcomes)
 
 
 def test_discrete_mode_runs_end_to_end():
@@ -534,7 +541,7 @@ def test_nan_in_a_stream_batch_aborts_with_a_typed_cause():
     assert err.value.batch_index == 3
     assert isinstance(err.value.cause, NonFiniteInput)
     assert "row 0" in str(err.value.cause)
-    assert len(err.value.outcomes) == len(err.value.hidden) == len(err.value.trace) == 3
+    assert len(err.value.outcomes) == len(err.value.hidden) == 3
 
 
 def test_an_overflowing_stream_row_aborts_with_a_typed_cause():
@@ -548,7 +555,7 @@ def test_an_overflowing_stream_row_aborts_with_a_typed_cause():
     assert err.value.batch_index == 3
     assert isinstance(err.value.cause, NonFiniteInput)
     assert "input row 0 overflows" in str(err.value.cause)
-    assert len(err.value.trace) == 3
+    assert len(err.value.outcomes) == 3
 
 
 def test_an_overflowing_source_row_fails_engine_construction():
@@ -666,7 +673,7 @@ def test_single_sample_batches_run_alignment_with_n_equal_one():
     # Past the warm-up the alignment gradient ran on one-sample batches.
     assert engine.target_stats.count >= 2 * cfg.feature_dim
     assert engine.target_stats.last_blend == cfg.beta
-    assert np.isfinite([(r.clustering_loss, r.alignment_loss) for r in result.trace]).all()
+    assert np.isfinite([(o.clustering_loss, o.alignment_loss) for o in result.outcomes]).all()
     assert engine_state_is_finite(engine)
 
 
@@ -680,7 +687,7 @@ def test_all_reject_stream_leaves_alignment_without_a_gradient():
     result = engine.run(generate_stream(spec))
     assert (columns(result)["predicted"] == REJECT).all()
     assert engine.target_stats.count == 0
-    assert all(row.alignment_loss == 0.0 for row in result.trace)
+    assert all(o.alignment_loss == 0.0 for o in result.outcomes)
     assert engine_state_is_finite(engine)
 
 
@@ -692,9 +699,9 @@ def test_all_accept_stream_absorbs_every_sample_into_the_target():
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(generate_stream(spec))
     assert (columns(result)["predicted"] != REJECT).all()
-    assert all(t.tau == NO_REJECT_TAU for t in result.trace)
+    assert all(o.tau == NO_REJECT_TAU for o in result.outcomes)
     assert engine.target_stats.count == spec.n_batches * spec.batch_size
-    assert all(row.alignment_loss > 0.0 for row in result.trace)
+    assert all(o.alignment_loss > 0.0 for o in result.outcomes)
     assert engine_state_is_finite(engine)
 
 
@@ -711,11 +718,11 @@ def test_all_equal_score_window_gives_the_degenerate_threshold(adapt):
     engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size, **cfg_kw),
                     src_x, src_y, spec.k_s)
     result = engine.run(same)
-    assert result.trace[0].tau == 1.0
+    assert result.outcomes[0].tau == 1.0
     if not adapt:
         # The adapter never moves, so every window holds one repeated score.
         assert np.unique(columns(result)["score"]).size == 1
-        assert all(t.tau == 1.0 for t in result.trace)
+        assert all(o.tau == 1.0 for o in result.outcomes)
     assert engine_state_is_finite(engine)
 
 
@@ -745,7 +752,7 @@ def test_finite_stream_leaves_finite_engine_state(
     engine = Engine(cfg, src_x, src_y, spec.k_s)
     result = engine.run(stream)
     assert len(columns(result)["predicted"]) == batch_size * n_batches
-    assert np.isfinite([(r.clustering_loss, r.alignment_loss) for r in result.trace]).all()
+    assert np.isfinite([(o.clustering_loss, o.alignment_loss) for o in result.outcomes]).all()
     assert engine_state_is_finite(engine)
 
 
@@ -775,8 +782,8 @@ def assert_matches_reference(spec, config):
     assert np.array_equal(columns(result)["predicted"], np.concatenate(expected.predicted)), \
         "predictions"
     assert np.array_equal(columns(result)["score"], np.concatenate(expected.scores)), "scores"
-    assert [t.tau for t in result.trace] == expected.taus, "taus"
-    assert [t.pn_size for t in result.trace] == [
+    assert [o.tau for o in result.outcomes] == expected.taus, "taus"
+    assert [o.pn_size for o in result.outcomes] == [
         min(n, config.novel_capacity) for n in np.cumsum(expected.added)
     ], "novel counts"
     assert np.array_equal(result.engine.pool.all_matrix(), expected.pool.matrix()), "pool"
@@ -819,17 +826,16 @@ def test_a_hand_fold_of_step_equals_run(free_size):
     config = RunConfig(seed=0, batch_size=None if free_size else spec.batch_size)
 
     folded = Engine(config, src_x, src_y, spec.k_s)
-    running, outcomes, trace = RunningMetrics(spec.k_s), [], []
+    running, outcomes, accuracies = RunningMetrics(spec.k_s), [], []
     for batch in stream:
         o = folded.step(batch)
         running.update(o.predicted, batch.hidden)
         outcomes.append(o)
-        trace.append(engine_module.TraceRow(o.batch, *running.snapshot(), o.pn_size, o.tau,
-                                            o.clustering_loss, o.alignment_loss))
+        accuracies.append(running.snapshot())
     result = Engine(config, src_x, src_y, spec.k_s).run(stream)
 
     assert [outcome_bytes(o) for o in outcomes] == [outcome_bytes(o) for o in result.outcomes]
-    assert trace == result.trace
+    assert accuracies == result.accuracies
     assert all(h is batch.hidden for h, batch in zip(result.hidden, stream, strict=True))
     assert folded.batch_index == result.engine.batch_index == len(stream)
     assert folded.pool.all_matrix().tobytes() == result.engine.pool.all_matrix().tobytes()
@@ -859,9 +865,10 @@ def test_a_stage_failure_carries_exactly_the_finished_prefix(position, nan_batch
         prefix = Engine(config, src_x, src_y, spec.k_s).run(stream[:position])
         assert [outcome_bytes(o) for o in failure.outcomes] == [
             outcome_bytes(o) for o in prefix.outcomes]
-        assert failure.trace == prefix.trace
+        recount = cumulative_trace(prediction_columns(failure.outcomes, failure.hidden), spec.k_s)
+        assert recount == [(o.batch, *acc) for o, acc in zip(prefix.outcomes, prefix.accuracies)]
     else:
-        assert (failure.outcomes, failure.hidden, failure.trace) == ([], [], [])
+        assert (failure.outcomes, failure.hidden) == ([], [])
 
 
 def test_a_stage_failure_from_step_alone_carries_no_prefix():
@@ -873,7 +880,7 @@ def test_a_stage_failure_from_step_alone_carries_no_prefix():
     engine.step(stream[0])
     with pytest.raises(StageFailure) as failure:
         engine.step(stream[1])
-    assert (failure.value.outcomes, failure.value.hidden, failure.value.trace) == ([], [], [])
+    assert (failure.value.outcomes, failure.value.hidden) == ([], [])
     assert failure.value.batch_index == engine.batch_index == 1
 
 

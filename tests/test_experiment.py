@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import tempfile
 import typing
 import warnings
 from pathlib import Path
@@ -766,6 +767,9 @@ SECTION_KEYS = (
 @given(edits=st.lists(st.tuples(st.sampled_from(SECTION_KEYS), JSON_VALUES), max_size=3))
 def test_a_mutated_experiment_file_loads_or_raises_a_typed_error(tmp_path, edits):
     # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
+    # Each example writes in its own directory: rewriting one file per
+    # example waits on the disk.
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
     data = experiment_dict(tmp_path)
     for (section, key), value in edits:
         target = data if section is None else data[section]
@@ -803,6 +807,7 @@ RUN_EDITS = st.one_of(
 def test_cli_run_on_a_mutated_experiment_exits_0_1_or_2_with_one_json_line(
     tmp_path, capsys, edits
 ):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))  # each example's own files, run tree included
     data = experiment_dict(tmp_path)
     for (section, key), value in edits:
         target = data if section is None else data[section]

@@ -130,7 +130,10 @@ def test_cumulative_trace_final_row_matches_whole_run():
             np.array([r.hidden_label for r in batch]),
         )
         trace.append((t, *running.snapshot()))
-    assert trace == cumulative_trace(records, K_S)
+    columns = {"batch": np.array([r.timestamp for r in records]),
+               "predicted": np.array([r.predicted_label for r in records]),
+               "hidden": np.array([r.hidden_label for r in records])}
+    assert trace == cumulative_trace(columns, K_S)
     report = compute_metrics(records, K_S)
     final = trace[-1]
     assert final[1:] == (report.acc_s, report.acc_n, report.acc_h)

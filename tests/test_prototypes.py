@@ -1,4 +1,6 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,7 +531,9 @@ POOL_MUTATIONS = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=POOL_MUTATIONS)
 def test_a_mutated_pool_checkpoint_loads_or_raises_invalid_spec(tmp_path, mutation):
-    path, data = saved_pool_bytes(tmp_path)
+    # Each example writes new files in its own directory: truncating and
+    # rewriting one file per example waits on the disk.
+    path, data = saved_pool_bytes(Path(tempfile.mkdtemp(dir=tmp_path)))
     data = bytearray(data)
     kind, *args = mutation
     if kind == "truncate":
@@ -541,6 +545,7 @@ def test_a_mutated_pool_checkpoint_loads_or_raises_invalid_spec(tmp_path, mutati
             data[position % len(data)] ^= 1 << bit
     else:
         struct.pack_into("<I", data, 4 * args[0], args[1])
+    path = path.with_name("mutated.owtp")
     path.write_bytes(bytes(data))
     try:
         pool = load_pool(path)

@@ -45,8 +45,9 @@ def extended_score(feature, pool):
 
 
 def discrete_score(feature, pool):
-    row = feature[None, :]
-    return batch_discrete_scores(row @ pool.source_matrix().T, row @ pool.novel_matrix().T)[0]
+    source = feature[None, :] @ pool.source_matrix().T
+    return batch_discrete_scores(source, feature[None, :] @ pool.novel_matrix().T,
+                                 source.argmax(axis=1))[0]
 
 
 def plain_score(feature, pool):
@@ -185,7 +186,8 @@ def test_batch_discrete_scores_match_row_by_row_oracle(seed, n_novel, batch, dim
     pool = make_pool(source, novel=list(novel), capacity=16)
     source_sims, novel_sims = features @ pool.source_matrix().T, features @ pool.novel_matrix().T
     expected = discrete_scores(source_sims, novel_sims, TOP_M)
-    assert np.array_equal(batch_discrete_scores(source_sims, novel_sims), expected)
+    nearest = source_sims.argmax(axis=1)
+    assert np.array_equal(batch_discrete_scores(source_sims, novel_sims, nearest), expected)
     if orthogonal and n_novel:
         assert expected[0] == 0.5
 
