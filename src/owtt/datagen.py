@@ -53,6 +53,14 @@ MAX_WORLD_ELEMENTS = 2**27
 MAX_WORLD_SCALE = 1e150
 
 
+def real_array(array, what: str) -> np.ndarray:
+    """``array`` as an array; InvalidSpec if complex: a real cast would drop its imaginary part."""
+    array = np.asarray(array)
+    if array.dtype.kind == "c":
+        raise InvalidSpec(f"{what} are complex, not real")
+    return array
+
+
 @dataclass
 class Batch:
     """One stream batch: input rows and their non-negative integer evaluation-only labels."""
@@ -61,8 +69,8 @@ class Batch:
     hidden: np.ndarray  # (B,) int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        labels = np.asarray(self.hidden)
+        self.values = real_array(self.values, "batch values").astype(float, copy=False)
+        labels = real_array(self.hidden, "hidden labels")
         labels = labels.astype(int if labels.dtype.kind in "bi" else float, copy=False)
         if self.values.ndim != 2 or labels.shape != self.values.shape[:1]:
             raise InvalidSpec(f"a batch needs 2-D values and one label per row, got values "
@@ -415,22 +423,25 @@ def export_stream(batches: Sequence[Batch], path) -> None:
     Row layout: batch index, hidden label, then the d_in input values.
     Raises InvalidSpec, before the file is opened, for a stream with no
     batch, a batch with no rows or mixed row widths, and naming the batch
-    and row of the first finite value outside float32's range.
+    and row of the first label above _MAX_LABEL (float32 would round it) or
+    finite value outside float32's range.
     """
     _stream_width(batches)
     sizes = [len(batch) for batch in batches]
     stamps = np.repeat(np.arange(len(batches)), sizes)
     values = np.concatenate([batch.values for batch in batches])
+    labels = np.concatenate([batch.hidden for batch in batches])
     outside = (np.abs(values) > np.finfo(np.float32).max) & np.isfinite(values)
-    if outside.any():
-        i = int(np.argmax(outside.any(axis=1)))
-        raise InvalidSpec(
-            f"stream batch {stamps[i]} row {i - sum(sizes[: stamps[i]])} holds "
-            f"{values[i][outside[i]][0]:g}, outside float32's range"
-        )
+    bad = (labels > _MAX_LABEL) | outside.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        held = (f"label {labels[i]}, above {_MAX_LABEL}" if labels[i] > _MAX_LABEL
+                else f"{values[i][outside[i]][0]:g}, outside float32's range")
+        t = stamps[i]
+        raise InvalidSpec(f"stream batch {t} row {i - sum(sizes[:t])} holds {held}")
     rows = np.empty((sum(sizes), values.shape[1] + 2), dtype="<f4")
     rows[:, 0] = stamps
-    rows[:, 1] = np.concatenate([batch.hidden for batch in batches])
+    rows[:, 1] = labels
     rows[:, 2:] = values
     with open(path, "wb") as fh:
         fh.write(

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_step
-from .datagen import MAX_WORLD_ELEMENTS, Batch
+from .datagen import MAX_WORLD_ELEMENTS, Batch, real_array
 from .errors import ConfigError, InvalidSpec
 from .fields import check_fields
 from .metrics import REJECT, MetricsReport, RunningMetrics
@@ -237,8 +237,9 @@ class Engine:
         source_labels: np.ndarray,
         num_known: int,
     ):
-        source_values = np.asarray(source_values, dtype=float)
-        source_labels = check_source(source_values, source_labels, num_known)
+        source_values = real_array(source_values, "source values").astype(float, copy=False)
+        source_labels = check_source(source_values, real_array(source_labels, "source labels"),
+                                     num_known)
         dim = config.feature_dim
         for shape, size in (("feature_dim x feature_dim", dim * dim),
                             ("feature_dim x d_in", dim * source_values.shape[1]),
@@ -248,15 +249,9 @@ class Engine:
                 raise ConfigError(f"feature_dim: {shape} is {size} elements, "
                                   f"above {MAX_WORLD_ELEMENTS}")
         self.config = config
-        self.num_known = num_known
-        self.adapter = init_adapter(
-            feature_dim=config.feature_dim,
-            input_dim=source_values.shape[1],
-            learning_rate=config.learning_rate,
-            momentum_coeff=config.momentum_coeff,
-            seed=config.seed,
-        )
-        source_features = embed_batch(source_values, self.adapter)
+        self.weight = init_adapter(config.feature_dim, source_values.shape[1], config.seed)
+        self.momentum_buffer = np.zeros_like(self.weight)
+        source_features = embed_batch(source_values, self.weight)
         self.pool = PrototypePool(
             build_source_prototypes(source_features, source_labels, num_known),
             novel_capacity=config.novel_capacity,
@@ -275,7 +270,7 @@ class Engine:
         tau, predicted), where similarities is ``features @ pool.all_matrix().T``
         against the pool as the batch found it."""
         cfg = self.config
-        features = embed_batch(batch_values, self.adapter)
+        features = embed_batch(batch_values, self.weight)
         similarities = features.dot(self.pool.all_matrix().T)
         source_similarities = similarities[:, : self.pool.num_source]
         nearest = source_similarities.argmax(axis=1)
@@ -327,9 +322,8 @@ class Engine:
         if cfg.novel_momentum is not None and self.pool.novel_count:
             momentum_update_novel(self.pool, features[predicted == REJECT], cfg.novel_momentum)
 
-        clustering_value = 0.0
-        alignment_value = 0.0
-        gradient = np.zeros(self.adapter.weight.shape)
+        clustering_value = alignment_value = 0.0
+        gradient = np.zeros(self.weight.shape)
 
         if cfg.enable_clustering:
             selected = select_confident(scores, tau, cfg.keep_ratio)
@@ -339,7 +333,7 @@ class Engine:
                 confident, pseudo_labels, self.pool, cfg.temperature
             )
             gradient += embed_backward(
-                clustering_grad, confident, batch_values[selected], self.adapter
+                clustering_grad, confident, batch_values[selected], self.weight
             )
 
         if cfg.enable_alignment:
@@ -357,13 +351,15 @@ class Engine:
                     self.source_stats, self.target_stats
                 )
                 gradient += cfg.lam * embed_backward(
-                    alignment_grad, weak_features, batch_values[weak_mask], self.adapter
+                    alignment_grad, weak_features, batch_values[weak_mask], self.weight
                 )
             elif self.target_stats.count:
                 alignment_value = kl_divergence(self.source_stats, self.target_stats)
 
         if cfg.enable_clustering or cfg.enable_alignment:
-            self.adapter = sgd_momentum_step(self.adapter, gradient)
+            self.weight, self.momentum_buffer = sgd_momentum_step(
+                self.weight, self.momentum_buffer, gradient, cfg.learning_rate, cfg.momentum_coeff
+            )
         return clustering_value, alignment_value
 
     # --- one batch, and the run as a fold over batches ------------------------------
@@ -372,7 +368,7 @@ class Engine:
         """Predict one batch, then adapt on it. A batch of the wrong size raises
         ConfigError and one of the wrong width InvalidSpec, before any state
         changes; a stage error raises StageFailure, and the engine is spent."""
-        t, size, width = self.batch_index, self.config.batch_size, self.adapter.weight.shape[1]
+        t, size, width = self.batch_index, self.config.batch_size, self.weight.shape[1]
         if self._cause is not None:
             raise StageFailure(t, [], [], self._cause) from self._cause
         if size is not None and len(batch) != size:
@@ -396,7 +392,7 @@ class Engine:
     def run(self, stream: Iterable[Batch]) -> RunResult:
         """Fold step over the stream into outcomes, hidden labels and cumulative accuracies."""
         outcomes, hidden, accuracies = [], [], []
-        running = RunningMetrics(self.num_known)
+        running = RunningMetrics(self.pool.num_source)
         for batch in stream:
             try:
                 o = self.step(batch)
@@ -407,4 +403,4 @@ class Engine:
             outcomes.append(o)
             hidden.append(batch.hidden)
             accuracies.append(running.snapshot())
-        return RunResult(outcomes, hidden, accuracies, running.report(), self.num_known, self)
+        return RunResult(outcomes, hidden, accuracies, running.report(), running.num_known, self)

@@ -161,8 +161,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fresh(path: Path) -> Path:
+    """``path``, its old file unlinked: truncating one can wait on a flush (ext4)."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def _write_csv(path: Path, provenance: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_fresh(path), "w", encoding="utf-8") as fh:
         fh.write(provenance + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -230,7 +236,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         "score_gap": sep[2],
     }
     if "json" in exp.report_formats:
-        (out / "summary.json").write_text(
+        _fresh(out / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     if "csv" in exp.report_formats:
@@ -251,7 +257,7 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
     engine = Engine(exp.run, source_values, source_labels, exp.world.k_s)
     try:
         result = engine.run(stream)
-        save_pool(engine.pool, out / "pool.owtp")
+        save_pool(engine.pool, _fresh(out / "pool.owtp"))
     except StageFailure as failure:
         _write_predictions(out / "predictions.csv", _provenance(exp),
                            prediction_columns(failure.outcomes, failure.hidden))
@@ -260,7 +266,7 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
             "message": str(failure.cause),
             "batch": failure.batch_index,
         }
-        (out / "error.json").write_text(json.dumps(error, sort_keys=True, indent=2) + "\n")
+        _fresh(out / "error.json").write_text(json.dumps(error, sort_keys=True, indent=2) + "\n")
         raise
     return _write_run_artifacts(exp, result, out)
 

@@ -15,7 +15,7 @@ from oracles import (
     recount_metrics,
     relative_error,
 )
-from owtt.adapter import AdapterState, embed_backward, embed_batch
+from owtt.adapter import embed_backward, embed_batch
 from owtt.datagen import WorldSpec, generate_source, generate_stream
 from owtt.engine import Engine, PredictionRecord, RunConfig, prediction_columns
 from owtt.metrics import REJECT, compute_metrics, score_separation
@@ -72,12 +72,6 @@ def test_criterion_01_gradient_fidelity():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         weight = rng.normal(size=(d_out, d_in))
-        adapter = AdapterState(
-            weight=weight,
-            momentum_buffer=np.zeros_like(weight),
-            learning_rate=0.1,
-            momentum_coeff=0.9,
-        )
         raw = rng.normal(size=(batch, d_in)) * 2.0
         protos = rng.normal(size=(k_s, d_out))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
@@ -88,13 +82,12 @@ def test_criterion_01_gradient_fidelity():
             pool.push_novel(p / np.linalg.norm(p))
         labels = rng.integers(0, k_s + n_novel, size=batch)
 
-        features = embed_batch(raw, adapter)
+        features = embed_batch(raw, weight)
         _, grad_features = clustering_loss_gradient(features, labels, pool, 0.1)
-        analytic = embed_backward(grad_features, features, raw, adapter)
+        analytic = embed_backward(grad_features, features, raw, weight)
 
         def pc_loss(w, labels=labels, pool=pool, raw=raw):
-            probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)
-            return clustering_loss(embed_batch(raw, probe), labels, pool, 0.1)
+            return clustering_loss(embed_batch(raw, w), labels, pool, 0.1)
 
         numeric = finite_difference_gradient(pc_loss, weight, step=1e-5)
         assert relative_error(analytic, numeric) < 1e-4
@@ -111,11 +104,10 @@ def test_criterion_01_gradient_fidelity():
             )
         target = update_target_stats(prior, features, 0.05)
         _, grad_kl = kl_gradient(source_stats, target)
-        analytic_kl = embed_backward(grad_kl, features, raw, adapter)
+        analytic_kl = embed_backward(grad_kl, features, raw, weight)
 
         def kl_loss(w, prior=prior, raw=raw):
-            probe = AdapterState(w, np.zeros_like(w), 0.1, 0.9)
-            z = embed_batch(raw, probe)
+            z = embed_batch(raw, w)
             return kl_divergence(source_stats, update_target_stats(prior, z, 0.05))
 
         numeric_kl = finite_difference_gradient(kl_loss, weight, step=1e-5)
@@ -216,7 +208,7 @@ def test_criterion_05_causality_and_determinism(default_runs):
     expected = prediction_columns(reference.outcomes, reference.hidden)
     columns = prediction_columns(rerun.outcomes, rerun.hidden)
     assert all(np.array_equal(columns[key], expected[key]) for key in keys)
-    assert np.array_equal(rerun.engine.adapter.weight, reference.engine.adapter.weight)
+    assert np.array_equal(rerun.engine.weight, reference.engine.weight)
 
     stream = generate_stream(spec)
     prefix, _ = run_default(0, stream=stream[:10])

@@ -3,6 +3,7 @@ import re
 import struct
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -378,11 +379,11 @@ def test_batches_hold_float_rows_and_int_labels():
 def test_uniform_noise_scores_above_weak():
     spec = WorldSpec(strong_mode="uniform_noise", n_batches=4, seed=0)
     src_x, src_y = generate_source(spec)
-    adapter = init_adapter(16, spec.d_in, learning_rate=0.01, seed=0)
-    protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
+    weight = init_adapter(16, spec.d_in, seed=0)
+    protos = build_source_prototypes(embed_batch(src_x, weight), src_y, spec.k_s)
     weak_scores, strong_scores = [], []
     for batch in generate_stream(spec):
-        scores = batch_ood_scores(embed_batch(batch.values, adapter) @ protos.T)
+        scores = batch_ood_scores(embed_batch(batch.values, weight) @ protos.T)
         weak_scores.extend(scores[batch.hidden < spec.k_s])
         strong_scores.extend(scores[batch.hidden >= spec.k_s])
     assert np.mean(strong_scores) > np.mean(weak_scores)
@@ -395,11 +396,11 @@ def test_near_clusters_interp_shrinks_pre_adaptation_gap():
             strong_mode="near_clusters", near_interp=interp, n_batches=2, seed=0
         )
         src_x, src_y = generate_source(spec)
-        adapter = init_adapter(16, spec.d_in, learning_rate=0.01, seed=0)
-        protos = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
+        weight = init_adapter(16, spec.d_in, seed=0)
+        protos = build_source_prototypes(embed_batch(src_x, weight), src_y, spec.k_s)
         weak, strong = [], []
         for batch in generate_stream(spec):
-            scores = batch_ood_scores(embed_batch(batch.values, adapter) @ protos.T)
+            scores = batch_ood_scores(embed_batch(batch.values, weight) @ protos.T)
             weak.extend(scores[batch.hidden < spec.k_s])
             strong.extend(scores[batch.hidden >= spec.k_s])
         gaps.append(np.mean(strong) - np.mean(weak))
@@ -445,6 +446,23 @@ def test_export_refuses_a_finite_value_float32_cannot_hold(tmp_path, value):
     with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
         export_stream(batches, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("label", [2**24 + 1, 2**24 + 2, 2**40])
+def test_export_refuses_a_label_float32_cannot_hold(tmp_path, label):
+    # float32 rounds 2**24 + 1 to 2**24, which load_stream would read back
+    # without error; 2**24 + 2 would write a file that load_stream refuses.
+    batches = generate_stream(small_spec(n_batches=3))
+    batches[1].hidden[2] = label
+    batches[2].values[0, 0] = 1e39  # a later row is not named
+    path = tmp_path / "stream.owtt"
+    message = f"stream batch 1 row 2 holds label {label}, above {2**24}"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        export_stream(batches, path)
+    assert not path.exists()
+    batches[1].hidden[2] = 2**24  # the largest label float32 holds is kept
+    export_stream(batches[:2], path)
+    assert load_stream(path)[1].hidden[2] == 2**24
 
 
 def test_export_writes_a_non_finite_value_as_it_is(tmp_path):
@@ -659,6 +677,22 @@ def test_a_batch_refuses_a_negative_or_non_integral_label(hidden, shown):
     message = f"hidden label 2 is {shown}, not a non-negative integer"
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         Batch(np.zeros((4, 3)), hidden)
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+@pytest.mark.parametrize("values, hidden, what", [
+    (np.ones((2, 3)) * (1 + 2j), [0, 1], "batch values"),
+    (np.ones((2, 3)) + 0j, [0, 1], "batch values"),
+    (np.ones((2, 3)), [1 + 1j, 0], "hidden labels"),
+    (np.ones((2, 3)), np.array([1, 0], dtype=np.complex64), "hidden labels"),
+])
+def test_a_batch_refuses_complex_values_or_labels(action, values, hidden, what):
+    # A float cast keeps only the real part (a label of 1+1j becomes 1), with
+    # no more than a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(InvalidSpec, match=f"^{what} are complex, not real$"):
+            Batch(values, hidden)
 
 
 @pytest.mark.parametrize("hidden", [

@@ -1,4 +1,3 @@
-import copy
 import re
 import dataclasses
 import warnings
@@ -128,6 +127,37 @@ def test_an_update_that_overflows_is_refused_by_type_under_any_warning_filter(
     assert str(failure.value.cause) == message
 
 
+@pytest.mark.parametrize("config, batch", [(dict(learning_rate=1e308), 0), (dict(lam=1e308), 4)])
+def test_a_failed_optimizer_step_leaves_the_weight_and_buffer_bit_identical(config, batch):
+    spec = WorldSpec(n_source=200, n_batches=6, batch_size=16)
+    values, labels = generate_source(spec)
+    engine = Engine(RunConfig(batch_size=16, **config), values, labels, spec.k_s)
+    stream = generate_stream(spec)
+    for t in range(batch):
+        engine.step(stream[t])
+    weight, buffer = engine.weight.copy(), engine.momentum_buffer.copy()
+    with pytest.raises(StageFailure) as failure:
+        engine.step(stream[batch])
+    assert type(failure.value.cause) is NonFiniteGradient
+    assert engine.weight.tobytes() == weight.tobytes()
+    assert engine.momentum_buffer.tobytes() == buffer.tobytes()
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+@pytest.mark.parametrize("part, what", [("values", "source values"), ("labels", "source labels")])
+def test_complex_source_arrays_are_refused(action, part, what):
+    spec = small_world(n_batches=1)
+    values, labels = generate_source(spec)
+    if part == "values":
+        values = values + 0j
+    else:
+        labels = labels.astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)  # "ignore": a float cast drops the imaginary part silently
+        with pytest.raises(InvalidSpec, match=f"^{what} are complex, not real$"):
+            Engine(RunConfig(), values, labels, spec.k_s)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", ["learning_rate", "lam", "temperature"])
 def test_non_finite_hyper_parameters_rejected(name, value):
@@ -147,7 +177,7 @@ def crafted_engine(**cfg_kw):
     labels = np.array([0, 1] * 8)
     engine = Engine(cfg, source, labels, num_known=2)
     # exact axes: overwrite the noisy init so geometry is hand-checkable
-    engine.adapter.weight = np.eye(2)
+    engine.weight = np.eye(2)
     engine.pool = type(engine.pool)(np.eye(2), novel_capacity=cfg.novel_capacity)
     return engine
 
@@ -310,7 +340,7 @@ def test_rerun_is_bit_identical():
     a = run_world(spec)
     b = run_world(spec)
     assert same_columns(columns(a), columns(b))
-    assert np.array_equal(a.engine.adapter.weight, b.engine.adapter.weight)
+    assert np.array_equal(a.engine.weight, b.engine.weight)
 
 
 def test_prefix_invariance():
@@ -328,9 +358,9 @@ def test_all_toggles_off_leaves_adapter_untouched():
     src_x, src_y = generate_source(spec)
     stream = generate_stream(spec)
     engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size, **BASELINE), src_x, src_y, spec.k_s)
-    before = engine.adapter.weight.copy()
+    before = engine.weight.copy()
     engine.run(stream)
-    np.testing.assert_array_equal(engine.adapter.weight, before)
+    np.testing.assert_array_equal(engine.weight, before)
     assert engine.pool.novel_count == 0
 
 
@@ -340,11 +370,11 @@ def test_baseline_predictions_are_nearest_prototype():
     stream = generate_stream(spec)
     engine = Engine(RunConfig(seed=0, batch_size=spec.batch_size, **BASELINE), src_x, src_y, spec.k_s)
     protos = engine.pool.source_matrix().copy()
-    adapter = copy.deepcopy(engine.adapter)
+    weight = engine.weight.copy()
     result = engine.run(stream)
 
     for t, batch in enumerate(stream):
-        nearest = np.argmax(embed_batch(batch.values, adapter) @ protos.T, axis=1)
+        nearest = np.argmax(embed_batch(batch.values, weight) @ protos.T, axis=1)
         predicted = result.outcomes[t].predicted
         kept = predicted != REJECT
         np.testing.assert_array_equal(predicted[kept], nearest[kept])
@@ -650,8 +680,8 @@ def engine_state_is_finite(engine):
     pool = engine.pool.all_matrix()
     target = engine.target_stats
     return (
-        np.all(np.isfinite(engine.adapter.weight))
-        and np.all(np.isfinite(engine.adapter.momentum_buffer))
+        np.all(np.isfinite(engine.weight))
+        and np.all(np.isfinite(engine.momentum_buffer))
         and np.all(np.isfinite(pool))
         and np.all(np.isfinite(target.mean))
         and np.all(np.isfinite(target.covariance))
@@ -775,8 +805,7 @@ def assert_matches_reference(spec, config):
     """Run the engine and reference_run on one world; both must agree exactly."""
     src_x, src_y = generate_source(spec)
     stream = generate_stream(spec)
-    weight = init_adapter(config.feature_dim, spec.d_in, config.learning_rate,
-                          config.momentum_coeff, config.seed).weight
+    weight = init_adapter(config.feature_dim, spec.d_in, config.seed)
     expected = reference_run(config, src_x, src_y, spec.k_s, stream, weight)
     result = Engine(config, src_x, src_y, spec.k_s).run(stream)
     assert np.array_equal(columns(result)["predicted"], np.concatenate(expected.predicted)), \
@@ -787,7 +816,7 @@ def assert_matches_reference(spec, config):
         min(n, config.novel_capacity) for n in np.cumsum(expected.added)
     ], "novel counts"
     assert np.array_equal(result.engine.pool.all_matrix(), expected.pool.matrix()), "pool"
-    assert np.array_equal(result.engine.adapter.weight, expected.weight), "weight"
+    assert np.array_equal(result.engine.weight, expected.weight), "weight"
     return expected
 
 
@@ -839,7 +868,7 @@ def test_a_hand_fold_of_step_equals_run(free_size):
     assert all(h is batch.hidden for h, batch in zip(result.hidden, stream, strict=True))
     assert folded.batch_index == result.engine.batch_index == len(stream)
     assert folded.pool.all_matrix().tobytes() == result.engine.pool.all_matrix().tobytes()
-    assert folded.adapter.weight.tobytes() == result.engine.adapter.weight.tobytes()
+    assert folded.weight.tobytes() == result.engine.weight.tobytes()
 
 
 @pytest.mark.parametrize("position, nan_batch, config", [
@@ -895,7 +924,7 @@ def test_a_spent_engine_refuses_every_later_step_and_runs_no_stage():
         engine.run(stream)
     first = first.value
     assert first.batch_index == 4
-    weight = engine.adapter.weight.copy()
+    weight = engine.weight.copy()
     assert (engine.plain_window.count, engine.target_stats.count) == (80, 36)
     for batch in (stream[4], stream[5], Batch(stream[5].values[:3], stream[5].hidden[:3])):
         with pytest.raises(StageFailure) as again:
@@ -903,7 +932,7 @@ def test_a_spent_engine_refuses_every_later_step_and_runs_no_stage():
         assert again.value is not first and again.value.__cause__ is first.cause
         assert (again.value.batch_index, again.value.cause) == (4, first.cause)
         assert (engine.plain_window.count, engine.target_stats.count) == (80, 36)
-        assert engine.batch_index == 4 and np.array_equal(engine.adapter.weight, weight)
+        assert engine.batch_index == 4 and np.array_equal(engine.weight, weight)
 
 
 def test_a_malformed_batch_raises_its_own_type_before_any_state_changes():
@@ -912,14 +941,14 @@ def test_a_malformed_batch_raises_its_own_type_before_any_state_changes():
     stream = generate_stream(spec)
     engine = Engine(RunConfig(batch_size=spec.batch_size), src_x, src_y, spec.k_s)
     engine.step(stream[0])
-    weight = engine.adapter.weight.copy()
+    weight = engine.weight.copy()
     short = Batch(stream[1].values[:16], stream[1].hidden[:16])
     narrow = Batch(stream[1].values[:, :16], stream[1].hidden)
     with pytest.raises(ConfigError, match="batch 1 has 16 samples, config expects 32"):
         engine.step(short)
     with pytest.raises(InvalidSpec, match="batch 1 has rows of width 16, the source has width 32"):
         engine.step(narrow)
-    assert engine.batch_index == 1 and np.array_equal(engine.adapter.weight, weight)
+    assert engine.batch_index == 1 and np.array_equal(engine.weight, weight)
     for bad, error in ((short, ConfigError), (narrow, InvalidSpec)):
         fresh = Engine(RunConfig(batch_size=spec.batch_size), src_x, src_y, spec.k_s)
         with pytest.raises(error, match="batch 2 has"):

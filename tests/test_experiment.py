@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from owtt import experiment, fields
 from owtt.cli import main
 from owtt.datagen import Batch, WorldSpec, export_stream, generate_stream
-from owtt.engine import RunConfig
+from owtt.engine import RunConfig, StageFailure
 from owtt.errors import ConfigError, InvalidSpec, MissingArtifacts
 from owtt.experiment import (
     ABLATION_VARIANTS,
@@ -325,6 +325,60 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(load_experiment(path))
     assert (exp.output_dir / "summary.json").read_bytes() == first
     assert (exp.output_dir / "predictions.csv").read_bytes() == first_preds
+
+
+def hard_link_every_file(directory, links):
+    """Hard-link each file of ``directory`` into ``links``; {name: (inode, bytes)}."""
+    links.mkdir()
+    files = {}
+    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+        os.link(path, links / path.name)
+        files[path.name] = (path.stat().st_ino, path.read_bytes())
+    return files
+
+
+def assert_rewritten_as_new_files(directory, links, files):
+    """Each file is a new inode with the old bytes; its old link keeps them too."""
+    for name, (inode, data) in files.items():
+        assert (directory / name).stat().st_ino != inode, name
+        assert (directory / name).read_bytes() == data == (links / name).read_bytes(), name
+
+
+def test_a_rerun_writes_each_artifact_as_a_new_file(tmp_path):
+    # Truncating a written file in place can wait on a flush (ext4 flushes on
+    # truncation); a rerun unlinks each file and writes it anew.
+    path = write_experiment(tmp_path)
+    exp = load_experiment(path)
+    run_experiment(exp)
+    write_report(exp.output_dir)
+    files = hard_link_every_file(exp.output_dir, tmp_path / "links")
+    assert len(files) == 10 and "pool.owtp" in files and "report_threshold.csv" in files
+    run_experiment(load_experiment(path))
+    write_report(exp.output_dir)
+    assert_rewritten_as_new_files(exp.output_dir, tmp_path / "links", files)
+
+
+def test_a_failed_rerun_writes_its_predictions_and_error_as_new_files(tmp_path):
+    stream = generate_stream(experiment_from_dict(experiment_dict(tmp_path)).world)
+    stream[2].values[0, 3] = float("nan")
+    export_stream(stream, tmp_path / "stream.owtt")
+    exp = load_experiment(write_experiment(tmp_path, stream_file=str(tmp_path / "stream.owtt")))
+    for run in range(2):
+        with pytest.raises(StageFailure):
+            run_experiment(exp)
+        if not run:
+            files = hard_link_every_file(exp.output_dir, tmp_path / "links")
+    assert sorted(files) == ["error.json", "predictions.csv"]
+    assert_rewritten_as_new_files(exp.output_dir, tmp_path / "links", files)
+
+
+def test_a_sweep_rerun_writes_sweep_csv_as_a_new_file(tmp_path):
+    exp = load_experiment(write_experiment(tmp_path))
+    run_sweep(exp, "keep_ratio", [0.5])
+    files = hard_link_every_file(exp.output_dir, tmp_path / "links")
+    assert sorted(files) == ["sweep.csv"]
+    run_sweep(exp, "keep_ratio", [0.5])
+    assert_rewritten_as_new_files(exp.output_dir, tmp_path / "links", files)
 
 
 def test_run_from_exported_stream_matches_generated(tmp_path):

@@ -18,7 +18,7 @@ from oracles import (
     unfused_kl_gradient,
 )
 from owtt import objective
-from owtt.adapter import AdapterState, embed_backward, embed_batch
+from owtt.adapter import embed_backward, embed_batch
 from owtt.errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from owtt.objective import (
     COV_EPS,
@@ -35,43 +35,33 @@ from owtt.prototypes import PrototypePool
 DELTA = 0.1
 
 
-def make_adapter(weight):
-    weight = np.asarray(weight, dtype=float)
-    return AdapterState(
-        weight=weight,
-        momentum_buffer=np.zeros_like(weight),
-        learning_rate=0.1,
-        momentum_coeff=0.9,
-    )
-
-
 def unit_rows(mat):
     mat = np.asarray(mat, dtype=float)
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
 
-def clustering_weight_gradient(feats, labels, pool, temperature, adapter, raw):
+def clustering_weight_gradient(feats, labels, pool, temperature, weight, raw):
     """The clustering loss and its feature gradient carried to the weight."""
     loss, grad_features = clustering_loss_gradient(feats, labels, pool, temperature)
-    return loss, embed_backward(grad_features, feats, raw, adapter)
+    return loss, embed_backward(grad_features, feats, raw, weight)
 
 
-def kl_weight_gradient(source, target, feats, adapter, raw):
+def kl_weight_gradient(source, target, feats, weight, raw):
     """The KL divergence and its feature gradient carried to the weight;
     feats and raw are the batch last blended into target."""
     kl, grad_features = kl_gradient(source, target)
-    return kl, embed_backward(grad_features, feats, raw, adapter)
+    return kl, embed_backward(grad_features, feats, raw, weight)
 
 
 def random_instance(seed, d_in=6, d_out=4, k_s=3, n=8, n_novel=2):
     rng = np.random.default_rng(seed)
-    adapter = make_adapter(rng.normal(size=(d_out, d_in)))
+    weight = rng.normal(size=(d_out, d_in))
     raw = rng.normal(size=(n, d_in)) * 2.0
     pool = PrototypePool(unit_rows(rng.normal(size=(k_s, d_out))), novel_capacity=10)
     for _ in range(n_novel):
         pool.push_novel(unit_rows(rng.normal(size=(1, d_out)))[0])
     labels = rng.integers(0, k_s + n_novel, size=n)
-    return adapter, raw, pool, labels
+    return weight, raw, pool, labels
 
 
 # --- clustering loss -------------------------------------------------------------
@@ -112,8 +102,8 @@ def test_loss_unknown_novel_index_raises():
 
 def test_loss_rotation_invariant():
     rng = np.random.default_rng(12)
-    adapter, raw, pool, labels = random_instance(12)
-    feats = embed_batch(raw, adapter)
+    weight, raw, pool, labels = random_instance(12)
+    feats = embed_batch(raw, weight)
     base = clustering_loss(feats, labels, pool, DELTA)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     rotated_pool = PrototypePool(pool.source_matrix() @ q.T, novel_capacity=10)
@@ -127,35 +117,34 @@ def test_loss_rotation_invariant():
 
 
 def test_gradient_vanishes_at_exact_minimum():
-    adapter = make_adapter(np.eye(2))
+    weight = np.eye(2)
     raw = np.array([[2.0, 0.0]])
     pool = PrototypePool(np.array([[1.0, 0.0]]), novel_capacity=4)
-    feats = embed_batch(raw, adapter)
-    _, grad = clustering_weight_gradient(feats, [0], pool, DELTA, adapter, raw)
+    feats = embed_batch(raw, weight)
+    _, grad = clustering_weight_gradient(feats, [0], pool, DELTA, weight, raw)
     assert np.linalg.norm(grad) < 1e-8
 
 
 def test_gradient_empty_batch_is_zero_matrix():
-    adapter = make_adapter(np.eye(2))
+    weight = np.eye(2)
     pool = PrototypePool(np.eye(2), novel_capacity=4)
     _, grad_features = clustering_loss_gradient(np.empty((0, 2)), [], pool, DELTA)
     np.testing.assert_array_equal(grad_features, np.zeros((0, 2)))
     _, grad = clustering_weight_gradient(
-        np.empty((0, 2)), [], pool, DELTA, adapter, np.empty((0, 2))
+        np.empty((0, 2)), [], pool, DELTA, weight, np.empty((0, 2))
     )
     np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
 
 def test_gradient_matches_finite_differences():
-    adapter, raw, pool, labels = random_instance(seed=0)
-    feats = embed_batch(raw, adapter)
-    _, analytic = clustering_weight_gradient(feats, labels, pool, DELTA, adapter, raw)
+    weight, raw, pool, labels = random_instance(seed=0)
+    feats = embed_batch(raw, weight)
+    _, analytic = clustering_weight_gradient(feats, labels, pool, DELTA, weight, raw)
 
-    def loss_of(weight):
-        probe = make_adapter(weight)
-        return clustering_loss(embed_batch(raw, probe), labels, pool, DELTA)
+    def loss_of(w):
+        return clustering_loss(embed_batch(raw, w), labels, pool, DELTA)
 
-    numeric = finite_difference_gradient(loss_of, adapter.weight, step=1e-5)
+    numeric = finite_difference_gradient(loss_of, weight, step=1e-5)
     assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -303,50 +292,49 @@ def test_kl_rejects_non_positive_definite():
 
 
 def kl_after_update(weight, raw, prev_stats, source, momentum):
-    probe = make_adapter(weight)
-    feats = embed_batch(raw, probe)
+    feats = embed_batch(raw, weight)
     updated = update_target_stats(prev_stats, feats, momentum)
     return kl_divergence(source, updated)
 
 
 def test_kl_gradient_matches_finite_differences_fresh_stats():
     rng = np.random.default_rng(1)
-    adapter = make_adapter(rng.normal(size=(4, 6)))
+    weight = rng.normal(size=(4, 6))
     raw = rng.normal(size=(8, 6)) * 2.0
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
     prev = GaussianStats.empty(4)
 
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     target = update_target_stats(prev, feats, 0.05)
-    _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_weight_gradient(source, target, feats, weight, raw)
     numeric = finite_difference_gradient(
-        lambda w: kl_after_update(w, raw, prev, source, 0.05), adapter.weight, step=1e-5
+        lambda w: kl_after_update(w, raw, prev, source, 0.05), weight, step=1e-5
     )
     assert relative_error(analytic, numeric) < 1e-4
 
 
 def test_kl_gradient_matches_finite_differences_running_stats():
     rng = np.random.default_rng(2)
-    adapter = make_adapter(rng.normal(size=(4, 6)))
+    weight = rng.normal(size=(4, 6))
     raw = rng.normal(size=(8, 6)) * 2.0
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
     prev = update_target_stats(GaussianStats.empty(4), unit_rows(rng.normal(size=(16, 4))), 0.05)
 
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     target = update_target_stats(prev, feats, 0.05)
     assert target.last_blend == 0.05
-    _, analytic = kl_weight_gradient(source, target, feats, adapter, raw)
+    _, analytic = kl_weight_gradient(source, target, feats, weight, raw)
     numeric = finite_difference_gradient(
-        lambda w: kl_after_update(w, raw, prev, source, 0.05), adapter.weight, step=1e-5
+        lambda w: kl_after_update(w, raw, prev, source, 0.05), weight, step=1e-5
     )
     assert relative_error(analytic, numeric) < 1e-4
 
 
 def test_kl_gradient_zero_when_target_equals_source():
     rng = np.random.default_rng(6)
-    adapter = make_adapter(rng.normal(size=(3, 5)))
+    weight = rng.normal(size=(3, 5))
     raw = rng.normal(size=(6, 5))
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))))
     target = GaussianStats(
         mean=source.mean.copy(),
@@ -355,30 +343,30 @@ def test_kl_gradient_zero_when_target_equals_source():
         last_blend=0.05,
         last_centered=feats - feats.mean(axis=0),
     )
-    _, grad = kl_weight_gradient(source, target, feats, adapter, raw)
+    _, grad = kl_weight_gradient(source, target, feats, weight, raw)
     assert np.linalg.norm(grad) < 1e-6
 
 
 def test_kl_gradient_of_a_fitted_estimate_is_empty():
     # A fitted estimate has blended no batch, so there are no rows to differentiate.
     rng = np.random.default_rng(7)
-    adapter = make_adapter(rng.normal(size=(3, 5)))
+    weight = rng.normal(size=(3, 5))
     source = fit_gaussian(unit_rows(rng.normal(size=(30, 3))))
     assert source.count == 30 and source.last_centered is None
     _, grad_features = kl_gradient(source, source)
     np.testing.assert_array_equal(grad_features, np.zeros((0, 3)))
-    _, grad = kl_weight_gradient(source, source, np.empty((0, 3)), adapter, np.empty((0, 5)))
+    _, grad = kl_weight_gradient(source, source, np.empty((0, 3)), weight, np.empty((0, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
 def test_total_gradient_additivity():
-    adapter, raw, pool, labels = random_instance(seed=9)
-    feats = embed_batch(raw, adapter)
+    weight, raw, pool, labels = random_instance(seed=9)
+    feats = embed_batch(raw, weight)
     rng = np.random.default_rng(9)
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
     target = update_target_stats(GaussianStats.empty(4), feats, 0.05)
-    _, g_pc = clustering_weight_gradient(feats, labels, pool, DELTA, adapter, raw)
-    _, g_kl = kl_weight_gradient(source, target, feats, adapter, raw)
+    _, g_pc = clustering_weight_gradient(feats, labels, pool, DELTA, weight, raw)
+    _, g_kl = kl_weight_gradient(source, target, feats, weight, raw)
     lam = 0.7
     np.testing.assert_allclose(g_pc + lam * g_kl, g_pc + lam * g_kl)
     np.testing.assert_array_equal(g_pc + 0.0 * g_kl, g_pc)
@@ -406,18 +394,18 @@ def agrees_within_1e12(value, reference):
 def test_fused_clustering_matches_unfused_oracle(seed, n, k_s, n_novel, mode, temperature):
     if mode != "source" and n_novel == 0:
         n_novel = 1
-    adapter, raw, pool, _ = random_instance(seed, k_s=k_s, n=n, n_novel=n_novel)
+    weight, raw, pool, _ = random_instance(seed, k_s=k_s, n=n, n_novel=n_novel)
     rng = np.random.default_rng(seed)
     low, high = {"source": (0, k_s), "novel": (k_s, k_s + n_novel),
                  "mixed": (0, k_s + n_novel)}[mode]
     labels = rng.integers(low, high, size=n)
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     source, novel = pool.source_matrix(), pool.novel_matrix()
 
-    loss, grad = clustering_weight_gradient(feats, labels, pool, temperature, adapter, raw)
+    loss, grad = clustering_weight_gradient(feats, labels, pool, temperature, weight, raw)
     expected_loss = unfused_clustering_loss(feats, labels, source, novel, temperature)
     expected_grad = unfused_clustering_gradient(
-        feats, labels, source, novel, temperature, adapter.weight, raw
+        feats, labels, source, novel, temperature, weight, raw
     )
     assert np.array_equal(grad, expected_grad)
     assert agrees_within_1e12(loss, expected_loss)
@@ -441,12 +429,12 @@ def test_clustering_gradient_writes_none_of_its_inputs(
 ):
     # Read-only inputs make any write into them raise. With source labels only,
     # the source subset is the caller's own label array, not a copy.
-    adapter, raw, pool, _ = random_instance(seed, k_s=k_s, n=n_source_rows + n_novel_rows)
+    weight, raw, pool, _ = random_instance(seed, k_s=k_s, n=n_source_rows + n_novel_rows)
     rng = np.random.default_rng(seed)
     labels = np.concatenate([rng.integers(0, k_s, size=n_source_rows),
                              rng.integers(k_s, k_s + pool.novel_count, size=n_novel_rows)])
     rng.shuffle(labels)
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     for array in (feats, labels, pool._rows):
         array.setflags(write=False)
 
@@ -473,7 +461,7 @@ def test_clustering_gradient_writes_none_of_its_inputs(
 @example(seed=0, sizes=[6, 0, 1, 0], dim=3, history="fresh")
 def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
     rng = np.random.default_rng(seed)
-    adapter = make_adapter(rng.normal(size=(dim, 5)))
+    weight = rng.normal(size=(dim, 5))
     source = fit_gaussian(unit_rows(rng.normal(size=(30, dim))))
     if history != "fresh":
         sizes = [10] + sizes
@@ -482,7 +470,7 @@ def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
     last = None  # (features, raw) of the last non-empty batch
     for n in sizes:
         raw = rng.normal(size=(n, 5)) * 2.0
-        feats = embed_batch(raw, adapter)
+        feats = embed_batch(raw, weight)
         updated = update_target_stats(target, feats, 0.1)
         if n == 0:
             assert updated is target
@@ -501,13 +489,13 @@ def test_fused_kl_matches_unfused_oracle(seed, sizes, dim, history):
     if history == "no_blend":
         target = dataclasses.replace(target, last_blend=0.0)
 
-    kl, grad = kl_weight_gradient(source, target, feats, adapter, raw)
+    kl, grad = kl_weight_gradient(source, target, feats, weight, raw)
     expected_kl = unfused_kl_divergence(source, target)
-    assert np.array_equal(grad, unfused_kl_gradient(source, target, feats, adapter.weight, raw))
+    assert np.array_equal(grad, unfused_kl_gradient(source, target, feats, weight, raw))
     assert agrees_within_1e12(kl, expected_kl)
     assert kl_divergence(source, target) == kl
     if history == "no_blend":
-        assert np.array_equal(grad, np.zeros_like(adapter.weight))
+        assert np.array_equal(grad, np.zeros_like(weight))
 
 
 def test_kl_divergence_against_an_empty_estimate_raises():
@@ -535,9 +523,9 @@ def test_non_positive_definite_target_raises_in_fused_and_oracle(seed, dim, nega
 
 def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
     rng = np.random.default_rng(5)
-    adapter = make_adapter(rng.normal(size=(4, 6)))
+    weight = rng.normal(size=(4, 6))
     raw = rng.normal(size=(8, 6))
-    feats = embed_batch(raw, adapter)
+    feats = embed_batch(raw, weight)
     calls = {"cholesky": 0, "inv": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -554,8 +542,8 @@ def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
     assert calls == {"cholesky": 1, "inv": 1}
     target = update_target_stats(empty, feats, 0.1)
     assert calls == {"cholesky": 2, "inv": 2}
-    first = kl_weight_gradient(source, target, feats, adapter, raw)
-    second = kl_weight_gradient(source, target, feats, adapter, raw)
+    first = kl_weight_gradient(source, target, feats, weight, raw)
+    second = kl_weight_gradient(source, target, feats, weight, raw)
     kl_divergence(source, target)
     assert calls == {"cholesky": 2, "inv": 2}
     assert first[0] == second[0] and np.array_equal(first[1], second[1])

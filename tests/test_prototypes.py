@@ -288,13 +288,13 @@ def test_expand_matches_brute_force_oracle_when_a_batch_overflows_the_pool(capac
     # than the pool holds, so admissions evict each other inside the batch.
     spec = WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
                      n_batches=3, seed=0)
-    adapter = init_adapter(feature_dim=64, input_dim=spec.d_in, learning_rate=0.01)
+    weight = init_adapter(feature_dim=64, input_dim=spec.d_in)
     src_x, src_y = generate_source(spec)
-    source = build_source_prototypes(embed_batch(src_x, adapter), src_y, spec.k_s)
+    source = build_source_prototypes(embed_batch(src_x, weight), src_y, spec.k_s)
     pool, model = PrototypePool(source, capacity), ListPool(source, capacity)
     window, model_window, added = ScoreWindow(512), [], []
     for batch in generate_stream(spec):
-        features = embed_batch(batch.values, adapter)
+        features = embed_batch(batch.values, weight)
         added.append(scored_expand(pool, features, window, EXPANSION_CLAMP))
         expected = brute_force_expand(model, list(features), model_window, 512, EXPANSION_CLAMP)
         assert added[-1] == expected
