@@ -46,6 +46,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    if args.csv and Path(args.csv).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--csv {args.csv} is the file --out {args.out} names")
     exp = load_experiment(args.experiment)
     stream = generate_stream(exp.world)
     export_stream(stream, args.out)

@@ -9,6 +9,8 @@ independently so stream prefixes do not depend on the total length.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -59,6 +61,17 @@ def real_array(array, what: str) -> np.ndarray:
     if array.dtype.kind == "c":
         raise InvalidSpec(f"{what} are complex, not real")
     return array
+
+
+def fresh(path):
+    """``path``, its old regular file unlinked: truncating one can wait on a flush
+    (ext4). A symlink, FIFO or device is kept, so a write goes through it."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
 
 
 @dataclass
@@ -443,7 +456,7 @@ def export_stream(batches: Sequence[Batch], path) -> None:
     rows[:, 0] = stamps
     rows[:, 1] = labels
     rows[:, 2:] = values
-    with open(path, "wb") as fh:
+    with open(fresh(path), "wb") as fh:
         fh.write(
             _STREAM_HEADER.pack(
                 _STREAM_MAGIC, _STREAM_VERSION, rows.shape[1] - 2, rows.shape[0], len(batches)
@@ -501,7 +514,7 @@ def write_stream_csv(batches: Sequence[Batch], path) -> None:
     """Human-inspectable CSV mirror of a stream; refuses what export_stream
     refuses for its shape, before the file is opened."""
     d_in = _stream_width(batches)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(fresh(path), "w", encoding="utf-8") as fh:
         fh.write("batch,hidden_label," + ",".join(f"v{i}" for i in range(d_in)) + "\n")
         for t, batch in enumerate(batches):
             for label, row in zip(batch.hidden.tolist(), batch.values.tolist()):

@@ -40,7 +40,6 @@ from .scoring import (
     batch_discrete_scores,
     batch_ood_scores,
     clamp_scores,
-    threshold_floor,
 )
 
 # Threshold forced when OOD detection is disabled: clamped scores never
@@ -49,12 +48,11 @@ NO_REJECT_TAU = 1.0 + 1e-6
 
 # Once expansion has populated the novel pool, the extended-score
 # distribution turns single-modal (everything sits near some prototype) and
-# an unclamped split dives into the weak bulk, flooding the pool with
-# ordinary samples. The expansion threshold is therefore clamped by default.
-EXPANSION_CLAMP = (0.4, 1.0)
-# No clamped expansion threshold lies below this, and expand admits only
-# scores strictly above its threshold.
-EXPANSION_FLOOR = threshold_floor(EXPANSION_CLAMP)
+# a split without a floor dives into the weak bulk, flooding the pool with
+# ordinary samples. The expansion search therefore starts at this grid point,
+# so no adaptive expansion threshold lies below it; expand admits only scores
+# strictly above its threshold.
+EXPANSION_FLOOR = 0.4
 
 
 @dataclass(frozen=True)
@@ -213,18 +211,18 @@ def select_confident(scores: np.ndarray, tau: float, keep_ratio: float) -> np.nd
 def next_threshold(
     window: ScoreWindow,
     scores: np.ndarray,
-    clamp_range: Optional[Tuple[float, float]],
+    floor: float,
     fixed_threshold: Optional[float],
 ) -> float:
     """Push a batch's scores into its window, then return that window's threshold.
 
     One policy serves both thresholds: the fixed value when one is set,
-    otherwise the (optionally clamped) minimum-variance split of the window.
+    otherwise the minimum-variance split of the window at or above ``floor``.
     """
     window.push(scores)
     if fixed_threshold is not None:
         return fixed_threshold
-    return adaptive_threshold(window, clamp_range).tau
+    return adaptive_threshold(window, floor).tau
 
 
 class Engine:
@@ -282,7 +280,7 @@ class Engine:
             raw = batch_ood_scores(source_similarities, nearest)
         scores = clamp_scores(raw)
         fixed = cfg.fixed_threshold if cfg.enable_ood_detection else NO_REJECT_TAU
-        tau = next_threshold(self.plain_window, scores, None, fixed)
+        tau = next_threshold(self.plain_window, scores, 0.0, fixed)
         predicted = np.where(scores < tau, nearest, REJECT)
         return features, similarities, scores, tau, predicted
 
@@ -303,7 +301,7 @@ class Engine:
 
         Without a fixed threshold, a batch whose extended scores all sit at or
         below EXPANSION_FLOOR only pushes them into the extended window: the
-        clamped search cannot return a threshold below the floor, so expand
+        search cannot return a threshold below the floor, so expand
         would admit nothing, and both are skipped.
         """
         cfg = self.config
@@ -313,10 +311,7 @@ class Engine:
                 self.extended_window.push(extended)
             else:
                 expansion_tau = next_threshold(
-                    self.extended_window,
-                    extended,
-                    EXPANSION_CLAMP,
-                    cfg.fixed_threshold,
+                    self.extended_window, extended, EXPANSION_FLOOR, cfg.fixed_threshold
                 )
                 expand(self.pool, features, extended, expansion_tau)
         if cfg.novel_momentum is not None and self.pool.novel_count:

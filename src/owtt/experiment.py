@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .datagen import WorldSpec, generate_source, generate_stream, load_stream
+from .datagen import WorldSpec, fresh, generate_source, generate_stream, load_stream
 from .engine import Engine, RunConfig, RunResult, StageFailure, prediction_columns
 from .errors import ConfigError, InvalidSpec, MissingArtifacts, MissingPopulation
 from .fields import check_fields, checked_value
@@ -27,6 +27,12 @@ SEED_ENV_VAR = "OWTT_SEED"
 
 REPORT_FORMATS = ("csv", "json")
 HIST_COLUMNS = ("bin_lo", "bin_hi", "weak", "strong")
+# Every file run_experiment and write_report write into a run directory.
+RUN_FILES = (
+    "predictions.csv", "trace.csv", "score_hist_first.csv", "score_hist_final.csv",
+    "summary.json", "summary.csv", "pool.owtp", "error.json",
+    "report_cumulative_acc.csv", "report_threshold.csv", "report_score_hist.csv",
+)
 
 ABLATION_VARIANTS: Dict[str, Dict[str, bool]] = {
     "none": dict(enable_ood_detection=False, enable_clustering=False,
@@ -161,14 +167,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fresh(path: Path) -> Path:
-    """``path``, its old file unlinked: truncating one can wait on a flush (ext4)."""
-    path.unlink(missing_ok=True)
-    return path
-
-
 def _write_csv(path: Path, provenance: str, header: Sequence[str], rows) -> None:
-    with open(_fresh(path), "w", encoding="utf-8") as fh:
+    with open(fresh(path), "w", encoding="utf-8") as fh:
         fh.write(provenance + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -236,7 +236,7 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         "score_gap": sep[2],
     }
     if "json" in exp.report_formats:
-        _fresh(out / "summary.json").write_text(
+        fresh(out / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     if "csv" in exp.report_formats:
@@ -255,9 +255,11 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
     else:
         stream = generate_stream(exp.world)
     engine = Engine(exp.run, source_values, source_labels, exp.world.k_s)
+    for name in RUN_FILES:  # a failed rerun leaves no earlier run's file beside its own
+        (out / name).unlink(missing_ok=True)
     try:
         result = engine.run(stream)
-        save_pool(engine.pool, _fresh(out / "pool.owtp"))
+        save_pool(engine.pool, out / "pool.owtp")
     except StageFailure as failure:
         _write_predictions(out / "predictions.csv", _provenance(exp),
                            prediction_columns(failure.outcomes, failure.hidden))
@@ -266,7 +268,7 @@ def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> 
             "message": str(failure.cause),
             "batch": failure.batch_index,
         }
-        _fresh(out / "error.json").write_text(json.dumps(error, sort_keys=True, indent=2) + "\n")
+        fresh(out / "error.json").write_text(json.dumps(error, sort_keys=True, indent=2) + "\n")
         raise
     return _write_run_artifacts(exp, result, out)
 

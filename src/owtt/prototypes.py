@@ -14,6 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .adapter import NORM_EPS
+from .datagen import fresh
 from .errors import (
     ConfigError, DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
 )
@@ -208,7 +209,7 @@ def save_pool(pool: PrototypePool, path) -> None:
         _POOL_MAGIC, _POOL_VERSION, rows.shape[1], pool.num_source, pool.novel_count,
         pool.novel_capacity,
     )
-    with open(path, "wb") as fh:
+    with open(fresh(path), "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
 

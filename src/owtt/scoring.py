@@ -7,9 +7,9 @@ total intra-cluster variance of the two resulting score groups.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -61,14 +61,12 @@ class ScoreWindow:
     def push(self, scores: Sequence[float]) -> "ScoreWindow":
         """Append scores (oldest evicted at capacity); finite values clamp to [0, 1].
 
-        A scalar is one score. Scores not 1-D raise InvalidSpec, and a NaN or inf
-        score NonFiniteInput naming its position, both before the window changes.
+        Scores not 1-D (a scalar too) raise InvalidSpec, and a NaN or inf score
+        NonFiniteInput naming its position, both before the window changes.
         """
         scores = np.asarray(scores, dtype=float)
         if scores.ndim != 1:
-            if scores.ndim:
-                raise InvalidSpec(f"scores must be 1-D, got shape {scores.shape}")
-            scores = scores.reshape(1)
+            raise InvalidSpec(f"scores must be 1-D, got shape {scores.shape}")
         finite = np.isfinite(scores)
         if finite.size:
             i = int(finite.argmin())  # the first NaN or inf, if there is one
@@ -130,28 +128,14 @@ def batch_discrete_scores(
     return np.where(total < 1e-12, 0.5, scores)
 
 
-def _first_candidate(lo: float) -> int:
-    """Index of the first grid candidate a clamp with lower end ``lo`` admits."""
-    return bisect_left(_GRID, lo - 1e-12)
-
-
-def threshold_floor(clamp_range: Tuple[float, float]) -> float:
-    """The smallest tau ``adaptive_threshold(window, clamp_range)`` returns for
-    any window: the first candidate the clamp admits, or the degenerate 1.0."""
-    return _GRID[min(_first_candidate(clamp_range[0]), len(_GRID) - 1)]
-
-
-def adaptive_threshold(
-    window: ScoreWindow,
-    clamp_range: Optional[Tuple[float, float]] = None,
-) -> ThresholdEstimate:
+def adaptive_threshold(window: ScoreWindow, floor: float = 0.0) -> ThresholdEstimate:
     """Grid-search the split threshold minimizing total intra-cluster variance.
 
-    Every candidate on the 0.00..1.00 grid that leaves at least one score on
-    each side is scored; ties break toward the smallest candidate. When no
-    candidate is valid (single-mode window, too few scores, or all candidates
-    excluded by clamp_range) the estimate is degenerate with tau = 1.0; an
-    empty window is one with too few scores.
+    Every candidate on the 0.00..1.00 grid at or above ``floor`` (within
+    1e-12) that leaves at least one score on each side is scored; ties break
+    toward the smallest candidate. When no candidate is valid (single-mode
+    window, too few scores, or every candidate below the floor) the estimate
+    is degenerate with tau = 1.0; an empty window is one with too few scores.
     """
     n = window.count
     if n < MIN_WINDOW_SCORES:
@@ -159,13 +143,10 @@ def adaptive_threshold(
 
     scores = np.sort(window._scores)
     # Candidate g leaves a score on each side when scores[0] <= g < scores[-1],
-    # so the valid candidates are one run of the grid, start..stop-1.
-    start = bisect_left(_GRID, scores[0])
+    # so the valid candidates at or above the floor are one run of the grid,
+    # start..stop-1.
+    start = max(bisect_left(_GRID, scores[0]), bisect_left(_GRID, floor - 1e-12))
     stop = bisect_left(_GRID, scores[-1])
-    if clamp_range is not None:
-        lo, hi = clamp_range
-        start = max(start, _first_candidate(lo))
-        stop = min(stop, bisect_right(_GRID, hi + 1e-12))
     if start >= stop:
         return ThresholdEstimate(tau=1.0, degenerate=True)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import struct
 import tempfile
@@ -507,6 +508,45 @@ def test_stream_writers_refuse_mixed_row_widths_naming_the_first_odd_batch(tmp_p
                                           "width 4$"):
         write(mixed_width_stream(), tmp_path / name)
     assert not (tmp_path / name).exists()
+
+
+STREAM_WRITERS = [(export_stream, "stream.owtt"), (write_stream_csv, "stream.csv")]
+
+
+@pytest.mark.parametrize("write, name", STREAM_WRITERS)
+def test_stream_writers_write_a_new_file_over_an_old_one(tmp_path, write, name):
+    # Truncating an old file in place can wait on a flush (ext4); the writer
+    # unlinks it first, so a hard link to it keeps the old file.
+    stream = generate_stream(small_spec(n_batches=2))
+    path = tmp_path / name
+    write(stream, path)
+    os.link(path, tmp_path / "old")
+    inode, data = path.stat().st_ino, path.read_bytes()
+    write(stream, path)
+    assert path.stat().st_ino != inode
+    assert path.read_bytes() == data == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("write, name", STREAM_WRITERS)
+def test_stream_writers_write_through_a_symlink(tmp_path, write, name):
+    stream = generate_stream(small_spec(n_batches=2))
+    write(stream, tmp_path / name)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old")
+    link.symlink_to(target)
+    write(stream, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("write, name", STREAM_WRITERS)
+def test_a_refused_stream_write_leaves_the_old_file(tmp_path, write, name):
+    path = tmp_path / name
+    write(generate_stream(small_spec(n_batches=2)), path)
+    inode, data = path.stat().st_ino, path.read_bytes()
+    with pytest.raises(InvalidSpec, match="^stream batch 3 has rows of width 3"):
+        write(mixed_width_stream(), path)
+    assert path.stat().st_ino == inode and path.read_bytes() == data
 
 
 def test_load_rejects_bad_magic(tmp_path):

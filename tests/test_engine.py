@@ -221,15 +221,15 @@ def test_reject_iff_score_at_or_above_threshold():
     assert predicted[0] == REJECT  # strict: os >= tau rejects
 
 
-@pytest.mark.parametrize("clamp", [None, (0.4, 1.0)])
-def test_next_threshold_pushes_the_scores_then_applies_the_policy(clamp):
+@pytest.mark.parametrize("floor", [0.0, EXPANSION_FLOOR])
+def test_next_threshold_pushes_the_scores_then_applies_the_policy(floor):
     scores = np.array([0.05, 0.1, 0.7, 0.8, 0.9])
     fixed_window, window = ScoreWindow(8).push([0.2]), ScoreWindow(8).push([0.2])
-    assert next_threshold(fixed_window, scores, clamp, 0.3) == 0.3
+    assert next_threshold(fixed_window, scores, floor, 0.3) == 0.3
     assert fixed_window.count == 6
-    tau = next_threshold(window, scores, clamp, None)
+    tau = next_threshold(window, scores, floor, None)
     assert window.count == 6
-    assert tau == adaptive_threshold(window, clamp).tau
+    assert tau == adaptive_threshold(window, floor).tau
 
 
 # Rows whose scores against the axes are 0.4 (the floor, exactly), 0.35, 0.2 and 0.005.

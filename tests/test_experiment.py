@@ -372,6 +372,40 @@ def test_a_failed_rerun_writes_its_predictions_and_error_as_new_files(tmp_path):
     assert_rewritten_as_new_files(exp.output_dir, tmp_path / "links", files)
 
 
+def good_and_failing_experiments(tmp_path):
+    """Two experiments writing into one directory; the second's stream file has
+    a NaN in batch 2."""
+    stream = generate_stream(experiment_from_dict(experiment_dict(tmp_path)).world)
+    stream[2].values[0, 3] = float("nan")
+    export_stream(stream, tmp_path / "stream.owtt")
+    good = load_experiment(write_experiment(tmp_path))
+    failing = load_experiment(write_experiment(tmp_path, stream_file=str(tmp_path / "stream.owtt")))
+    assert good.output_dir == failing.output_dir
+    return good, failing
+
+
+def test_a_failed_rerun_leaves_only_its_own_files(tmp_path):
+    good, failing = good_and_failing_experiments(tmp_path)
+    run_experiment(good)
+    write_report(good.output_dir)
+    assert len(list(good.output_dir.iterdir())) == 10
+    with pytest.raises(StageFailure):
+        run_experiment(failing)
+    assert sorted(p.name for p in failing.output_dir.iterdir()) == ["error.json",
+                                                                    "predictions.csv"]
+    with pytest.raises(MissingArtifacts):
+        write_report(failing.output_dir)
+
+
+def test_a_successful_rerun_leaves_no_error_json(tmp_path):
+    good, failing = good_and_failing_experiments(tmp_path)
+    with pytest.raises(StageFailure):
+        run_experiment(failing)
+    run_experiment(good)
+    assert not (good.output_dir / "error.json").exists()
+    assert (good.output_dir / "trace.csv").exists()
+
+
 def test_a_sweep_rerun_writes_sweep_csv_as_a_new_file(tmp_path):
     exp = load_experiment(write_experiment(tmp_path))
     run_sweep(exp, "keep_ratio", [0.5])
@@ -757,6 +791,18 @@ def test_cli_stream_export(tmp_path, capsys):
     csv = tmp_path / "stream.csv"
     assert main(["stream", str(path), "--out", str(out), "--csv", str(csv)]) == 0
     assert out.exists() and csv.exists()
+
+
+@pytest.mark.parametrize("csv", ["s.bin", "./s.bin"])
+def test_cli_stream_refuses_a_csv_naming_the_out_file(tmp_path, capsys, monkeypatch, csv):
+    # The CSV mirror would overwrite the binary stream it mirrors.
+    path = write_experiment(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["stream", str(path), "--out", "s.bin", "--csv", csv]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == f"--csv {csv} is the file --out s.bin names"
+    assert not (tmp_path / "s.bin").exists()
 
 
 def test_cli_stream_refuses_a_world_float32_cannot_hold(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import ListPool, brute_force_expand, list_momentum_update, putmask_admissions
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import WorldSpec, generate_source, generate_stream
-from owtt.engine import EXPANSION_CLAMP, next_threshold
+from owtt.engine import EXPANSION_FLOOR, next_threshold
 from owtt.errors import (
     ConfigError, DegenerateEmbedding, EmptyClass, EmptyNovelPool, InvalidSpec, NonFiniteInput
 )
@@ -82,10 +83,10 @@ def primed_window(scores):
     return ScoreWindow(512).push(scores)
 
 
-def scored_expand(pool, batch, window, clamp_range=None, fixed_threshold=None):
+def scored_expand(pool, batch, window, floor=0.0, fixed_threshold=None):
     """Expansion as the engine runs it: extended scores, the window's tau, then expand."""
     scores = batch_ood_scores(batch @ pool.all_matrix().T)
-    tau = next_threshold(window, scores, clamp_range, fixed_threshold)
+    tau = next_threshold(window, scores, floor, fixed_threshold)
     return expand(pool, batch, scores, tau)
 
 
@@ -152,7 +153,7 @@ def test_added_prototypes_are_mutually_dissimilar():
     window = primed_window(rng.uniform(0, 0.2, size=16))
     batch = unit_rows(rng.normal(size=(40, 8)))
     scores = batch_ood_scores(batch @ pool.all_matrix().T)
-    tau = next_threshold(window, scores, None, None)
+    tau = next_threshold(window, scores, 0.0, None)
     start = pool.novel_count
     expand(pool, batch, scores, tau)
     new = [pool.novel_matrix()[i] for i in range(start, pool.novel_count)]
@@ -249,12 +250,11 @@ def test_block_push_matches_list_model_pushed_row_by_row(seed, capacity, data):
     prefill=st.integers(0, 7),
     batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=4),
     fixed_threshold=st.sampled_from([None, 0.1, 0.3, 0.5, 0.8]),
-    clamp_range=st.sampled_from([None, (0.4, 1.0)]),
+    floor=st.sampled_from([0.0, EXPANSION_FLOOR]),
     momentum=st.sampled_from([None, 0.1, 0.5, 1.0]),
 )
 def test_expand_matches_brute_force_oracle(
-    seed, dim, num_source, capacity, prefill, batch_sizes, fixed_threshold, clamp_range,
-    momentum,
+    seed, dim, num_source, capacity, prefill, batch_sizes, fixed_threshold, floor, momentum,
 ):
     rng = np.random.default_rng(seed)
     source = unit_rows(rng.normal(size=(num_source, dim)))
@@ -269,9 +269,9 @@ def test_expand_matches_brute_force_oracle(
             batch[-1] = batch[0]  # an in-batch duplicate must enter at most once
         # An empty batch pushes no score and admits nothing; the oracle
         # returns 0 for it before it touches its window.
-        added = scored_expand(pool, batch, window, clamp_range, fixed_threshold)
+        added = scored_expand(pool, batch, window, floor, fixed_threshold)
         expected = brute_force_expand(
-            model, list(batch), model_window, 16, clamp_range, fixed_threshold
+            model, list(batch), model_window, 16, (floor, 1.0), fixed_threshold
         )
         assert added == expected
         np.testing.assert_array_equal(pool.all_matrix(), model.matrix())
@@ -295,8 +295,9 @@ def test_expand_matches_brute_force_oracle_when_a_batch_overflows_the_pool(capac
     window, model_window, added = ScoreWindow(512), [], []
     for batch in generate_stream(spec):
         features = embed_batch(batch.values, weight)
-        added.append(scored_expand(pool, features, window, EXPANSION_CLAMP))
-        expected = brute_force_expand(model, list(features), model_window, 512, EXPANSION_CLAMP)
+        added.append(scored_expand(pool, features, window, EXPANSION_FLOOR))
+        expected = brute_force_expand(model, list(features), model_window, 512,
+                                      (EXPANSION_FLOOR, 1.0))
         assert added[-1] == expected
         assert np.array_equal(pool.all_matrix(), model.matrix())
     assert max(added) > capacity
@@ -479,6 +480,25 @@ def saved_pool_bytes(tmp_path):
     path = tmp_path / "pool.owtp"
     save_pool(pool, path)
     return path, path.read_bytes()
+
+
+def test_save_pool_writes_a_new_file_over_an_old_one(tmp_path):
+    path, data = saved_pool_bytes(tmp_path)
+    os.link(path, tmp_path / "old")
+    inode = path.stat().st_ino
+    saved_pool_bytes(tmp_path)
+    assert path.stat().st_ino != inode
+    assert path.read_bytes() == data == (tmp_path / "old").read_bytes()
+
+
+def test_a_refused_save_pool_leaves_the_old_file(tmp_path):
+    path, data = saved_pool_bytes(tmp_path)
+    inode = path.stat().st_ino
+    pool = PrototypePool(np.eye(3), novel_capacity=4)
+    pool.all_matrix()[1, 2] = np.nan
+    with pytest.raises(InvalidSpec, match="pool row 1 holds a NaN or infinite value"):
+        save_pool(pool, path)
+    assert path.stat().st_ino == inode and path.read_bytes() == data
 
 
 def test_pool_checkpoint_rejects_short_header(tmp_path):

@@ -12,7 +12,7 @@ from oracles import (
     fifo_window,
     sorted_cumsum_threshold,
 )
-from owtt.engine import EXPANSION_CLAMP
+from owtt.engine import EXPANSION_FLOOR
 from owtt.errors import ConfigError, EmptyPrototypeSet, InvalidSpec, NonFiniteInput
 from owtt.prototypes import PrototypePool
 from owtt.scoring import (
@@ -25,7 +25,6 @@ from owtt.scoring import (
     batch_ood_scores,
     clamp_scores,
     ood_score,
-    threshold_floor,
 )
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -254,9 +253,12 @@ def test_window_push_refuses_a_non_finite_score_and_keeps_its_values(value):
     assert adaptive_threshold(window).tau == 0.1
 
 
-def test_window_push_takes_a_scalar_as_one_score():
-    window = ScoreWindow(4).push(0.25).push(np.float64(2.0))
-    assert window.values().tolist() == [0.25, 1.0]
+def test_window_push_refuses_a_scalar_before_the_window_changes():
+    window = ScoreWindow(4).push([0.2])
+    for score in (0.25, np.float64(2.0)):
+        with pytest.raises(InvalidSpec, match=re.escape("scores must be 1-D, got shape ()")):
+            window.push(score)
+    assert window.values().tolist() == [0.2]
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (0, 3), (1, 1), (3, 1, 2)])
@@ -323,13 +325,13 @@ def test_empty_window_is_degenerate():
 
 def test_clamp_excluding_every_candidate_is_degenerate():
     scores = np.linspace(0.05, 0.35, 32)
-    est = adaptive_threshold(window_of(scores), clamp_range=(0.4, 1.0))
+    est = adaptive_threshold(window_of(scores), floor=0.4)
     assert est.degenerate and est.tau == 1.0
 
 
 def test_clamp_restricts_candidate_range():
     scores = [0.1] * 8 + [0.9] * 8
-    est = adaptive_threshold(window_of(scores), clamp_range=(0.4, 1.0))
+    est = adaptive_threshold(window_of(scores), floor=0.4)
     assert est.tau == pytest.approx(0.40)
 
 
@@ -386,10 +388,10 @@ def test_threshold_invariant_under_permutation(scores, seed):
 
 @st.composite
 def threshold_windows(draw):
-    """A filled score window and a clamp, built to hit the grid search's edges:
+    """A filled score window and a floor, built to hit the grid search's edges:
     scores on grid points, all-equal and two-valued windows, scores outside
-    [0, 1] before the window clamps them, and clamp bounds on the grid or
-    1e-13 or 1e-12 off it (the clamp's own tolerance)."""
+    [0, 1] before the window clamps them, and floors on the grid or 1e-13 or
+    1e-12 off it (the floor's own tolerance)."""
     window = ScoreWindow(draw(st.integers(8, 512)))
     size = draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -410,40 +412,51 @@ def threshold_windows(draw):
     window.push(scores)
 
     grid_point = st.sampled_from(THRESHOLD_GRID.tolist())
-    bound = st.one_of(
+    floor = draw(st.one_of(
+        st.sampled_from([0.0, EXPANSION_FLOOR, 1.0]),
         grid_point,
         st.builds(lambda g, off: min(max(g + off, 0.0), 1.0), grid_point,
                   st.sampled_from([-1e-12, -1e-13, 1e-13, 1e-12])),
         st.floats(0.0, 1.0),
-    )
-    clamp = draw(st.one_of(
-        st.sampled_from([None, (0.4, 1.0), (0.0, 0.0), (1.0, 1.0)]),
-        bound.map(lambda lo: (lo, lo)),
-        st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair))),
     ))
-    return window, clamp
+    return window, floor
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=threshold_windows())
 def test_threshold_equals_sorted_cumsum_oracle_exactly(case):
-    window, clamp = case
-    est = adaptive_threshold(window, clamp)
-    tau, _, degenerate = sorted_cumsum_threshold(window.values(), clamp, MIN_WINDOW_SCORES)
+    window, floor = case
+    est = adaptive_threshold(window, floor)
+    tau, _, degenerate = sorted_cumsum_threshold(window.values(), (floor, 1.0), MIN_WINDOW_SCORES)
+    assert (est.tau, est.degenerate) == (tau, degenerate)
+    # The default floor admits every candidate, as no bound at all does.
+    est = adaptive_threshold(window)
+    tau, _, degenerate = sorted_cumsum_threshold(window.values(), None, MIN_WINDOW_SCORES)
     assert (est.tau, est.degenerate) == (tau, degenerate)
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=threshold_windows())
 def test_no_clamped_threshold_lies_below_the_floor(case):
-    window, clamp = case
-    assert adaptive_threshold(window, EXPANSION_CLAMP).tau >= threshold_floor(EXPANSION_CLAMP)
-    if clamp is not None:
-        assert adaptive_threshold(window, clamp).tau >= threshold_floor(clamp)
+    window, floor = case
+    assert adaptive_threshold(window, EXPANSION_FLOOR).tau >= EXPANSION_FLOOR
+    assert adaptive_threshold(window, floor).tau >= floor - 1e-12
+
+
+def test_the_expansion_floor_is_a_grid_point():
+    # So the engine's skip of batches scoring at or below it is exact.
+    assert EXPANSION_FLOOR in THRESHOLD_GRID.tolist()
 
 
 @pytest.mark.parametrize("clamp, floor", [((0.4, 1.0), 0.4), ((0.4 + 1e-13, 1.0), 0.4),
-                                          ((0.4 + 1e-11, 1.0), 0.41), ((0.0, 0.2), 0.0),
-                                          ((1.0, 1.0), 1.0), ((1.5, 2.0), 1.0)])
+                                          ((0.4 + 1e-11, 1.0), 0.41), ((0.0, 1.0), 0.0),
+                                          ((1.0, 1.0), 1.0), ((1.5, 2.0), 1.0),
+                                          ((0.4 - 1e-13, 1.0), 0.4), ((-0.5, 1.0), 0.0)])
 def test_the_floor_is_the_first_candidate_the_clamp_admits(clamp, floor):
-    assert threshold_floor(clamp) == floor
+    # The search at a floor admits what the oracle's clamp with that lower end
+    # admits. Every candidate in [0, 1) splits this window with no variance, so
+    # tau is the first one admitted (``floor``); from 1.0 up none is admitted.
+    window = window_of([0.0] * 8 + [1.0] * 8)
+    est = adaptive_threshold(window, clamp[0])
+    assert est.tau == floor == sorted_cumsum_threshold(window.values(), clamp)[0]
+    assert est.degenerate == (floor == 1.0)
