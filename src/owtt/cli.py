@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,47 +19,51 @@ from .experiment import (
 )
 
 
-def _fail(exc: Exception, code: int) -> int:
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, StageFailure):
-        record["batch"] = exc.batch_index
-    print(json.dumps(record, sort_keys=True), file=sys.stderr)
-    return code
-
-
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     summary = run_experiment(load_experiment(args.experiment))
     print(json.dumps(summary, sort_keys=True))
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     exp = load_experiment(args.experiment)
     summaries = run_sweep(exp, args.axis, args.values, jobs=args.jobs)
     print(json.dumps({"points": len(summaries), "output_dir": str(exp.output_dir)}))
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     written = write_report(Path(args.directory))
     print(json.dumps({"written": [str(p) for p in written]}))
-    return 0
 
 
-def cmd_stream(args) -> int:
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is an existing file that stdout, if it has a descriptor, writes into."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (FileNotFoundError, AttributeError, ValueError):
+        return False
+
+
+def cmd_stream(args) -> None:
     if args.csv and Path(args.csv).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--csv {args.csv} is the file --out {args.out} names")
+    for option, path in (("--out", args.out), ("--csv", args.csv)):
+        if path and _is_stdout(path):
+            raise ConfigError(f"{option} {path} is stdout, where the summary line goes")
     exp = load_experiment(args.experiment)
     stream = generate_stream(exp.world)
     export_stream(stream, args.out)
     if args.csv:
         write_stream_csv(stream, args.csv)
     print(json.dumps({"stream": str(args.out), "batches": len(stream)}))
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error; the subparsers share this class
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="owtt",
         description="Open-world test-time training experiments on synthetic streams.",
     )
@@ -92,15 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ConfigError exits 2, any other OwttError, a StageFailure
-    or an OSError (a file that cannot be read or written) exits 1."""
-    args = build_parser().parse_args(argv)
+    """Run one command: exit 2 on a ConfigError (a malformed command line too), 1 on
+    any other OwttError, a StageFailure or an OSError (an unusable file), else 0."""
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        return _fail(exc, 2)
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        return 0
     except (OwttError, StageFailure, OSError) as exc:
-        return _fail(exc, 1)
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, StageFailure):
+            record["batch"] = exc.batch_index
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

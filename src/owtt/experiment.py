@@ -11,8 +11,9 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -25,7 +26,6 @@ from .prototypes import save_pool
 
 SEED_ENV_VAR = "OWTT_SEED"
 
-REPORT_FORMATS = ("csv", "json")
 HIST_COLUMNS = ("bin_lo", "bin_hi", "weak", "strong")
 # Every file run_experiment and write_report write into a run directory.
 RUN_FILES = (
@@ -35,18 +35,16 @@ RUN_FILES = (
 )
 
 ABLATION_VARIANTS: Dict[str, Dict[str, bool]] = {
-    "none": dict(enable_ood_detection=False, enable_clustering=False,
-                 enable_expansion=False, enable_alignment=False),
-    "od": dict(enable_ood_detection=True, enable_clustering=False,
-               enable_expansion=False, enable_alignment=False),
-    "od_pc": dict(enable_ood_detection=True, enable_clustering=True,
-                  enable_expansion=False, enable_alignment=False),
-    "od_pc_pe": dict(enable_ood_detection=True, enable_clustering=True,
-                     enable_expansion=True, enable_alignment=False),
-    "od_da": dict(enable_ood_detection=True, enable_clustering=False,
-                  enable_expansion=False, enable_alignment=True),
-    "full": dict(enable_ood_detection=True, enable_clustering=True,
-                 enable_expansion=True, enable_alignment=True),
+    name: dict(zip(("enable_ood_detection", "enable_clustering", "enable_expansion",
+                    "enable_alignment"), toggles))
+    for name, toggles in {
+        "none": (False, False, False, False),
+        "od": (True, False, False, False),
+        "od_pc": (True, True, False, False),
+        "od_pc_pe": (True, True, True, False),
+        "od_da": (True, False, False, True),
+        "full": (True, True, True, True),
+    }.items()
 }
 
 SWEEP_DEFAULTS: Dict[str, List] = {
@@ -59,20 +57,15 @@ SWEEP_DEFAULTS: Dict[str, List] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, checked when built: every field has its type, and
-    ``report_formats`` is a list of REPORT_FORMATS names (ConfigError)."""
+    """One experiment, checked when built: every field has its type (ConfigError)."""
 
     world: WorldSpec
     run: RunConfig
     output_dir: Path
-    report_formats: List[str] = field(default_factory=lambda: list(REPORT_FORMATS))
     stream_file: Optional[Path] = None
 
     def __post_init__(self):
         check_fields(self)
-        formats = self.report_formats
-        if not isinstance(formats, list) or not all(f in REPORT_FORMATS for f in formats):
-            raise ConfigError(f"report_formats must be a subset of {REPORT_FORMATS}")
 
 
 def _build_section(cls, data: dict, section: str):
@@ -86,12 +79,12 @@ def _build_section(cls, data: dict, section: str):
         raise ConfigError(f"{section}.{exc}") from None
 
 
-def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
-    """Build an experiment from parsed JSON (strict keys)."""
+def experiment_from_dict(data: dict, base_dir: Path = Path()) -> ExperimentConfig:
+    """Build an experiment from parsed JSON (strict keys); relative paths are
+    taken from ``base_dir``."""
     if not isinstance(data, dict):
         raise ConfigError("experiment file must hold a JSON object")
-    allowed = {"world", "run", "output_dir", "report_formats", "stream_file"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     if "output_dir" not in data:
@@ -116,26 +109,23 @@ def experiment_from_dict(data: dict, base_dir: Optional[Path] = None) -> Experim
         world = dataclasses.replace(world, seed=seed)
         run = dataclasses.replace(run, seed=seed)
 
-    output_dir = Path(data["output_dir"])
-    stream_file = data.get("stream_file")
-    if base_dir is not None:
-        if not output_dir.is_absolute():
-            output_dir = base_dir / output_dir
-        if stream_file is not None and not Path(stream_file).is_absolute():
-            stream_file = base_dir / stream_file
-    return ExperimentConfig(
-        world=world,
-        run=run,
-        output_dir=output_dir,
-        report_formats=data.get("report_formats", list(REPORT_FORMATS)),
-        stream_file=Path(stream_file) if stream_file is not None else None,
-    )
+    stream_file = data.get("stream_file")  # base_dir / an absolute path is that path
+    return ExperimentConfig(world, run, base_dir / data["output_dir"],
+                            None if stream_file is None else base_dir / stream_file)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ConfigError."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"duplicate key {repeated[0]!r} in experiment file")
+    return dict(pairs)
 
 
 def load_experiment(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return experiment_from_dict(data, base_dir=path.parent)
@@ -143,14 +133,15 @@ def load_experiment(path) -> ExperimentConfig:
 
 def config_hash(exp: ExperimentConfig) -> str:
     """Twelve hex digits naming the experiment: the world and run fields that
-    differ from their defaults, its report formats and its stream file, not
-    where it writes. A field at its default, added or deleted, moves no hash."""
+    differ from their defaults and its stream file, not where it writes. A
+    field at its default, added or deleted, moves no hash."""
     payload = {
         section: {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
                   if getattr(spec, f.name) != f.default}
         for section, spec in (("world", exp.world), ("run", exp.run))
     }
-    payload["report_formats"] = list(exp.report_formats)
+    # The formats every run writes, once an option: kept so that no hash moved.
+    payload["report_formats"] = ["csv", "json"]
     payload["stream_file"] = str(exp.stream_file) if exp.stream_file else None
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
@@ -205,15 +196,8 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
     for name, rows in (("score_hist_first.csv", batch == batch[0]),
                        ("score_hist_final.csv", batch == batch[-1])):
         edges, weak, strong = score_histogram(scores[rows], hidden[rows], result.num_known)
-        _write_csv(
-            out / name,
-            prov,
-            HIST_COLUMNS,
-            (
-                (edges[i], edges[i + 1], int(weak[i]), int(strong[i]))
-                for i in range(len(weak))
-            ),
-        )
+        _write_csv(out / name, prov, HIST_COLUMNS,
+                   zip(edges[:-1].tolist(), edges[1:].tolist(), weak.tolist(), strong.tolist()))
 
     report = result.report
     try:
@@ -235,19 +219,17 @@ def _write_run_artifacts(exp: ExperimentConfig, result: RunResult, out: Path) ->
         "mean_strong_score": sep[1],
         "score_gap": sep[2],
     }
-    if "json" in exp.report_formats:
-        fresh(out / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    if "csv" in exp.report_formats:
-        keys = list(summary)
-        _write_csv(out / "summary.csv", _provenance(exp), keys, [[summary[k] for k in keys]])
+    fresh(out / "summary.json").write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    _write_csv(out / "summary.csv", prov, list(summary), [list(summary.values())])
     return summary
 
 
-def run_experiment(exp: ExperimentConfig, output_dir: Optional[Path] = None) -> dict:
-    """Execute one experiment and write its artifacts; returns the summary."""
-    out = Path(output_dir) if output_dir is not None else exp.output_dir
+def run_experiment(exp: ExperimentConfig) -> dict:
+    """Execute one experiment, write its artifacts into ``exp.output_dir`` and
+    return the summary."""
+    out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     source_values, source_labels = generate_source(exp.world)
     if exp.stream_file is not None:
@@ -327,17 +309,17 @@ def run_sweep(
         raise ConfigError("sweep values must be non-empty")
     if len(set(values)) < len(values):
         raise ConfigError(f"sweep values must differ, got {values}")
-    points = [apply_axis_value(exp, axis, value) for value in values]  # checks all
-
     out = exp.output_dir
+    points = [dataclasses.replace(apply_axis_value(exp, axis, value),  # checks all
+                                  output_dir=_point_dir(out, axis, value)) for value in values]
+
     out.mkdir(parents=True, exist_ok=True)
-    dirs = [_point_dir(out, axis, value) for value in values]
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_experiment, points, dirs))
+            summaries = list(pool.map(run_experiment, points))
     else:
-        summaries = list(map(run_experiment, points, dirs))
+        summaries = list(map(run_experiment, points))
 
     rows = [
         (str(value), summary["acc_s"], summary["acc_n"], summary["acc_h"])

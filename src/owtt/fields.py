@@ -2,8 +2,7 @@
 ``ExperimentConfig``): a value of the annotated type, where a float field also
 takes an int in the float range and an int field refuses a bool. Any other
 value raises ConfigError naming the field; a value that passes is kept as it
-is. A field of a generic type such as ``List[str]``, which ``isinstance``
-cannot test, is left to its class."""
+is."""
 from __future__ import annotations
 
 import dataclasses
@@ -31,11 +30,9 @@ def checked_value(hint, value, name: str):
 
 @functools.cache
 def _field_hints(cls) -> tuple:
-    """(name, type) per field of a plain or Optional type, resolved once: that
-    costs far more than a check."""
+    """(name, type) per field, resolved once: that costs far more than a check."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls)
-                 if typing.get_origin(hints[f.name]) in (None, typing.Union))
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def check_fields(config) -> None:

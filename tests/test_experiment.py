@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import typing
 import warnings
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import owtt
 from owtt import experiment, fields
 from owtt.cli import main
 from owtt.datagen import Batch, WorldSpec, export_stream, generate_stream
@@ -39,7 +42,6 @@ def experiment_dict(tmp_path, **overrides):
         "world": dict(SMALL_WORLD),
         "run": dict(SMALL_RUN),
         "output_dir": str(tmp_path / "out"),
-        "report_formats": ["csv", "json"],
     }
     data.update(overrides)
     return data
@@ -57,6 +59,21 @@ def write_experiment(tmp_path, **overrides):
 def test_unknown_top_level_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown top-level"):
         experiment_from_dict(experiment_dict(tmp_path, bogus=1))
+
+
+def test_relative_paths_are_taken_from_the_experiment_files_directory(tmp_path):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    path = sub / "experiment.json"
+    for out, stream, want in (
+        ("out", "s.owtt", (sub / "out", sub / "s.owtt")),
+        (str(tmp_path / "abs"), str(tmp_path / "s.owtt"), (tmp_path / "abs", tmp_path / "s.owtt")),
+    ):
+        path.write_text(json.dumps({"output_dir": out, "stream_file": stream}))
+        exp = load_experiment(path)
+        assert (exp.output_dir, exp.stream_file) == want
+    exp = experiment_from_dict({"output_dir": "out", "stream_file": "./s.owtt"})
+    assert (str(exp.output_dir), str(exp.stream_file)) == ("out", "s.owtt")
 
 
 def test_unknown_world_key_rejected(tmp_path):
@@ -80,28 +97,31 @@ def test_toggle_dependency_rejected(tmp_path):
         experiment_from_dict(data)
 
 
-def test_bad_report_format_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="report_formats"):
-        experiment_from_dict(experiment_dict(tmp_path, report_formats=["pdf"]))
+def test_bad_report_format_rejected(tmp_path, capsys):
+    # Every run writes both summaries; the key that chose them is gone, for any value.
+    message = "unknown top-level key(s): report_formats"
+    for formats in (["pdf"], ["csv", "json"], [], "csv", None):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(experiment_dict(tmp_path, report_formats=formats))
+    assert main(["run", str(write_experiment(tmp_path, report_formats=["csv"]))]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("formats", [["pdf"], "csv", ("csv",)])
-def test_a_library_experiment_with_bad_report_formats_is_refused(tmp_path, formats):
-    # Such an experiment would run and write no summary.
-    with pytest.raises(ConfigError, match=r"report_formats must be a subset of \('csv', 'json'\)"):
-        ExperimentConfig(WorldSpec(), RunConfig(), tmp_path, report_formats=formats)
+WRONG_TYPE_CASES = {
+    "world": ({}, "world must be of type WorldSpec, got {}"),
+    "run": (None, "run must be of type RunConfig, got None"),
+    "output_dir": ("out", "output_dir must be of type Path, got 'out'"),
+    "stream_file": ("stream.bin", "stream_file must be of type Path, got 'stream.bin'"),
+}
 
 
-@pytest.mark.parametrize("changes, message", [
-    (dict(world={}), "world must be of type WorldSpec, got {}"),
-    (dict(run=None), "run must be of type RunConfig, got None"),
-    (dict(output_dir="out"), "output_dir must be of type Path, got 'out'"),
-    (dict(stream_file="stream.bin"), "stream_file must be of type Path, got 'stream.bin'"),
-], ids=["world", "run", "output_dir", "stream_file"])
-def test_a_library_experiment_with_a_field_of_the_wrong_type_is_refused(tmp_path, changes,
-                                                                        message):
+@pytest.mark.parametrize("name", WRONG_TYPE_CASES)
+def test_a_library_experiment_with_a_field_of_the_wrong_type_is_refused(tmp_path, name):
     # run_experiment would fail on it with a bare AttributeError.
-    values = dict(world=WorldSpec(), run=RunConfig(), output_dir=tmp_path / "out") | changes
+    assert set(WRONG_TYPE_CASES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    value, message = WRONG_TYPE_CASES[name]
+    values = dict(world=WorldSpec(), run=RunConfig(), output_dir=tmp_path / "out") | {name: value}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(**values)
     assert not any(tmp_path.iterdir())
@@ -110,7 +130,7 @@ def test_a_library_experiment_with_a_field_of_the_wrong_type_is_refused(tmp_path
 @pytest.mark.parametrize("config, name", [
     (WorldSpec(), "seed"),
     (RunConfig(), "keep_ratio"),
-    (ExperimentConfig(WorldSpec(), RunConfig(), Path("out")), "report_formats"),
+    (ExperimentConfig(WorldSpec(), RunConfig(), Path("out")), "output_dir"),
 ], ids=["world", "run", "experiment"])
 def test_a_config_field_cannot_be_assigned(config, name):
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -208,7 +228,7 @@ def test_a_library_config_is_typed_like_a_file_config(cls, changes, message):
     (RunConfig, dict(learning_rate=1, fixed_threshold=0, novel_momentum=1, batch_size=None)),
     (WorldSpec, dict(class_sep=8, ratio=1, near_interp=0)),
     (ExperimentConfig, dict(world=WorldSpec(), run=RunConfig(), output_dir=Path("out"),
-                            report_formats=["csv"], stream_file=None)),
+                            stream_file=Path("stream.bin"))),
 ], ids=["run", "world", "experiment"])
 def test_construction_keeps_every_field_the_identical_object(cls, values):
     config = cls(**values)
@@ -421,9 +441,10 @@ def test_run_from_exported_stream_matches_generated(tmp_path):
     stream_path = tmp_path / "stream.owtt"
     export_stream(generate_stream(exp.world), stream_path)
 
-    direct = run_experiment(exp, tmp_path / "direct")
+    direct = run_experiment(dataclasses.replace(exp, output_dir=tmp_path / "direct"))
     data = experiment_dict(tmp_path, stream_file=str(stream_path))
-    replay = run_experiment(experiment_from_dict(data), tmp_path / "replay")
+    replay = run_experiment(dataclasses.replace(experiment_from_dict(data),
+                                                output_dir=tmp_path / "replay"))
     # float32 round-trip perturbs inputs below any decision threshold here
     assert replay["acc_h"] == pytest.approx(direct["acc_h"], abs=0.02)
 
@@ -702,6 +723,53 @@ def test_cli_run_exits_1_naming_a_missing_experiment_or_stream_file(tmp_path, ca
         assert err["error"] == "FileNotFoundError" and str(missing) in err["message"]
 
 
+@pytest.mark.parametrize("section, key, values", [
+    ("world", "seed", (1, 2)),
+    ("run", "lam", (0.2, 7.0)),
+    (None, "output_dir", ("out1", "out2")),
+], ids=["world", "run", "top"])
+def test_cli_run_exits_2_on_a_key_given_twice(tmp_path, capsys, section, key, values):
+    # json.loads alone would keep the last value.
+    data = experiment_dict(tmp_path)
+    (data if section is None else data[section])[key] = "TWICE"
+    pairs = ", ".join(f'"{key}": {json.dumps(value)}' for value in values)
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(data).replace(f'"{key}": "TWICE"', pairs))
+    assert main(["run", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": f"duplicate key {key!r} in experiment file"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json"]
+
+
+def test_of_two_keys_given_twice_the_one_written_first_is_named(tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text('{"output_dir": "out", "world": {"k_s": 3, "seed": 1, "seed": 2, "k_s": 4}}')
+    with pytest.raises(ConfigError, match=r"^duplicate key 'k_s' in experiment file$"):
+        load_experiment(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "e.json", "--axis", "bogus"],
+    ["sweep", "e.json", "--axis", "ratio", "--jobs", "x"],
+    ["stream", "e.json"],
+    [],
+], ids=["axis", "jobs", "no-out", "no-command"])
+def test_a_malformed_command_line_exits_2_with_one_json_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_prints_help_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: owtt")
+
+
 def test_cli_run_exits_2_on_an_experiment_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(experiment_dict(tmp_path)).encode()[:-1] + b', "\xe9": 1}')
@@ -805,6 +873,26 @@ def test_cli_stream_refuses_a_csv_naming_the_out_file(tmp_path, capsys, monkeypa
     assert not (tmp_path / "s.bin").exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_cli_stream_refuses_a_path_that_is_its_stdout(tmp_path, option):
+    # Its summary line would overwrite the stream header, or follow the rows.
+    path = write_experiment(tmp_path, world={**SMALL_WORLD, "n_batches": 3})
+    stdout = tmp_path / "f"
+    stdout.touch()
+    (tmp_path / "link").symlink_to(stdout)
+    paths = {"--out": ["--out", "link"], "--csv": ["--out", "s.bin", "--csv", "link"]}[option]
+    src = str(Path(owtt.__file__).parent.parent)  # the checkout under test
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(stdout, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "owtt.cli", "stream", str(path), *paths],
+                              cwd=tmp_path, env=env, stdout=fh, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "ConfigError", "message": f"{option} link is stdout, where the summary line goes"}
+    assert stdout.read_bytes() == b"" and not (tmp_path / "s.bin").exists()
+
+
 def test_cli_stream_refuses_a_world_float32_cannot_hold(tmp_path, capsys):
     # class_sep 1e40 lies inside MAX_WORLD_SCALE; float32 ends near 3.4e38.
     path = write_experiment(tmp_path, world={**SMALL_WORLD, "n_batches": 3, "class_sep": 1e40})
@@ -858,7 +946,8 @@ JSON_VALUES = st.one_of(
 SECTION_KEYS = (
     [("world", f.name) for f in dataclasses.fields(WorldSpec)]
     + [("run", f.name) for f in dataclasses.fields(RunConfig)]
-    + [(None, key) for key in ("world", "run", "output_dir", "report_formats", "stream_file")]
+    + [(None, f.name) for f in dataclasses.fields(ExperimentConfig)]
+    + [(None, "report_formats")]  # a key that is no longer one
 )
 
 
