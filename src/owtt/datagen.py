@@ -284,11 +284,16 @@ def _strong_means(spec: WorldSpec, raw: np.ndarray) -> np.ndarray:
 def rotation_matrix(spec: WorldSpec) -> np.ndarray:
     """Fixed rotation moving signal energy into the nuisance subspace.
 
-    Each 2-plane pairs one random signal direction (orthogonal to the
-    common offset, which stays fixed) with one random nuisance direction
-    and rotates it by the same angle, so every class attenuates equally
-    under a projection that only reads the signal dims. With no nuisance
-    dims available the planes pair signal directions instead.
+    The s signal dims get a random orthonormal basis led by the common
+    offset's direction; the other s - 1 are spin directions. Each 2-plane
+    pairs one spin direction with one random nuisance direction and rotates
+    it by the same angle, so every class attenuates equally under a
+    projection that only reads the signal dims: min(s - 1, d - s) planes.
+    With no nuisance dims (d == s) the first (s - 1) // 2 spin directions
+    pair with the next as many instead. Every other direction, the offset's
+    among them, stays fixed, so R - I has rank 2 * planes. The planes are
+    mutually orthogonal, so R = I + (c - 1)(UU' + VV') + s(VU' - UV'), with
+    the paired spin directions as U's columns and their partners as V's.
     """
     if spec.rotation_angle == 0.0:
         return np.eye(spec.d_in)
@@ -298,28 +303,22 @@ def rotation_matrix(spec: WorldSpec) -> np.ndarray:
     signal_seed = np.zeros((d, s))
     signal_seed[:s, 0] = 1.0 / np.sqrt(s)  # anchor column, kept out of the planes
     signal_seed[:s, 1:] = rng.standard_normal((s, s - 1))
-    signal_basis, _ = np.linalg.qr(signal_seed)
-    spin_dirs = [signal_basis[:, i] for i in range(1, s)]
+    spin = np.linalg.qr(signal_seed)[0][:, 1:]
 
     if d > s:
         nuis_seed = np.zeros((d, d - s))
         nuis_seed[s:, :] = rng.standard_normal((d - s, d - s))
-        nuis_basis, _ = np.linalg.qr(nuis_seed)
-        partners = [nuis_basis[:, i] for i in range(d - s)]
+        partners = np.linalg.qr(nuis_seed)[0]
     else:
-        half = len(spin_dirs) // 2
-        partners = spin_dirs[half : 2 * half]
-        spin_dirs = spin_dirs[:half]
+        half = (s - 1) // 2
+        spin, partners = spin[:, :half], spin[:, half : 2 * half]
+    planes = min(spin.shape[1], partners.shape[1])
+    u, v = spin[:, :planes], partners[:, :planes]
 
-    rotation = np.eye(d)
     angle = float(spec.rotation_angle)  # a float field may hold an int past int64
-    cos_t, sin_t = np.cos(angle), np.sin(angle)
-    for u, v in zip(spin_dirs, partners):
-        plane = (
-            (cos_t - 1.0) * (np.outer(u, u) + np.outer(v, v))
-            + sin_t * (np.outer(v, u) - np.outer(u, v))
-        )
-        rotation = (np.eye(d) + plane) @ rotation
+    cos_m1, sin_t = np.cos(angle) - 1.0, np.sin(angle)
+    rotation = np.hstack([cos_m1 * u + sin_t * v, cos_m1 * v - sin_t * u]) @ np.hstack([u, v]).T
+    rotation[np.diag_indices(d)] += 1.0
     return rotation
 
 

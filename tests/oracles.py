@@ -215,6 +215,44 @@ def place_means(rng, count, dim, radius, min_dist, exclude=(), exclude_dist=None
     return np.stack(placed)
 
 
+def plane_by_plane_rotation(spec):
+    """The world's rotation as a product of plane rotations, one full d x d
+    matrix product per plane, from the same draws as
+    ``datagen.rotation_matrix`` (seed sequence ``[seed, 3]``, 3 being the
+    rotation's stream tag) and the same pairing of directions."""
+    if spec.rotation_angle == 0.0:
+        return np.eye(spec.d_in)
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
+    s, d = spec.signal_dims, spec.d_in
+
+    signal_seed = np.zeros((d, s))
+    signal_seed[:s, 0] = 1.0 / np.sqrt(s)  # anchor column, kept out of the planes
+    signal_seed[:s, 1:] = rng.standard_normal((s, s - 1))
+    signal_basis, _ = np.linalg.qr(signal_seed)
+    spin_dirs = [signal_basis[:, i] for i in range(1, s)]
+
+    if d > s:
+        nuis_seed = np.zeros((d, d - s))
+        nuis_seed[s:, :] = rng.standard_normal((d - s, d - s))
+        nuis_basis, _ = np.linalg.qr(nuis_seed)
+        partners = [nuis_basis[:, i] for i in range(d - s)]
+    else:
+        half = len(spin_dirs) // 2
+        partners = spin_dirs[half : 2 * half]
+        spin_dirs = spin_dirs[:half]
+
+    rotation = np.eye(d)
+    angle = float(spec.rotation_angle)  # a float field may hold an int past int64
+    cos_t, sin_t = np.cos(angle), np.sin(angle)
+    for u, v in zip(spin_dirs, partners):
+        plane = (
+            (cos_t - 1.0) * (np.outer(u, u) + np.outer(v, v))
+            + sin_t * (np.outer(v, u) - np.outer(u, v))
+        )
+        rotation = (np.eye(d) + plane) @ rotation
+    return rotation
+
+
 def list_ood_score(x, rows):
     """One minus the best similarity of x to any row, by a plain loop."""
     best = None

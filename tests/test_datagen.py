@@ -10,10 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_mean_accuracy, place_means
+from oracles import nearest_mean_accuracy, place_means, plane_by_plane_rotation
 from owtt import datagen
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
@@ -326,6 +326,41 @@ def test_rotation_matrix_is_orthogonal_and_fixes_offset():
     np.testing.assert_allclose(rot @ rot.T, np.eye(spec.d_in), atol=1e-10)
     offset = base_offset(spec)
     np.testing.assert_allclose(rot @ offset, offset, atol=1e-9)
+
+
+@st.composite
+def rotation_specs(draw):
+    d_in = draw(st.integers(2, 64))
+    angle = draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)))
+    return small_spec(d_in=d_in, signal_dims=draw(st.integers(2, d_in)),
+                      seed=draw(st.integers(0, 2**32 - 1)), rotation_angle=angle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=rotation_specs())
+@example(spec=small_spec(d_in=16, signal_dims=16, rotation_angle=1.3))  # d == s
+@example(spec=small_spec(d_in=9, signal_dims=2, rotation_angle=-0.7))  # s == 2
+@example(spec=small_spec(d_in=20, signal_dims=16, rotation_angle=-2.5))  # d - s < s - 1
+@example(spec=small_spec(d_in=64, signal_dims=40, rotation_angle=0.0))
+@example(spec=small_spec(d_in=33, signal_dims=7, rotation_angle=-1e300))
+def test_rotation_matrix_matches_the_plane_by_plane_oracle(spec):
+    rot = rotation_matrix(spec)
+    assert np.abs(rot - plane_by_plane_rotation(spec)).max() <= 1e-13
+    assert np.abs(rot @ rot.T - np.eye(spec.d_in)).max() <= 1e-13
+    offset = base_offset(spec)
+    assert np.abs(rot @ offset - offset).max() <= 1e-13 * np.linalg.norm(offset)
+
+
+@pytest.mark.parametrize("d_in, signal_dims", [(20, 16), (16, 16), (17, 17), (128, 64)])
+def test_rotation_moves_only_its_planes(d_in, signal_dims):
+    # min(s - 1, d - s) planes pair a spin direction with a nuisance one; with
+    # d == s, (s - 1) // 2 planes pair spin directions. All else stays fixed.
+    if d_in > signal_dims:
+        planes = min(signal_dims - 1, d_in - signal_dims)
+    else:
+        planes = (signal_dims - 1) // 2
+    rot = rotation_matrix(small_spec(d_in=d_in, signal_dims=signal_dims, rotation_angle=1.3))
+    assert np.linalg.matrix_rank(rot - np.eye(d_in)) == 2 * planes
 
 
 def test_null_shift_weak_samples_match_source_distribution():
