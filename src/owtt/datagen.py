@@ -4,7 +4,9 @@ A source domain of Gaussian class clusters, a weak-OOD target stream made
 of those classes under a fixed rotation/bias/noise shift, and strong-OOD
 contamination with a controllable mix ratio and difficulty. All outputs
 are bit-reproducible per (spec, seed), and each batch is seeded
-independently so stream prefixes do not depend on the total length.
+independently so stream prefixes do not depend on the total length. That
+independence also lets generate_stream draw a stream of large batches on two
+threads with the same bits as one.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import math
 import os
 import stat
 import struct
+import threading
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -53,6 +56,12 @@ MAX_WORLD_ELEMENTS = 2**27
 # bias_scale + within_std + noise_std bounds a sample's norm up to the size of
 # a normal draw and sqrt(d_in), so no squared norm overflows (and warns) below it.
 MAX_WORLD_SCALE = 1e150
+
+# Fewest values per batch (batch_size x d_in) for which generate_stream draws
+# the second half of the batches on a worker thread. numpy releases the GIL in
+# a large batch's normal draws and shift product, so the halves overlap; a
+# small batch is mostly GIL-held Python, which the two threads take in turns.
+SPLIT_BATCH_VALUES = 2**14
 
 
 def real_array(array, what: str) -> np.ndarray:
@@ -404,10 +413,51 @@ def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> Batch:
     return Batch(values[order], labels[order])
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def generate_stream(spec: WorldSpec) -> List[Batch]:
-    """The full test stream as a list of batches."""
+    """The full test stream as a list of batches.
+
+    A batch of at least SPLIT_BATCH_VALUES values, on a process that may use
+    two CPUs, has the later half of the stream drawn on a worker thread while
+    this one draws the first half. Each batch seeds its own generator and
+    reads only the world's constants, so the batches are bit-identical to a
+    serial draw. Smaller batches stay serial: most of their time is
+    GIL-held Python, which the two threads would take in turns. The worker
+    is joined before this returns or raises, and an error it raised is
+    raised here.
+    """
     constants = _world_constants(spec)
-    return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
+    half = spec.n_batches // 2
+    if (half == 0 or spec.batch_size * spec.d_in < SPLIT_BATCH_VALUES
+            or _usable_cpus() < 2):
+        return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
+
+    batches: List[Batch] = [None] * spec.n_batches
+    errors: List[BaseException] = []
+
+    def draw_later_half():
+        try:
+            for t in range(half, spec.n_batches):
+                batches[t] = _batch(spec, t, *constants)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=draw_later_half)
+    worker.start()
+    try:
+        for t in range(half):
+            batches[t] = _batch(spec, t, *constants)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return batches
 
 
 # --- stream export / ingestion ----------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -44,6 +45,13 @@ def small_spec(**kw):
     defaults = dict(n_source=200, n_batches=5, batch_size=16, seed=0)
     defaults.update(kw)
     return WorldSpec(**defaults)
+
+
+def split_spec(**kw):
+    """A world whose batches hold exactly datagen.SPLIT_BATCH_VALUES values, so
+    generate_stream draws its later half on a worker thread (given two CPUs)."""
+    kw.setdefault("batch_size", datagen.SPLIT_BATCH_VALUES // 128)
+    return small_spec(d_in=128, signal_dims=64, **kw)
 
 
 # --- validation -------------------------------------------------------------------
@@ -388,18 +396,83 @@ def test_ratio_counts_within_one_of_round():
 
 
 def test_stream_bit_reproducible():
-    a = generate_stream(small_spec())
-    b = generate_stream(small_spec())
-    for batch_a, batch_b in zip(a, b):
-        assert np.array_equal(batch_a.values, batch_b.values)
-        assert np.array_equal(batch_a.hidden, batch_b.hidden)
+    # Serial, split with an odd and an even batch count, and one batch.
+    for spec in (small_spec(), split_spec(n_batches=5), split_spec(n_batches=4),
+                 split_spec(n_batches=1)):
+        a = generate_stream(spec)
+        b = generate_stream(spec)
+        assert len(a) == len(b) == spec.n_batches
+        for batch_a, batch_b in zip(a, b):
+            assert np.array_equal(batch_a.values, batch_b.values)
+            assert np.array_equal(batch_a.hidden, batch_b.hidden)
 
 
 def test_stream_prefix_independent_of_length():
-    short = generate_stream(small_spec(n_batches=3))
-    long = generate_stream(small_spec(n_batches=10))
-    for batch_s, batch_l in zip(short, long[:3]):
-        assert np.array_equal(batch_s.values, batch_l.values)
+    for spec in (small_spec, split_spec):
+        short = generate_stream(spec(n_batches=3))
+        long = generate_stream(spec(n_batches=10))
+        for batch_s, batch_l in zip(short, long[:3]):
+            assert np.array_equal(batch_s.values, batch_l.values)
+
+
+def _force_two_cpus(monkeypatch):
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("batch_size", [datagen.SPLIT_BATCH_VALUES // 128 - 1,
+                                        datagen.SPLIT_BATCH_VALUES // 128])
+def test_stream_is_its_batches_byte_for_byte(monkeypatch, batch_size):
+    _force_two_cpus(monkeypatch)
+    spec = split_spec(n_batches=7, batch_size=batch_size)
+    stream = generate_stream(spec)
+    assert len(stream) == spec.n_batches
+    for t, batch in enumerate(stream):
+        alone = generate_batch(spec, t)
+        assert batch.values.tobytes() == alone.values.tobytes()
+        assert batch.hidden.tobytes() == alone.hidden.tobytes()
+
+
+@pytest.mark.parametrize("batch_size, cpus, split", [
+    (datagen.SPLIT_BATCH_VALUES // 128, 2, True),
+    (datagen.SPLIT_BATCH_VALUES // 128 - 1, 2, False),  # below the cut-off
+    (datagen.SPLIT_BATCH_VALUES // 128, 1, False),  # one usable CPU
+])
+def test_stream_draws_its_later_half_on_a_worker_only_when_split(monkeypatch, batch_size,
+                                                                 cpus, split):
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: cpus)
+    threads = {}
+    draw = datagen._batch
+
+    def spy(spec, t, *constants):
+        threads[t] = threading.get_ident()
+        return draw(spec, t, *constants)
+
+    monkeypatch.setattr(datagen, "_batch", spy)
+    generate_stream(split_spec(n_batches=5, batch_size=batch_size))
+    caller = threading.get_ident()
+    assert sorted(threads) == list(range(5))
+    assert [threads[t] == caller for t in range(5)] == [True, True] + [not split] * 3
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 1, 4])  # caller's half, its last batch, worker's half
+def test_stream_raises_an_error_of_either_half_and_leaves_no_thread(monkeypatch, failing):
+    _force_two_cpus(monkeypatch)
+    draw = datagen._batch
+
+    def flaky(spec, t, *constants):
+        if t == failing:
+            raise _DrawFailed(f"batch {t}")
+        return draw(spec, t, *constants)
+
+    monkeypatch.setattr(datagen, "_batch", flaky)
+    before = threading.active_count()
+    with pytest.raises(_DrawFailed, match=f"batch {failing}"):
+        generate_stream(split_spec(n_batches=5))
+    assert threading.active_count() == before
 
 
 def test_batches_hold_float_rows_and_int_labels():
