@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -316,6 +315,9 @@ def run_sweep(
     out.mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, so that `import owtt` does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run_experiment, points))
     else:

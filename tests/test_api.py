@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import pickle
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -87,3 +90,15 @@ def documented_keys(section):
 @pytest.mark.parametrize("section, cls", [("world", owtt.WorldSpec), ("run", owtt.RunConfig)])
 def test_the_readme_lists_exactly_the_config_fields(section, cls):
     assert documented_keys(section) == [field.name for field in dataclasses.fields(cls)]
+
+
+def test_import_owtt_loads_no_process_pool():
+    # run_sweep imports its process pool only when it starts workers.
+    src = str(Path(owtt.__file__).parent.parent)  # the checkout under test
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, owtt; print(sorted(name for name in sys.modules "
+            "if name in ('multiprocessing', 'concurrent.futures.process')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

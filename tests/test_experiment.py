@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -584,7 +585,7 @@ def test_a_sweep_starts_no_more_workers_than_it_can_use(tmp_path, monkeypatch, j
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     run_sweep(load_experiment(write_experiment(tmp_path)), "keep_ratio", [0.25, 0.5, 1], jobs)
     assert started == ([workers] if workers > 1 else [])
