@@ -318,6 +318,10 @@ def rotation_matrix(spec: WorldSpec) -> np.ndarray:
         nuis_seed = np.zeros((d, d - s))
         nuis_seed[s:, :] = rng.standard_normal((d - s, d - s))
         partners = np.linalg.qr(nuis_seed)[0]
+        # QR leaks rounding (up to ~1e-12) into the signal rows, and the closed
+        # form needs U'V = 0 exactly. A QR of the lower block alone could flip
+        # a partner's sign, and with it the turning direction.
+        partners[:s] = 0.0
     else:
         half = (s - 1) // 2
         spin, partners = spin[:, :half], spin[:, half : 2 * half]

@@ -235,6 +235,7 @@ def plane_by_plane_rotation(spec):
         nuis_seed = np.zeros((d, d - s))
         nuis_seed[s:, :] = rng.standard_normal((d - s, d - s))
         nuis_basis, _ = np.linalg.qr(nuis_seed)
+        nuis_basis[:s] = 0.0  # QR's rounding leak into the signal rows
         partners = [nuis_basis[:, i] for i in range(d - s)]
     else:
         half = len(spin_dirs) // 2
