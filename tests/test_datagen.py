@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -426,7 +427,12 @@ def _force_two_cpus(monkeypatch):
 def test_stream_is_its_batches_byte_for_byte(monkeypatch, batch_size):
     _force_two_cpus(monkeypatch)
     spec = split_spec(n_batches=7, batch_size=batch_size)
-    stream = generate_stream(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
+    try:
+        stream = generate_stream(spec)
+    finally:
+        sys.setswitchinterval(interval)
     assert len(stream) == spec.n_batches
     for t, batch in enumerate(stream):
         alone = generate_batch(spec, t)
