@@ -418,14 +418,10 @@ def test_stream_prefix_independent_of_length():
             assert np.array_equal(batch_s.values, batch_l.values)
 
 
-def _force_two_cpus(monkeypatch):
-    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
-
-
 @pytest.mark.parametrize("batch_size", [datagen.SPLIT_BATCH_VALUES // 128 - 1,
                                         datagen.SPLIT_BATCH_VALUES // 128])
 def test_stream_is_its_batches_byte_for_byte(monkeypatch, batch_size):
-    _force_two_cpus(monkeypatch)
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
     spec = split_spec(n_batches=7, batch_size=batch_size)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
@@ -468,7 +464,7 @@ class _DrawFailed(Exception):
 
 @pytest.mark.parametrize("failing", [0, 1, 4])  # caller's half, its last batch, worker's half
 def test_stream_raises_an_error_of_either_half_and_leaves_no_thread(monkeypatch, failing):
-    _force_two_cpus(monkeypatch)
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
     draw = datagen._batch
 
     def flaky(spec, t, *constants):
