@@ -6,16 +6,23 @@ selection, clustering and alignment gradients, one optimizer step), which
 ``Engine.step`` runs on one batch and ``Engine.run`` folds over a stream.
 Predictions for a batch are final before the next batch is read, so the
 outcomes of any prefix are invariant to later data.
+
+Batches are processed strictly in order. Within a wide batch, ``run`` overlaps
+the alignment branch with expansion and self-training on one worker thread
+that lives as long as the run; the results are bit-identical to ``step``
+called batch by batch, which never starts a thread.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import datagen
 from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_step
 from .datagen import MAX_WORLD_ELEMENTS, Batch, real_array
 from .errors import ConfigError, InvalidSpec
@@ -53,6 +60,13 @@ NO_REJECT_TAU = 1.0 + 1e-6
 # so no adaptive expansion threshold lies below it; expand admits only scores
 # strictly above its threshold.
 EXPANSION_FLOOR = 0.4
+
+# Fewest values per batch (batch_size x d_in) for which Engine.run overlaps the
+# alignment branch with expansion and self-training on a worker thread. The
+# overlap pays once numpy's products release the GIL for long enough to cover
+# the hand-off: at 2**15 values it wins on every world shape timed (+4% to +9%
+# per batch), at 2**14 it loses on two shapes of three (see CHANGES.md).
+OVERLAP_BATCH_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -225,6 +239,45 @@ def next_threshold(
     return adaptive_threshold(window, floor).tau
 
 
+class _Worker:
+    """The thread on which ``Engine.run`` overlaps alignment branches, one call
+    at a time: started by the first ``submit``, stopped and joined by ``close``."""
+
+    def __init__(self):
+        self._thread: Optional[threading.Thread] = None
+
+    def _serve(self):
+        # numpy's error state is per thread: enter the one step enters for adaptation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call, args in iter(self._calls.get, None):
+                try:
+                    self._outcomes.put((call(*args), None))
+                except BaseException as exc:  # raised again on the calling thread
+                    self._outcomes.put((None, exc))
+
+    def submit(self, call, *args):
+        if self._thread is None:
+            from queue import SimpleQueue  # loaded only by a run that overlaps
+
+            self._calls, self._outcomes = SimpleQueue(), SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="owtt-alignment")
+            self._thread.start()
+        self._calls.put((call, args))
+
+    def result(self):
+        """Wait for the submitted call; its value, or its error raised here."""
+        value, error = self._outcomes.get()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        """Wait for a call still running, dropping its outcome, then stop the thread."""
+        if self._thread is not None:
+            self._calls.put(None)
+            self._thread.join()
+
+
 class Engine:
     """Holds all mutable state for one sequential run."""
 
@@ -260,6 +313,7 @@ class Engine:
         self.extended_window = ScoreWindow(config.window_length)
         self.batch_index = 0  # of the next batch step reads
         self._cause: Optional[Exception] = None  # of the StageFailure that spent the engine
+        self._worker: Optional[_Worker] = None  # set only while run folds the stream
 
     # --- inference stage ---------------------------------------------------------
 
@@ -303,8 +357,23 @@ class Engine:
         below EXPANSION_FLOOR only pushes them into the extended window: the
         search cannot return a threshold below the floor, so expand
         would admit nothing, and both are skipped.
+
+        ``alignment_branch`` reads no state that expansion or self-training
+        writes. Inside ``run``, with clustering and alignment both on, a batch of
+        at least OVERLAP_BATCH_VALUES values on a process that may use two CPUs
+        hands it to the run's worker thread before expansion; anywhere else it
+        runs here, after self-training. Either way the gradients are summed in
+        the same order, so the bits are the same. An error in expansion or
+        self-training is raised as in the serial order, and ``run`` joins the
+        worker before it passes the error on.
         """
         cfg = self.config
+        overlap = (batch_values.size >= OVERLAP_BATCH_VALUES and self._worker is not None
+                   and cfg.enable_clustering and cfg.enable_alignment
+                   and datagen._usable_cpus() >= 2)
+        if overlap:
+            self._worker.submit(self.alignment_branch, batch_values, features, predicted,
+                                self.weight)
         if cfg.enable_expansion:
             extended = batch_ood_scores(similarities)
             if cfg.fixed_threshold is None and extended.max(initial=-math.inf) <= EXPANSION_FLOOR:
@@ -317,7 +386,7 @@ class Engine:
         if cfg.novel_momentum is not None and self.pool.novel_count:
             momentum_update_novel(self.pool, features[predicted == REJECT], cfg.novel_momentum)
 
-        clustering_value = alignment_value = 0.0
+        clustering_value = 0.0
         gradient = np.zeros(self.weight.shape)
 
         if cfg.enable_clustering:
@@ -331,31 +400,50 @@ class Engine:
                 clustering_grad, confident, batch_values[selected], self.weight
             )
 
-        if cfg.enable_alignment:
-            weak_mask = predicted != REJECT
-            weak_features = features[weak_mask]
-            if weak_features.shape[0] > 0:
-                self.target_stats = update_target_stats(
-                    self.target_stats, weak_features, cfg.beta
-                )
-            # The gradient stays off until the covariance can be full-rank: a
-            # rank-deficient estimate at the regularization floor produces
-            # gradients orders of magnitude above the real signal.
-            if weak_features.shape[0] and self.target_stats.count >= 2 * cfg.feature_dim:
-                alignment_value, alignment_grad = kl_gradient(
-                    self.source_stats, self.target_stats
-                )
-                gradient += cfg.lam * embed_backward(
-                    alignment_grad, weak_features, batch_values[weak_mask], self.weight
-                )
-            elif self.target_stats.count:
-                alignment_value = kl_divergence(self.source_stats, self.target_stats)
+        if overlap:
+            alignment_value, alignment_grad = self._worker.result()
+        elif cfg.enable_alignment:
+            alignment_value, alignment_grad = self.alignment_branch(
+                batch_values, features, predicted, self.weight
+            )
+        else:
+            alignment_value, alignment_grad = 0.0, None
+        if alignment_grad is not None:
+            gradient += alignment_grad
 
         if cfg.enable_clustering or cfg.enable_alignment:
             self.weight, self.momentum_buffer = sgd_momentum_step(
                 self.weight, self.momentum_buffer, gradient, cfg.learning_rate, cfg.momentum_coeff
             )
         return clustering_value, alignment_value
+
+    def alignment_branch(
+        self,
+        batch_values: np.ndarray,
+        features: np.ndarray,
+        predicted: np.ndarray,
+        weight: np.ndarray,
+    ) -> Tuple[float, Optional[np.ndarray]]:
+        """Blend the accepted samples into the target statistics; returns
+        (alignment_loss, lam times the alignment gradient at ``weight``, or None
+        while the gradient is off). Reads neither the pool nor the clustering
+        branch's results."""
+        cfg = self.config
+        weak_mask = predicted != REJECT
+        weak_features = features[weak_mask]
+        if weak_features.shape[0] > 0:
+            self.target_stats = update_target_stats(self.target_stats, weak_features, cfg.beta)
+        # The gradient stays off until the covariance can be full-rank: a
+        # rank-deficient estimate at the regularization floor produces
+        # gradients orders of magnitude above the real signal.
+        if weak_features.shape[0] and self.target_stats.count >= 2 * cfg.feature_dim:
+            value, alignment_grad = kl_gradient(self.source_stats, self.target_stats)
+            return value, cfg.lam * embed_backward(
+                alignment_grad, weak_features, batch_values[weak_mask], weight
+            )
+        if self.target_stats.count:
+            return kl_divergence(self.source_stats, self.target_stats), None
+        return 0.0, None
 
     # --- one batch, and the run as a fold over batches ------------------------------
 
@@ -385,17 +473,26 @@ class Engine:
         return BatchOutcome(t, predicted, scores, tau, self.pool.novel_count, *losses)
 
     def run(self, stream: Iterable[Batch]) -> RunResult:
-        """Fold step over the stream into outcomes, hidden labels and cumulative accuracies."""
+        """Fold step over the stream into outcomes, hidden labels and cumulative accuracies.
+
+        The first batch that overlaps its alignment branch (see
+        ``adaptation_stage``) starts the run's worker thread; it is joined
+        before this returns or raises."""
         outcomes, hidden, accuracies = [], [], []
         running = RunningMetrics(self.pool.num_source)
-        for batch in stream:
-            try:
-                o = self.step(batch)
-            except StageFailure as failure:
-                failure.outcomes, failure.hidden = outcomes, hidden
-                raise
-            running.update(o.predicted, batch.hidden)
-            outcomes.append(o)
-            hidden.append(batch.hidden)
-            accuracies.append(running.snapshot())
+        self._worker = _Worker()
+        try:
+            for batch in stream:
+                try:
+                    o = self.step(batch)
+                except StageFailure as failure:
+                    failure.outcomes, failure.hidden = outcomes, hidden
+                    raise
+                running.update(o.predicted, batch.hidden)
+                outcomes.append(o)
+                hidden.append(batch.hidden)
+                accuracies.append(running.snapshot())
+        finally:
+            self._worker.close()
+            self._worker = None
         return RunResult(outcomes, hidden, accuracies, running.report(), running.num_known, self)

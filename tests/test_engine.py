@@ -1,5 +1,7 @@
 import re
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -869,6 +871,172 @@ def test_a_hand_fold_of_step_equals_run(free_size):
     assert folded.batch_index == result.engine.batch_index == len(stream)
     assert folded.pool.all_matrix().tobytes() == result.engine.pool.all_matrix().tobytes()
     assert folded.weight.tobytes() == result.engine.weight.tobytes()
+
+
+# --- the alignment branch on the run's worker thread -------------------------------------
+
+
+def wide_world(n_batches=4):
+    """The benchmark's wide-saturated world: 512 x 128 values per batch."""
+    spec = WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
+                     n_batches=n_batches, seed=0)
+    src_x, src_y = generate_source(spec)
+    stream = generate_stream(spec)
+    assert stream[0].values.size >= engine_module.OVERLAP_BATCH_VALUES
+    return spec, RunConfig(feature_dim=64, batch_size=512, seed=0), src_x, src_y, stream
+
+
+def fold_steps(spec, config, src_x, src_y, stream):
+    """A fresh engine stepped through ``stream`` outside run, and its outcomes."""
+    engine = Engine(config, src_x, src_y, spec.k_s)
+    return engine, [engine.step(batch) for batch in stream]
+
+
+def engine_bytes(engine):
+    stats = engine.target_stats
+    return (engine.weight.tobytes(), engine.momentum_buffer.tobytes(), stats.count,
+            stats.mean.tobytes(), stats.covariance.tobytes(), engine.pool.all_matrix().tobytes())
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(engine_module.datagen, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6])
+def test_a_wide_run_overlaps_alignment_with_the_bits_of_a_serial_fold(
+    monkeypatch, two_cpus, switch_interval
+):
+    # The 1 µs GIL switch interval makes the two threads take turns often.
+    spec, config, src_x, src_y, stream = wide_world()
+    threads, branch = [], Engine.alignment_branch
+
+    def recording(self, *args):
+        threads.append(threading.current_thread())
+        return branch(self, *args)
+
+    monkeypatch.setattr(Engine, "alignment_branch", recording)
+    folded, outcomes = fold_steps(spec, config, src_x, src_y, stream)
+    assert threads == [threading.current_thread()] * len(stream)
+    threads.clear()
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(switch_interval or interval)
+        result = Engine(config, src_x, src_y, spec.k_s).run(stream)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    # One worker thread ran every batch's branch.
+    assert len(threads) == len(stream) and len(set(threads)) == 1
+    assert threads[0] is not threading.current_thread()
+    assert all(o.alignment_loss > 0.0 for o in outcomes)
+    assert [outcome_bytes(o) for o in result.outcomes] == [outcome_bytes(o) for o in outcomes]
+    assert engine_bytes(result.engine) == engine_bytes(folded)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_an_alignment_error_on_the_worker_fails_its_batch(monkeypatch, two_cpus, k):
+    spec, config, src_x, src_y, stream = wide_world()
+    error, kl_gradient, threads = ArithmeticError("alignment"), engine_module.kl_gradient, []
+
+    def failing(*args):  # called once per batch
+        threads.append(threading.current_thread())
+        if len(threads) == k + 1:
+            raise error
+        return kl_gradient(*args)
+
+    monkeypatch.setattr(engine_module, "kl_gradient", failing)
+    before = threading.active_count()
+    with pytest.raises(StageFailure) as failure:
+        Engine(config, src_x, src_y, spec.k_s).run(stream)
+    assert threading.active_count() == before
+    assert (failure.value.batch_index, failure.value.cause) == (k, error)
+    assert len(failure.value.outcomes) == k
+    assert threading.current_thread() not in threads
+
+
+def test_a_self_training_error_wins_over_the_busy_worker(monkeypatch, two_cpus):
+    # On batch 1 the worker holds its branch until self-training has raised,
+    # then raises too: the serial order raises the self-training error.
+    spec, config, src_x, src_y, stream = wide_world()
+    clustering_error, alignment_error = ArithmeticError("clustering"), ArithmeticError("alignment")
+    raised, held = threading.Event(), []
+    clustering, kl_gradient = engine_module.clustering_loss_gradient, engine_module.kl_gradient
+
+    def failing_clustering(*args):
+        if engine.batch_index == 1:
+            raised.set()
+            raise clustering_error
+        return clustering(*args)
+
+    def held_alignment(*args):
+        if engine.batch_index == 1:
+            held.append(threading.current_thread())
+            raised.wait(10)
+            raise alignment_error
+        return kl_gradient(*args)
+
+    monkeypatch.setattr(engine_module, "clustering_loss_gradient", failing_clustering)
+    monkeypatch.setattr(engine_module, "kl_gradient", held_alignment)
+    engine = Engine(config, src_x, src_y, spec.k_s)
+    before = threading.active_count()
+    with pytest.raises(StageFailure) as failure:
+        engine.run(stream)
+    assert threading.active_count() == before
+    assert (failure.value.batch_index, failure.value.cause) == (1, clustering_error)
+    assert raised.is_set() and len(held) == 1 and held[0] is not threading.current_thread()
+
+
+def test_the_worker_runs_the_branch_under_the_adaptation_errstate(monkeypatch, two_cpus):
+    # An overflow warns, and the filter makes the warning an error, unless
+    # the thread ignores overflow as step does for the adaptation stage.
+    spec, config, src_x, src_y, stream = wide_world()
+    update, threads = engine_module.update_target_stats, []
+
+    def overflowing(*args):
+        threads.append(threading.current_thread())
+        assert np.isinf(np.array([1e308]) * 10.0).all()
+        return update(*args)
+
+    monkeypatch.setattr(engine_module, "update_target_stats", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        folded, outcomes = fold_steps(spec, config, src_x, src_y, stream)
+        result = Engine(config, src_x, src_y, spec.k_s).run(stream)
+    assert threading.current_thread() not in threads[len(stream):]
+    assert [outcome_bytes(o) for o in result.outcomes] == [outcome_bytes(o) for o in outcomes]
+    assert engine_bytes(result.engine) == engine_bytes(folded)
+
+
+@pytest.mark.parametrize("case", ["default_world", "one_cpu", "no_alignment", "no_clustering",
+                                  "step_outside_run"])
+def test_alignment_stays_on_the_calling_thread_outside_the_overlap(monkeypatch, two_cpus, case):
+    if case == "default_world":  # 64 x 32 values per batch
+        spec = WorldSpec(n_batches=3)
+        config = RunConfig()
+        src_x, src_y = generate_source(spec)
+        stream = generate_stream(spec)
+        assert stream[0].values.size < engine_module.OVERLAP_BATCH_VALUES
+    else:
+        spec, config, src_x, src_y, stream = wide_world(n_batches=2)
+    if case == "one_cpu":
+        monkeypatch.setattr(engine_module.datagen, "_usable_cpus", lambda: 1)
+    elif case == "no_alignment":
+        config = dataclasses.replace(config, enable_alignment=False)
+    elif case == "no_clustering":
+        config = dataclasses.replace(config, enable_clustering=False, enable_expansion=False)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    engine = Engine(config, src_x, src_y, spec.k_s)
+    if case == "step_outside_run":
+        for batch in stream:
+            engine.step(batch)
+    else:
+        engine.run(stream)
+    assert engine.batch_index == len(stream)
 
 
 @pytest.mark.parametrize("position, nan_batch, config", [

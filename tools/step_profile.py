@@ -4,9 +4,13 @@
 
 Builds the first N worlds (default 1) of the workload's world set at seed S
 (``harness.WORKLOADS`` and ``harness.Runner``; S defaults to
-``harness.DEFAULT_SEED``), then runs ``Engine.run`` on each
-under cProfile with one BLAS thread; world generation and ``Engine``
-construction are not profiled. Prints one line per function, slowest first:
+``harness.DEFAULT_SEED``), then feeds each world's stream, batch by batch, to
+``Engine.step`` under cProfile with one BLAS thread; world generation and
+``Engine`` construction are not profiled. cProfile sees only the thread it runs
+on, and ``Engine.run`` overlaps a wide batch's alignment branch on a worker
+thread, so the tool folds ``step`` itself, which runs every branch on this
+thread; ``run``'s running metrics are therefore not in the listing. Prints one
+line per function, slowest first:
 its self time in microseconds per batch, its calls per batch and its name.
 cProfile adds a fixed cost to every call, so small functions read slower than
 they run untraced: compare lines of two profiles, not a line with the
@@ -32,9 +36,15 @@ from owtt import datagen, engine  # noqa: E402
 HEADER = "self_us_per_batch calls_per_batch function"
 
 
+def fold(eng, stream):
+    """Step ``eng`` through ``stream``, every branch on this thread."""
+    for batch in stream:
+        eng.step(batch)
+
+
 def profile(name: str, worlds: int, seed: int):
-    """(pstats.Stats of ``Engine.run`` over the first ``worlds`` worlds of
-    ``seed``, batches run)."""
+    """(pstats.Stats of ``Engine.step`` over the streams of the first ``worlds``
+    worlds of ``seed``, batches run)."""
     workload = harness.WORKLOADS[name]
     profiler = cProfile.Profile()
     batches = 0
@@ -44,7 +54,7 @@ def profile(name: str, worlds: int, seed: int):
         values, labels = datagen.generate_source(spec)
         stream = datagen.generate_stream(spec)
         eng = engine.Engine(config, values, labels, spec.k_s)
-        profiler.runcall(eng.run, stream)
+        profiler.runcall(fold, eng, stream)
         batches += len(stream)
     return pstats.Stats(profiler), batches
 
