@@ -356,9 +356,9 @@ def generate_source(spec: WorldSpec):
     labels = rng.integers(0, spec.k_s, size=spec.n_source)
     # Guarantee every class appears at least once.
     labels[: spec.k_s] = np.arange(spec.k_s)
-    values = means[labels] + spec.within_std * rng.standard_normal(
-        (spec.n_source, spec.d_in)
-    )
+    values = rng.standard_normal((spec.n_source, spec.d_in))
+    values *= spec.within_std
+    values += means[labels]
     return values, labels
 
 
@@ -369,19 +369,12 @@ def batch_counts(spec: WorldSpec):
     return spec.batch_size - n_strong, n_strong
 
 
-def _apply_shift(values, rotation, bias, noise_std, rng):
-    shifted = values @ rotation.T + bias
-    if noise_std > 0.0:
-        shifted = shifted + noise_std * rng.standard_normal(values.shape)
-    return shifted
-
-
 def _world_constants(spec: WorldSpec):
-    """(class means, strong means or None, rotation, bias) shared by every batch."""
+    """(class means, strong means or None, rotation, bias, weak rows) shared by every batch."""
     raw = _raw_class_means(spec)  # placed once, for both kinds of mean
     strong = None if spec.strong_mode == "uniform_noise" else _strong_means(spec, raw)
     bias = spec.bias_scale * bias_vector(spec)
-    return raw + base_offset(spec), strong, rotation_matrix(spec), bias
+    return raw + base_offset(spec), strong, rotation_matrix(spec), bias, batch_counts(spec)[0]
 
 
 def generate_batch(spec: WorldSpec, t: int) -> Batch:
@@ -389,30 +382,35 @@ def generate_batch(spec: WorldSpec, t: int) -> Batch:
     return _batch(spec, t, *_world_constants(spec))
 
 
-def _batch(spec: WorldSpec, t: int, source, means, rotation, bias) -> Batch:
+def _batch(spec: WorldSpec, t: int, source, means, rotation, bias, n_weak) -> Batch:
+    """Weak rows then strong rows, drawn into one array in place and shuffled. Each
+    element meets the operations of ``mean + std * normal`` and ``x @ R.T + bias +
+    noise`` with only their operands swapped, so it keeps the out-of-place bits."""
     rng = _rng(spec, _TAG_BATCH, t)
-    n_weak, n_strong = batch_counts(spec)
+    values = np.empty((spec.batch_size, spec.d_in))
+    labels = np.empty(spec.batch_size, dtype=int)
+    weak, strong = values[:n_weak], values[n_weak:]
 
-    weak_labels = rng.integers(0, spec.k_s, size=n_weak)
-    weak_raw = source[weak_labels] + spec.within_std * rng.standard_normal(
-        (n_weak, spec.d_in)
-    )
-    weak_values = _apply_shift(weak_raw, rotation, bias, spec.noise_std, rng)
+    labels[:n_weak] = rng.integers(0, spec.k_s, size=n_weak)
+    raw = rng.standard_normal(weak.shape)
+    raw *= spec.within_std
+    raw += source[labels[:n_weak]]
+    np.matmul(raw, rotation.T, out=weak)
+    weak += bias
+    if spec.noise_std > 0.0:
+        weak += np.multiply(rng.standard_normal(out=raw), spec.noise_std, out=raw)
 
     if spec.strong_mode == "uniform_noise":
-        strong_values = base_offset(spec) + rng.uniform(
-            -spec.class_sep, spec.class_sep, size=(n_strong, spec.d_in)
-        )
-        strong_labels = np.full(n_strong, spec.k_s)
+        np.add(base_offset(spec), rng.uniform(-spec.class_sep, spec.class_sep, size=strong.shape),
+               out=strong)
+        labels[n_weak:] = spec.k_s
     else:
-        picks = rng.integers(0, spec.k_t, size=n_strong)
-        strong_values = means[picks] + spec.within_std * rng.standard_normal(
-            (n_strong, spec.d_in)
-        )
-        strong_labels = spec.k_s + picks
+        picks = rng.integers(0, spec.k_t, size=len(strong))
+        rng.standard_normal(out=strong)
+        strong *= spec.within_std
+        strong += means[picks]
+        np.add(picks, spec.k_s, out=labels[n_weak:])
 
-    values = np.vstack([weak_values, strong_values])
-    labels = np.concatenate([weak_labels, strong_labels])
     order = rng.permutation(spec.batch_size)
     return Batch(values[order], labels[order])
 

@@ -156,9 +156,11 @@ def expand(
     this batch with ``1 - cos <= tau`` to it: near-duplicates cannot all
     enter. Candidates are visited in descending score order, jumping from one
     admission to the next (``_admit``); their cosines come from one product
-    of the candidates, transiently ``count**2`` doubles plus ``count**2 / 8``
-    bytes of bitsets. The admissions enter the pool as one block, oldest
-    first, which leaves the same FIFO queue as pushing each in turn.
+    of the candidates. It transiently holds ``count**2`` doubles, a
+    ``count**2`` bool matrix built while the doubles are still alive (9 bytes
+    a pair at the peak), and ``count**2 / 8`` bytes of bitsets. The
+    admissions enter the pool as one block, oldest first, which leaves the
+    same FIFO queue as pushing each in turn.
 
     The visit stops at the first candidate whose initial score is <= tau:
     such candidates are never visited, even when an eviction later in the

@@ -254,6 +254,52 @@ def plane_by_plane_rotation(spec):
     return rotation
 
 
+def _apply_shift(values, rotation, bias, noise_std, rng):
+    shifted = values @ rotation.T + bias
+    if noise_std > 0.0:
+        shifted = shifted + noise_std * rng.standard_normal(values.shape)
+    return shifted
+
+
+def stacked_batch(spec, t, source, means, rotation, bias):
+    """One stream batch as (values, labels), drawn the way ``datagen._batch``
+    drew it before it wrote into one array: each block out of place, then
+    ``np.vstack`` and ``np.concatenate``. The body is that draw's, with the
+    seed sequence ``[seed, 6, t]`` (6 being the batch's stream tag), the
+    strong:weak counts and the common offset written out. ``source``,
+    ``means``, ``rotation`` and ``bias`` are the world's constants."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 6, t]))
+    n_strong = int(round(spec.batch_size * spec.ratio / (1.0 + spec.ratio)))
+    n_strong = min(max(n_strong, 1), spec.batch_size - 1)
+    n_weak = spec.batch_size - n_strong
+
+    weak_labels = rng.integers(0, spec.k_s, size=n_weak)
+    weak_raw = source[weak_labels] + spec.within_std * rng.standard_normal(
+        (n_weak, spec.d_in)
+    )
+    weak_values = _apply_shift(weak_raw, rotation, bias, spec.noise_std, rng)
+
+    if spec.strong_mode == "uniform_noise":
+        offset = np.zeros(spec.d_in)
+        offset[: spec.signal_dims] = 1.0 / np.sqrt(spec.signal_dims)
+        offset = spec.offset_scale * spec.class_sep * offset
+        strong_values = offset + rng.uniform(
+            -spec.class_sep, spec.class_sep, size=(n_strong, spec.d_in)
+        )
+        strong_labels = np.full(n_strong, spec.k_s)
+    else:
+        picks = rng.integers(0, spec.k_t, size=n_strong)
+        strong_values = means[picks] + spec.within_std * rng.standard_normal(
+            (n_strong, spec.d_in)
+        )
+        strong_labels = spec.k_s + picks
+
+    values = np.vstack([weak_values, strong_values])
+    labels = np.concatenate([weak_labels, strong_labels])
+    order = rng.permutation(spec.batch_size)
+    return values[order], labels[order]
+
+
 def list_ood_score(x, rows):
     """One minus the best similarity of x to any row, by a plain loop."""
     best = None

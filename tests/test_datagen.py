@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_mean_accuracy, place_means, plane_by_plane_rotation
+from oracles import (nearest_mean_accuracy, place_means, plane_by_plane_rotation,
+                     stacked_batch)
 from owtt import datagen
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import (
@@ -434,6 +435,38 @@ def test_stream_is_its_batches_byte_for_byte(monkeypatch, batch_size):
         alone = generate_batch(spec, t)
         assert batch.values.tobytes() == alone.values.tobytes()
         assert batch.hidden.tobytes() == alone.hidden.tobytes()
+
+
+DRAW_WORLDS = {
+    "disjoint": {},
+    "uniform-noise": dict(strong_mode="uniform_noise"),
+    "near-clusters": dict(strong_mode="near_clusters", near_interp=0.5),
+    "no-noise": dict(noise_std=0.0),
+    "one-strong-row": dict(ratio=0.05),
+    "batch-2": dict(batch_size=2),
+    "batch-3": dict(batch_size=3),
+    "no-nuisance": dict(d_in=16, signal_dims=16),
+    "no-rotation": dict(rotation_angle=0.0),
+    "wide-saturated": dict(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "split"])
+@pytest.mark.parametrize("seed", [0, 7919, 2**40])
+@pytest.mark.parametrize("world", list(DRAW_WORLDS))
+def test_stream_draws_the_bits_of_stacked_blocks(monkeypatch, world, seed, cpus):
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: cpus)
+    spec = small_spec(n_batches=4, seed=seed, **DRAW_WORLDS[world])
+    if world == "one-strong-row":
+        assert batch_counts(spec) == (15, 1)
+    constants = datagen._world_constants(spec)[:4]
+    stream = generate_stream(spec)
+    assert len(stream) == spec.n_batches
+    for t, batch in enumerate(stream):
+        values, labels = stacked_batch(spec, t, *constants)
+        assert (batch.values.dtype, batch.hidden.dtype) == (values.dtype, labels.dtype)
+        assert batch.values.tobytes() == values.tobytes()
+        assert batch.hidden.tobytes() == labels.tobytes()
 
 
 @pytest.mark.parametrize("batch_size, cpus, split", [

@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,23 +130,39 @@ def test_bench_pairs_flags_a_median_worse_than_the_parent_by_more_than_the_bound
 
 def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatch, capsys):
     calls = []
+    clock = SimpleNamespace(wall=0.0, cpu=0.0)
+    # Each run takes 2 s of wall time; the parent's children use 2, 2 and 6 CPU
+    # seconds (ratios 1, 1 and 3, median 1), the change's 3 each (ratio 1.5).
+    cpu = {"P": [2.0, 2.0, 6.0], "C": [3.0, 3.0, 3.0]}
 
     def fake_run(checkout, workload, seed, seconds):
         calls.append(checkout)
+        clock.wall += 2.0
+        clock.cpu += cpu[checkout].pop(0)
         return bench_run(correct=(len(calls) != 4), engine_samples_per_s=1.0)
 
+    def usage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        return SimpleNamespace(ru_utime=0.75 * clock.cpu, ru_stime=0.25 * clock.cpu)
+
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: clock.wall))
+    monkeypatch.setattr(bench_pairs, "resource",
+                        SimpleNamespace(getrusage=usage, RUSAGE_CHILDREN=resource.RUSAGE_CHILDREN))
     assert bench_pairs.main(["P", "C", "--workload", "default-long", "--pairs", "3"]) == 1
     assert calls == ["P", "C", "C", "P", "P", "C"]
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "# workload=default-long seed=0 seconds=30 pairs=3"
     assert out[1] == " ".join(bench_pairs.COLUMNS)
     assert out[2] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False False"
+    assert out[3:] == ["# cpu_per_wall parent=1 change=1.5"]
+    monkeypatch.undo()  # the real clocks: a stub that starts no child reads 0 CPU
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
     assert bench_pairs.main(["P", "C", "--workload", "wide-saturated", "--pairs", "1",
                              "--seed", "7919", "--seconds", "12.5"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == (
-        "# workload=wide-saturated seed=7919 seconds=12.5 pairs=1")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "# workload=wide-saturated seed=7919 seconds=12.5 pairs=1"
+    assert out[-1] == "# cpu_per_wall parent=0 change=0"
 
 
 def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, capsys):

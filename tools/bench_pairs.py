@@ -14,12 +14,18 @@ more than the parent's interquartile range. The ``regressed`` column is true
 when the change's median is worse than the parent's by more than the
 metric's ``bound``, read as a fraction of the parent's median (a bound of
 0.24 on a parent median of 100 samples/s flags a change median below 76).
+A last line, ``# cpu_per_wall parent=P change=C``, gives each side's median
+CPU seconds per wall second: the user and system time of the finished child
+processes (``RUSAGE_CHILDREN``) over the wall time of each run. About 1 means
+the run used one CPU at a time; a thread path that overlaps work reads above 1.
 Exits 1 when any run is not ``correct``, otherwise 0.
 """
 import argparse
 import json
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +50,15 @@ def run_once(checkout, workload, seed, seconds):
         print(f"{checkout}: no JSON result (exit {proc.returncode})\n{proc.stderr}",
               file=sys.stderr)
         return {"correct": False, "metrics": {}}
+
+
+def cpu_per_wall(run, *args):
+    """``run(*args)`` and the CPU seconds its child processes took per wall second."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
+    result = run(*args)
+    after, wall = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter() - start
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return result, cpu / wall
 
 
 def summarize(pairs, end_to_end):
@@ -79,15 +94,20 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
     print(f"# workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"pairs={args.pairs}", flush=True)
-    pairs = []
+    pairs, ratios = [], []
     for k in range(1, args.pairs + 1):
         sides = (args.parent_dir, args.change_dir)[:: 1 if k % 2 else -1]
-        first, second = (run_once(d, args.workload, args.seed, args.seconds) for d in sides)
-        pairs.append((first, second) if k % 2 else (second, first))
+        first, second = (cpu_per_wall(run_once, d, args.workload, args.seed, args.seconds)
+                         for d in sides)
+        pair = (first, second) if k % 2 else (second, first)
+        pairs.append(tuple(run for run, _ in pair))
+        ratios.append(tuple(ratio for _, ratio in pair))
         print(f"pair {k} of {args.pairs} done", file=sys.stderr)
     print(" ".join(COLUMNS))
     for row in summarize(pairs, json.loads(BENCHMARK.read_text())["end_to_end"]):
         print(" ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+    parent, change = np.median(ratios, axis=0)
+    print(f"# cpu_per_wall parent={parent:.3g} change={change:.3g}")
     return 0 if all(run["correct"] for pair in pairs for run in pair) else 1
 
 
