@@ -10,6 +10,7 @@ threads with the same bits as one.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import stat
@@ -62,6 +63,13 @@ MAX_WORLD_SCALE = 1e150
 # a large batch's normal draws and shift product, so the halves overlap; a
 # small batch is mostly GIL-held Python, which the two threads take in turns.
 SPLIT_BATCH_VALUES = 2**14
+
+try:  # the CPU the calling thread is on, or -1: Linux's C libraries have the call
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    _sched_getcpu.argtypes, _sched_getcpu.restype = (), ctypes.c_int
+except (AttributeError, OSError, TypeError):  # no such call, or no C library to ask
+    def _sched_getcpu():
+        return -1
 
 
 def real_array(array, what: str) -> np.ndarray:
@@ -412,7 +420,9 @@ def _batch(spec: WorldSpec, t: int, source, means, rotation, bias, n_weak) -> Ba
         np.add(picks, spec.k_s, out=labels[n_weak:])
 
     order = rng.permutation(spec.batch_size)
-    return Batch(values[order], labels[order])
+    batch = Batch.__new__(Batch)  # float64, 2-D and non-negative int by construction: no re-check
+    batch.values, batch.hidden = values[order], labels[order]
+    return batch
 
 
 def _usable_cpus() -> int:
@@ -422,17 +432,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _start_worker(target, name=None) -> threading.Thread:
+    """Start a thread that runs ``target`` on the process's usable CPUs other than
+    the calling thread's, so the two run side by side even where the kernel keeps
+    a new thread on its creator's CPU. Only the worker's own mask is set; where
+    the CPU lookup or an affinity call is missing or fails, it runs unpinned."""
+    try:
+        others = os.sched_getaffinity(0) - {_sched_getcpu()}
+    except (AttributeError, OSError):
+        others = None
+
+    def pinned():
+        if others:
+            try:
+                os.sched_setaffinity(0, others)  # pid 0: this thread alone
+            except OSError:
+                pass
+        target()
+
+    worker = threading.Thread(target=pinned, name=name)
+    worker.start()
+    return worker
+
+
 def generate_stream(spec: WorldSpec) -> List[Batch]:
     """The full test stream as a list of batches.
 
     A batch of at least SPLIT_BATCH_VALUES values, on a process that may use
-    two CPUs, has the later half of the stream drawn on a worker thread while
-    this one draws the first half. Each batch seeds its own generator and
-    reads only the world's constants, so the batches are bit-identical to a
-    serial draw. Smaller batches stay serial: most of their time is
-    GIL-held Python, which the two threads would take in turns. The worker
-    is joined before this returns or raises, and an error it raised is
-    raised here.
+    two CPUs, has the later half of the stream drawn on a worker thread (off
+    this one's CPU) while this one draws the first half. Each batch seeds its
+    own generator and reads only the world's constants, so the batches are
+    bit-identical to a serial draw. Smaller batches stay serial: most of
+    their time is GIL-held Python, which the two threads would take in turns.
+    The worker is joined before this returns or raises, and an error it
+    raised is raised here.
     """
     constants = _world_constants(spec)
     half = spec.n_batches // 2
@@ -450,8 +483,7 @@ def generate_stream(spec: WorldSpec) -> List[Batch]:
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
-    worker = threading.Thread(target=draw_later_half)
-    worker.start()
+    worker = _start_worker(draw_later_half)
     try:
         for t in range(half):
             batches[t] = _batch(spec, t, *constants)

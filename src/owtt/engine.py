@@ -64,9 +64,9 @@ EXPANSION_FLOOR = 0.4
 # Fewest values per batch (batch_size x d_in) for which Engine.run overlaps the
 # alignment branch with expansion and self-training on a worker thread. The
 # overlap pays once numpy's products release the GIL for long enough to cover
-# the hand-off: at 2**15 values it wins on every world shape timed (+4% to +9%
-# per batch), at 2**14 it loses on two shapes of three (see CHANGES.md).
-OVERLAP_BATCH_VALUES = 2**15
+# the hand-off to the other CPU: at 2**16 values it wins on every world shape
+# timed (+2.5% to +17.5% per batch), at 2**15 it loses on two of three (CHANGES.md).
+OVERLAP_BATCH_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,7 @@ class _Worker:
             from queue import SimpleQueue  # loaded only by a run that overlaps
 
             self._calls, self._outcomes = SimpleQueue(), SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="owtt-alignment")
-            self._thread.start()
+            self._thread = datagen._start_worker(self._serve, "owtt-alignment")
         self._calls.put((call, args))
 
     def result(self):
@@ -359,18 +358,17 @@ class Engine:
         would admit nothing, and both are skipped.
 
         ``alignment_branch`` reads no state that expansion or self-training
-        writes. Inside ``run``, with clustering and alignment both on, a batch of
-        at least OVERLAP_BATCH_VALUES values on a process that may use two CPUs
-        hands it to the run's worker thread before expansion; anywhere else it
-        runs here, after self-training. Either way the gradients are summed in
-        the same order, so the bits are the same. An error in expansion or
-        self-training is raised as in the serial order, and ``run`` joins the
-        worker before it passes the error on.
+        writes. Inside a ``run`` that has a worker, with clustering and alignment
+        both on, a batch of at least OVERLAP_BATCH_VALUES values hands it to the
+        worker thread before expansion; anywhere else it runs here, after
+        self-training. Either way the gradients are summed in the same order, so
+        the bits are the same. An error in expansion or self-training is raised
+        as in the serial order, and ``run`` joins the worker before it passes the
+        error on.
         """
         cfg = self.config
         overlap = (batch_values.size >= OVERLAP_BATCH_VALUES and self._worker is not None
-                   and cfg.enable_clustering and cfg.enable_alignment
-                   and datagen._usable_cpus() >= 2)
+                   and cfg.enable_clustering and cfg.enable_alignment)
         if overlap:
             self._worker.submit(self.alignment_branch, batch_values, features, predicted,
                                 self.weight)
@@ -475,12 +473,13 @@ class Engine:
     def run(self, stream: Iterable[Batch]) -> RunResult:
         """Fold step over the stream into outcomes, hidden labels and cumulative accuracies.
 
-        The first batch that overlaps its alignment branch (see
-        ``adaptation_stage``) starts the run's worker thread; it is joined
-        before this returns or raises."""
+        On a process that may use two CPUs, the first batch that overlaps its
+        alignment branch (see ``adaptation_stage``) starts the run's worker
+        thread, kept off the calling thread's CPU; it is joined before this
+        returns or raises."""
         outcomes, hidden, accuracies = [], [], []
         running = RunningMetrics(self.pool.num_source)
-        self._worker = _Worker()
+        self._worker = _Worker() if datagen._usable_cpus() >= 2 else None
         try:
             for batch in stream:
                 try:
@@ -493,6 +492,7 @@ class Engine:
                 hidden.append(batch.hidden)
                 accuracies.append(running.snapshot())
         finally:
-            self._worker.close()
+            if self._worker is not None:
+                self._worker.close()
             self._worker = None
         return RunResult(outcomes, hidden, accuracies, running.report(), running.num_known, self)

@@ -512,6 +512,97 @@ def test_stream_raises_an_error_of_either_half_and_leaves_no_thread(monkeypatch,
     assert threading.active_count() == before
 
 
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_getaffinity and two usable CPUs")
+
+
+def recording_cpu_lookup(monkeypatch):
+    """Patch datagen's CPU lookup to note (thread, CPU) at each call; returns the notes."""
+    lookup, calls = datagen._sched_getcpu, []
+
+    def recording():
+        calls.append((threading.get_ident(), lookup()))
+        return calls[-1][1]
+
+    monkeypatch.setattr(datagen, "_sched_getcpu", recording)
+    return calls
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", [None, 0, 4])  # none, the caller's half, the worker's half
+def test_the_split_worker_runs_off_the_callers_cpu_and_leaves_its_mask(monkeypatch, failing):
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
+    calls, masks, draw = recording_cpu_lookup(monkeypatch), {}, datagen._batch
+
+    def spy(spec, t, *constants):
+        masks[t] = (threading.get_ident(), os.sched_getaffinity(0))
+        if t == failing:
+            raise _DrawFailed(f"batch {t}")
+        return draw(spec, t, *constants)
+
+    monkeypatch.setattr(datagen, "_batch", spy)
+    caller, mask = threading.get_ident(), os.sched_getaffinity(0)
+    if failing is None:
+        generate_stream(split_spec(n_batches=5))
+    else:
+        with pytest.raises(_DrawFailed):
+            generate_stream(split_spec(n_batches=5))
+    assert os.sched_getaffinity(0) == mask
+    [(looked_up_on, cpu)] = calls
+    assert looked_up_on == caller and cpu in mask
+    assert masks[4] == (masks[2][0], mask - {cpu}) and masks[2][0] != caller
+    assert all(masks[t] == (caller, mask) for t in (0, 1) if t in masks)
+
+
+def _raise_oserror(*args):
+    raise OSError("not here")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize("failing", ["lookup", "no_cpu", "affinity"])
+def test_a_split_whose_pinning_fails_draws_unpinned_with_the_serial_bits(monkeypatch, failing):
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
+    if failing == "lookup":
+        monkeypatch.setattr(datagen, "_sched_getcpu", _raise_oserror)
+    elif failing == "no_cpu":  # the fallback where the C library has no sched_getcpu
+        monkeypatch.setattr(datagen, "_sched_getcpu", lambda: -1)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _raise_oserror)
+    masks, draw = {}, datagen._batch
+
+    def spy(spec, t, *constants):
+        masks[t] = (threading.get_ident(), os.sched_getaffinity(0))
+        return draw(spec, t, *constants)
+
+    monkeypatch.setattr(datagen, "_batch", spy)
+    mask, spec = os.sched_getaffinity(0), split_spec(n_batches=5)
+    stream = generate_stream(spec)
+    assert masks[4][0] != threading.get_ident()
+    assert all(m == mask for _, m in masks.values())
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 1)
+    serial = generate_stream(spec)
+    assert [(b.values.tobytes(), b.hidden.tobytes()) for b in stream] == \
+        [(b.values.tobytes(), b.hidden.tobytes()) for b in serial]
+
+
+def test_a_hand_built_batch_keeps_every_check_the_generator_skips():
+    batch = generate_batch(small_spec(), 0)
+    checked = Batch(batch.values, batch.hidden)  # the checks pass and convert nothing
+    assert type(batch) is Batch
+    assert checked.values is batch.values and checked.hidden is batch.hidden
+    nan_label, negative = batch.hidden.astype(float), batch.hidden.copy()
+    nan_label[3], negative[5] = np.nan, -1
+    with pytest.raises(InvalidSpec, match="hidden label 3 is nan"):
+        Batch(batch.values, nan_label)
+    with pytest.raises(InvalidSpec, match="hidden label 5 is -1"):
+        Batch(batch.values, negative)
+    with pytest.raises(InvalidSpec, match="2-D values and one label per row"):
+        Batch(batch.values[:-1], batch.hidden)
+    with pytest.raises(InvalidSpec, match="2-D values and one label per row"):
+        Batch(batch.values.ravel(), batch.hidden)
+
+
 def test_batches_hold_float_rows_and_int_labels():
     spec = small_spec(n_batches=2)
     for batch in generate_stream(spec):

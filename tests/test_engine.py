@@ -1,5 +1,6 @@
 import re
 import dataclasses
+import os
 import sys
 import threading
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owtt import engine as engine_module
+from owtt import datagen, engine as engine_module
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
@@ -1004,6 +1005,73 @@ def test_the_worker_runs_the_branch_under_the_adaptation_errstate(monkeypatch, t
         folded, outcomes = fold_steps(spec, config, src_x, src_y, stream)
         result = Engine(config, src_x, src_y, spec.k_s).run(stream)
     assert threading.current_thread() not in threads[len(stream):]
+    assert [outcome_bytes(o) for o in result.outcomes] == [outcome_bytes(o) for o in outcomes]
+    assert engine_bytes(result.engine) == engine_bytes(folded)
+
+
+def recording_branch(monkeypatch, failing=None):
+    """Patch Engine.alignment_branch to note (thread, its CPU mask) at each call,
+    raising ArithmeticError at call ``failing`` (counted from 0); returns the notes."""
+    branch, calls = Engine.alignment_branch, []
+
+    def recording(self, *args):
+        calls.append((threading.get_ident(), os.sched_getaffinity(0)))
+        if len(calls) - 1 == failing:
+            raise ArithmeticError("alignment")
+        return branch(self, *args)
+
+    monkeypatch.setattr(Engine, "alignment_branch", recording)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_getaffinity and two usable CPUs")
+@pytest.mark.parametrize("failing", [None, 2])
+def test_the_overlap_worker_runs_off_the_callers_cpu_and_leaves_its_mask(
+    monkeypatch, two_cpus, failing
+):
+    spec, config, src_x, src_y, stream = wide_world()
+    lookup, lookups = datagen._sched_getcpu, []
+
+    def recording_lookup():
+        lookups.append((threading.get_ident(), lookup()))
+        return lookups[-1][1]
+
+    monkeypatch.setattr(datagen, "_sched_getcpu", recording_lookup)
+    calls = recording_branch(monkeypatch, failing)
+    caller, mask = threading.get_ident(), os.sched_getaffinity(0)
+    if failing is None:
+        Engine(config, src_x, src_y, spec.k_s).run(stream)
+    else:
+        with pytest.raises(StageFailure, match="alignment"):
+            Engine(config, src_x, src_y, spec.k_s).run(stream)
+    assert os.sched_getaffinity(0) == mask
+    [(looked_up_on, cpu)] = lookups  # once, when the first overlapped batch starts the worker
+    assert looked_up_on == caller and cpu in mask
+    assert len(calls) == (len(stream) if failing is None else failing + 1)
+    assert calls == [(calls[0][0], mask - {cpu})] * len(calls) and calls[0][0] != caller
+
+
+def _raise_oserror(*args):
+    raise OSError("not here")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize("failing", ["lookup", "no_cpu", "affinity"])
+def test_an_overlap_whose_pinning_fails_runs_unpinned_with_the_bits_of_a_fold(
+    monkeypatch, two_cpus, failing
+):
+    spec, config, src_x, src_y, stream = wide_world()
+    folded, outcomes = fold_steps(spec, config, src_x, src_y, stream)
+    if failing == "lookup":
+        monkeypatch.setattr(datagen, "_sched_getcpu", _raise_oserror)
+    elif failing == "no_cpu":  # the fallback where the C library has no sched_getcpu
+        monkeypatch.setattr(datagen, "_sched_getcpu", lambda: -1)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _raise_oserror)
+    calls, mask = recording_branch(monkeypatch), os.sched_getaffinity(0)
+    result = Engine(config, src_x, src_y, spec.k_s).run(stream)
+    assert calls == [(calls[0][0], mask)] * len(stream) and calls[0][0] != threading.get_ident()
     assert [outcome_bytes(o) for o in result.outcomes] == [outcome_bytes(o) for o in outcomes]
     assert engine_bytes(result.engine) == engine_bytes(folded)
 
