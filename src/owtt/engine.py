@@ -27,7 +27,7 @@ from .adapter import embed_backward, embed_batch, init_adapter, sgd_momentum_ste
 from .datagen import MAX_WORLD_ELEMENTS, Batch, real_array
 from .errors import ConfigError, InvalidSpec
 from .fields import check_fields
-from .metrics import REJECT, MetricsReport, RunningMetrics
+from .metrics import REJECT, MetricsReport, cumulative_accuracies
 from .objective import (
     GaussianStats,
     clustering_loss,  # unused here; kept so that a patch of engine.clustering_loss resolves
@@ -471,28 +471,28 @@ class Engine:
         return BatchOutcome(t, predicted, scores, tau, self.pool.novel_count, *losses)
 
     def run(self, stream: Iterable[Batch]) -> RunResult:
-        """Fold step over the stream into outcomes, hidden labels and cumulative accuracies.
+        """Fold step over the stream into outcomes and hidden labels; the cumulative
+        accuracies and the report are derived from them once, after the last batch.
 
         On a process that may use two CPUs, the first batch that overlaps its
         alignment branch (see ``adaptation_stage``) starts the run's worker
         thread, kept off the calling thread's CPU; it is joined before this
         returns or raises."""
-        outcomes, hidden, accuracies = [], [], []
-        running = RunningMetrics(self.pool.num_source)
+        outcomes, hidden = [], []
         self._worker = _Worker() if datagen._usable_cpus() >= 2 else None
         try:
             for batch in stream:
                 try:
-                    o = self.step(batch)
+                    outcomes.append(self.step(batch))
                 except StageFailure as failure:
                     failure.outcomes, failure.hidden = outcomes, hidden
                     raise
-                running.update(o.predicted, batch.hidden)
-                outcomes.append(o)
                 hidden.append(batch.hidden)
-                accuracies.append(running.snapshot())
         finally:
             if self._worker is not None:
                 self._worker.close()
             self._worker = None
-        return RunResult(outcomes, hidden, accuracies, running.report(), running.num_known, self)
+        num_known = self.pool.num_source
+        accuracies, report = cumulative_accuracies([o.predicted for o in outcomes], hidden,
+                                                   num_known)
+        return RunResult(outcomes, hidden, accuracies, report, num_known, self)

@@ -8,7 +8,7 @@ is distinguishable from a detector that rejected nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +16,12 @@ from .errors import EmptyRecords, MissingPopulation
 
 # Sentinel predicted label for samples rejected as strong OOD.
 REJECT = -1
+
+# Most samples cumulative_accuracies counts in one pass. A pass holds up to about
+# 30 bytes per sample (the concatenated labels, their flags, the positions of one
+# flag), so a run of any length peaks at about 0.5 MB in it; a benchmark stream
+# of 12,800 samples is one pass.
+PASS_SAMPLES = 2**14
 
 
 @dataclass
@@ -33,6 +39,12 @@ def harmonic_mean(acc_s: float, acc_n: float) -> float:
     return 2.0 * acc_s * acc_n / (acc_s + acc_n)
 
 
+def _outcome_flags(predicted: np.ndarray, hidden: np.ndarray, num_known: int):
+    """Per sample: weak; weak and classified correctly; strong and rejected."""
+    weak = hidden < num_known
+    return weak, weak & (predicted == hidden), ~weak & (predicted == REJECT)
+
+
 class RunningMetrics:
     """Cumulative counters over a stream of (predicted, hidden) label arrays."""
 
@@ -44,12 +56,12 @@ class RunningMetrics:
         self.n_strong_rejected = 0
 
     def update(self, predicted: np.ndarray, hidden: np.ndarray) -> None:
-        weak = hidden < self.num_known
+        weak, correct, rejected = _outcome_flags(predicted, hidden, self.num_known)
         n_weak = int(np.count_nonzero(weak))
         self.n_weak += n_weak
-        self.n_weak_correct += int(np.count_nonzero(weak & (predicted == hidden)))
+        self.n_weak_correct += int(np.count_nonzero(correct))
         self.n_strong += weak.size - n_weak
-        self.n_strong_rejected += int(np.count_nonzero(~weak & (predicted == REJECT)))
+        self.n_strong_rejected += int(np.count_nonzero(rejected))
 
     def snapshot(self) -> Tuple[Optional[float], Optional[float], Optional[float]]:
         acc_s = self.n_weak_correct / self.n_weak if self.n_weak else None
@@ -62,6 +74,43 @@ class RunningMetrics:
         if self.n_weak + self.n_strong == 0:
             raise EmptyRecords("no prediction records")
         return MetricsReport(*self.snapshot(), n_weak=self.n_weak, n_strong=self.n_strong)
+
+
+def cumulative_accuracies(
+    predicted: Sequence[np.ndarray], hidden: Sequence[np.ndarray], num_known: int
+) -> Tuple[List[Tuple[Optional[float], Optional[float], Optional[float]]], MetricsReport]:
+    """(the snapshot after each batch, the whole-stream report) of a
+    RunningMetrics updated batch by batch with these label arrays, bit for bit.
+
+    The labels of up to PASS_SAMPLES samples at a time are concatenated, and
+    each count is read at every batch's end offset by a binary search of the
+    flagged positions, so a batch of no rows needs no case of its own. No
+    samples at all raise EmptyRecords.
+    """
+    offsets = np.cumsum([0, *map(len, hidden)])  # batch t spans offsets[t]:offsets[t + 1]
+    if not offsets[-1]:
+        raise EmptyRecords("no prediction records")
+    counts = np.zeros((3, offsets.size), np.int64)  # column t: the counts before batch t
+    first = 0
+    while first < len(hidden):
+        start = offsets[first]
+        last = max(first + 1, int(offsets.searchsorted(start + PASS_SAMPLES, "right")) - 1)
+        flags = _outcome_flags(np.concatenate(predicted[first:last]),
+                               np.concatenate(hidden[first:last]), num_known)
+        ends = offsets[first + 1:last + 1] - start
+        for count, flag in zip(counts, flags):  # the flagged samples before each end
+            count[first + 1:last + 1] = np.flatnonzero(flag).searchsorted(ends) + count[first]
+        first = last
+    n_weak, n_correct, n_rejected = counts[:, 1:]
+    n_strong = offsets[1:] - n_weak
+    with np.errstate(divide="ignore", invalid="ignore"):  # absent populations read None
+        acc_s, acc_n = n_correct / n_weak, n_rejected / n_strong
+        total = acc_s + acc_n
+        acc_h = np.where(total > 0.0, 2.0 * acc_s * acc_n / total, 0.0)  # harmonic_mean
+    columns = (acc_s, acc_n, acc_h, n_weak, n_strong)
+    rows = [(s if w else None, n if r else None, h if w and r else None)
+            for s, n, h, w, r in zip(*(column.tolist() for column in columns))]
+    return rows, MetricsReport(*rows[-1], n_weak=int(n_weak[-1]), n_strong=int(n_strong[-1]))
 
 
 def compute_metrics(records: Sequence, num_known: int) -> MetricsReport:

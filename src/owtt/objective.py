@@ -13,9 +13,11 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from .prototypes import PrototypePool
+from .scoring import row_indices
 
 # Added to covariance diagonals before inversion: early in a stream the
 # estimated covariance can be rank-deficient.
@@ -26,6 +28,11 @@ COV_EPS = 1e-4
 def _ridge(dim: int) -> np.ndarray:
     """``COV_EPS * np.eye(dim)`` as a read-only view, built once per width."""
     return np.broadcast_to(COV_EPS * np.eye(dim), (dim, dim))
+
+
+def _refuse_factor(error: str, flag: int):
+    """np.errstate callback for a failed factor in GaussianStats."""
+    raise NumericalFailure("covariance not positive-definite")
 
 
 @dataclass(frozen=True)
@@ -56,12 +63,13 @@ class GaussianStats:
         regularized = logdet = inverse = None
         if self.count:
             regularized = self.covariance + _ridge(self.mean.shape[0])
-            try:
-                chol = np.linalg.cholesky(regularized)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure("covariance not positive-definite") from exc
+            # The LAPACK gufuncs of np.linalg.cholesky and np.linalg.inv, without
+            # their wrappers' per-call checks and casts; a factor that fails comes
+            # back all NaN with the "invalid" flag set, refused by _refuse_factor.
+            with np.errstate(call=_refuse_factor, invalid="call"):
+                chol = _umath_linalg.cholesky_lo(regularized, signature="d->d")
+                inverse = _umath_linalg.inv(regularized, signature="d->d")
             logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-            inverse = np.linalg.inv(regularized)
         object.__setattr__(self, "regularized", regularized)
         object.__setattr__(self, "logdet", logdet)
         object.__setattr__(self, "inverse", inverse)
@@ -164,7 +172,7 @@ def kl_gradient(source: GaussianStats, target: GaussianStats) -> Tuple[float, np
 def _softmax_nll(logits: np.ndarray, picked) -> float:
     """Summed NLL of the targets ``logits[picked]`` under the row softmax; turns
     the C-contiguous ``logits`` into softmax minus one-hot in place."""
-    peak = logits[np.arange(len(logits)), logits.argmax(axis=1)]  # the row maxima
+    peak = logits[row_indices(len(logits)), logits.argmax(axis=1)]  # the row maxima
     lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
     total = float((lse - logits[picked]).sum())
     np.exp(np.subtract(logits, lse[:, None], out=logits), out=logits)
@@ -206,7 +214,7 @@ def clustering_loss_gradient(
 
     if low < k_s:
         rows = features[source].dot(protos.T) / temperature
-        total += _softmax_nll(rows, (np.arange(rows.shape[0]), labels[source]))
+        total += _softmax_nll(rows, (row_indices(rows.shape[0]), labels[source]))
         grad_features[source] = rows.dot(protos) / temperature
     if top >= k_s:
         sel = ~source

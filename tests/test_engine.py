@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owtt import datagen, engine as engine_module
+from owtt import datagen, engine as engine_module, metrics
 from owtt.adapter import embed_batch, init_adapter
 from owtt.datagen import Batch, WorldSpec, generate_source, generate_stream
 from owtt.engine import (
@@ -27,7 +27,7 @@ from owtt.errors import (
     ConfigError, DegenerateEmbedding, EmptyRecords, InvalidSpec, NonFiniteGradient, NonFiniteInput
 )
 from owtt.experiment import ABLATION_VARIANTS
-from owtt.metrics import REJECT, RunningMetrics
+from owtt.metrics import REJECT, RunningMetrics, cumulative_accuracies
 from owtt.prototypes import MAX_NOVEL_CAPACITY, PrototypePool, build_source_prototypes
 from owtt.scoring import ScoreWindow, adaptive_threshold
 
@@ -527,6 +527,12 @@ def test_empty_stream_raises_empty_records():
     src_x, src_y = generate_source(spec)
     with pytest.raises(EmptyRecords):
         Engine(RunConfig(seed=0), src_x, src_y, spec.k_s).run([])
+    # Batches of no rows are all stepped, and the run still has no records.
+    no_rows = [Batch(b.values[:0], b.hidden[:0]) for b in generate_stream(spec)[:3]]
+    engine = Engine(RunConfig(seed=0, batch_size=None), src_x, src_y, spec.k_s)
+    with pytest.raises(EmptyRecords):
+        engine.run(no_rows)
+    assert engine.batch_index == 3
 
 
 def test_the_columns_of_no_batches_are_six_empty_arrays_of_the_run_dtypes():
@@ -847,15 +853,20 @@ def outcome_bytes(o):
             o.pn_size, o.clustering_loss, o.alignment_loss)
 
 
-@pytest.mark.parametrize("free_size", [False, True], ids=["fixed_size", "free_size"])
-def test_a_hand_fold_of_step_equals_run(free_size):
+# Batch sizes of free-size streams: the offsets at which a per-run pass would
+# slip are an empty batch inside, first or last, and a stream of one batch.
+RAGGED = {"free_size": [32, 5, 0, 17, 32, 1, 9, 20], "first_empty": [0, 32, 5, 17],
+          "last_empty": [32, 5, 17, 0], "one_batch": [17]}
+
+
+@pytest.mark.parametrize("sizes", [None, *RAGGED.values()], ids=["fixed_size", *RAGGED])
+def test_a_hand_fold_of_step_equals_run(monkeypatch, sizes):
     spec = small_world(n_batches=8)
     src_x, src_y = generate_source(spec)
     stream = generate_stream(spec)
-    if free_size:  # ragged batches, one of them empty
-        sizes = [32, 5, 0, 17, 32, 1, 9, 20]
+    if sizes is not None:
         stream = [Batch(b.values[:n], b.hidden[:n]) for b, n in zip(stream, sizes)]
-    config = RunConfig(seed=0, batch_size=None if free_size else spec.batch_size)
+    config = RunConfig(seed=0, batch_size=spec.batch_size if sizes is None else None)
 
     folded = Engine(config, src_x, src_y, spec.k_s)
     running, outcomes, accuracies = RunningMetrics(spec.k_s), [], []
@@ -868,6 +879,12 @@ def test_a_hand_fold_of_step_equals_run(free_size):
 
     assert [outcome_bytes(o) for o in outcomes] == [outcome_bytes(o) for o in result.outcomes]
     assert accuracies == result.accuracies
+    assert running.report() == result.report
+    # The same rows when the pass takes at most 20 samples at a time, so that
+    # a 32-row batch spans more than one.
+    monkeypatch.setattr(metrics, "PASS_SAMPLES", 20)
+    predicted = [o.predicted for o in result.outcomes]
+    assert cumulative_accuracies(predicted, result.hidden, spec.k_s)[0] == accuracies
     assert all(h is batch.hidden for h, batch in zip(result.hidden, stream, strict=True))
     assert folded.batch_index == result.engine.batch_index == len(stream)
     assert folded.pool.all_matrix().tobytes() == result.engine.pool.all_matrix().tobytes()

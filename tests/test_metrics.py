@@ -10,6 +10,7 @@ from owtt.metrics import (
     REJECT,
     RunningMetrics,
     compute_metrics,
+    cumulative_accuracies,
     harmonic_mean,
     score_histogram,
     score_separation,
@@ -117,19 +118,20 @@ def test_harmonic_mean_symmetric_and_bounded(acc_s, acc_n):
 
 
 def test_cumulative_trace_final_row_matches_whole_run():
-    # RunningMetrics fed one batch of label arrays at a time, as Engine.run
-    # feeds it, against a recount of each prefix.
+    # RunningMetrics fed one batch of label arrays at a time, and the per-run
+    # pass Engine.run makes over the same arrays, against a recount of each prefix.
     rng = np.random.default_rng(11)
     records = random_records(rng, 80, batches=6)
     running = RunningMetrics(K_S)
-    trace = []
+    trace, predicted, hidden = [], [], []
     for t in sorted({r.timestamp for r in records}):
         batch = [r for r in records if r.timestamp == t]
-        running.update(
-            np.array([r.predicted_label for r in batch]),
-            np.array([r.hidden_label for r in batch]),
-        )
+        predicted.append(np.array([r.predicted_label for r in batch]))
+        hidden.append(np.array([r.hidden_label for r in batch]))
+        running.update(predicted[-1], hidden[-1])
         trace.append((t, *running.snapshot()))
+    rows, report = cumulative_accuracies(predicted, hidden, K_S)
+    assert rows == [row[1:] for row in trace] and report == running.report()
     columns = {"batch": np.array([r.timestamp for r in records]),
                "predicted": np.array([r.predicted_label for r in records]),
                "hidden": np.array([r.hidden_label for r in records])}

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -526,24 +527,81 @@ def test_gaussian_factors_are_computed_once_per_object(monkeypatch):
     weight = rng.normal(size=(4, 6))
     raw = rng.normal(size=(8, 6))
     feats = embed_batch(raw, weight)
-    calls = {"cholesky": 0, "inv": 0}
-    for name in calls:
-        original = getattr(np.linalg, name)
+    calls = {"cholesky_lo": 0, "inv": 0}
 
-        def counted(matrix, name=name, original=original):
+    def counted(name):
+        original = getattr(objective._umath_linalg, name)
+
+        def call(matrix, **kwargs):
             calls[name] += 1
-            return original(matrix)
+            return original(matrix, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        return call
+
+    monkeypatch.setattr(objective, "_umath_linalg", SimpleNamespace(
+        cholesky_lo=counted("cholesky_lo"), inv=counted("inv")))
     empty = GaussianStats.empty(4)
-    assert calls == {"cholesky": 0, "inv": 0}
+    assert calls == {"cholesky_lo": 0, "inv": 0}
     assert empty.regularized is None and empty.logdet is None and empty.inverse is None
     source = fit_gaussian(unit_rows(rng.normal(size=(40, 4))))
-    assert calls == {"cholesky": 1, "inv": 1}
+    assert calls == {"cholesky_lo": 1, "inv": 1}
     target = update_target_stats(empty, feats, 0.1)
-    assert calls == {"cholesky": 2, "inv": 2}
+    assert calls == {"cholesky_lo": 2, "inv": 2}
     first = kl_weight_gradient(source, target, feats, weight, raw)
     second = kl_weight_gradient(source, target, feats, weight, raw)
     kl_divergence(source, target)
-    assert calls == {"cholesky": 2, "inv": 2}
+    assert calls == {"cholesky_lo": 2, "inv": 2}
     assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_gaussian_factors_are_the_bits_of_numpy_linalg(dim):
+    rng = np.random.default_rng(dim)
+    for rows in (dim + 3, 4 * dim):
+        stats = fit_gaussian(rng.normal(size=(rows, dim)) * rng.uniform(0.1, 3.0, size=dim))
+        regularized = stats.covariance + COV_EPS * np.eye(dim)
+        assert stats.regularized.tobytes() == regularized.tobytes()
+        chol = np.linalg.cholesky(regularized)
+        assert stats.logdet == 2.0 * float(np.log(chol.diagonal()).sum())
+        assert stats.inverse.tobytes() == np.linalg.inv(regularized).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fitting_a_rank_one_covariance_far_above_the_ridge_raises_numerical_failure():
+    # Round-off at a scale of 1e16 leaves the regularized rank-one covariance a
+    # negative pivot, which np.linalg.cholesky refuses too.
+    rows = np.random.default_rng(3).normal(size=(10, 1)) * 1e8 * np.array([1.0, 3.0, -2.0, 0.5])
+    centered = rows - rows.mean(axis=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(centered.T @ centered / 10 + COV_EPS * np.eye(4))
+    with pytest.raises(NumericalFailure):
+        fit_gaussian(rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "overlap_worker"])
+def test_a_target_estimate_refused_in_a_run_is_a_stage_failure(monkeypatch, cpus):
+    from owtt import datagen, engine
+
+    spec = datagen.WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
+                             n_batches=3, seed=0)
+    stream = datagen.generate_stream(spec)
+    assert stream[0].values.size >= engine.OVERLAP_BATCH_VALUES
+    threads = []
+
+    def negated(stats, features, beta):  # batch 1's covariance turns negative-definite
+        threads.append(threading.current_thread())
+        updated = update_target_stats(stats, features, beta)
+        if len(threads) < 2:
+            return updated
+        return GaussianStats(updated.mean, -updated.covariance, count=updated.count)
+
+    monkeypatch.setattr(engine, "update_target_stats", negated)
+    monkeypatch.setattr(engine.datagen, "_usable_cpus", lambda: cpus)
+    run = engine.Engine(engine.RunConfig(feature_dim=64, batch_size=512, seed=0),
+                        *datagen.generate_source(spec), spec.k_s)
+    with pytest.raises(engine.StageFailure) as failure:
+        run.run(stream)
+    assert failure.value.batch_index == 1
+    assert type(failure.value.cause) is NumericalFailure
+    assert (threads[-1] is threading.current_thread()) == (cpus == 1)

@@ -232,8 +232,12 @@ def test_step_profile_reads_calls_per_batch_on_a_two_batch_world(monkeypatch, ca
         rows = [line.split(" ", 2) for line in lines[2:]]
         engine_calls = {name[name.index("(") + 1:-1]: float(per_batch)
                         for _, per_batch, name in rows if name.startswith("owtt/engine.py:")}
-        assert "run" not in engine_calls  # the tool folds step itself
         assert engine_calls["step"] == engine_calls["inference_stage"] == 1.0
+        assert engine_calls["run"] == 0.5  # one run of two batches
+        metrics_calls = {name[name.index("(") + 1:-1]: float(per_batch)
+                         for _, per_batch, name in rows if name.startswith("owtt/metrics.py:")}
+        assert metrics_calls["cumulative_accuracies"] == metrics_calls["_outcome_flags"] == 0.5
+        assert "update" not in metrics_calls  # no per-batch metrics object
         times = [float(us) for us, _, _ in rows]
         assert min(times) >= 0.0 and times == sorted(times, reverse=True)
     with pytest.raises(SystemExit):
@@ -241,8 +245,9 @@ def test_step_profile_reads_calls_per_batch_on_a_two_batch_world(monkeypatch, ca
 
 
 def test_step_profile_lists_the_alignment_branch_of_a_wide_world(monkeypatch, capsys):
-    # Engine.run would overlap these batches' alignment branch on a worker
-    # thread, out of cProfile's sight; the profile still lists its functions.
+    # On two usable CPUs Engine.run would overlap these batches' alignment branch
+    # on a worker thread, out of cProfile's sight; the profiled runs see one CPU,
+    # so the profile lists the branch's functions.
     harness = step_profile.harness
     wide = harness.Workload(
         world=dict(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512, n_batches=2),

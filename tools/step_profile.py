@@ -4,13 +4,15 @@
 
 Builds the first N worlds (default 1) of the workload's world set at seed S
 (``harness.WORKLOADS`` and ``harness.Runner``; S defaults to
-``harness.DEFAULT_SEED``), then feeds each world's stream, batch by batch, to
-``Engine.step`` under cProfile with one BLAS thread; world generation and
-``Engine`` construction are not profiled. cProfile sees only the thread it runs
-on, and ``Engine.run`` overlaps a wide batch's alignment branch on a worker
-thread, so the tool folds ``step`` itself, which runs every branch on this
-thread; ``run``'s running metrics are therefore not in the listing. Prints one
-line per function, slowest first:
+``harness.DEFAULT_SEED``), then runs ``Engine.run`` on each world's stream
+under cProfile with one BLAS thread; world generation and ``Engine``
+construction are not profiled. cProfile sees only the thread it runs on, and
+``run`` overlaps a wide batch's alignment branch on a worker thread when the
+process may use two CPUs, so the profiled runs see one usable CPU
+(``datagen._usable_cpus`` patched to 1): every branch then runs on this thread,
+and the listing holds ``run``'s own work, such as the accuracies it derives
+once per run, beside the per-batch stages. Prints one line per function,
+slowest first:
 its self time in microseconds per batch, its calls per batch and its name.
 cProfile adds a fixed cost to every call, so small functions read slower than
 they run untraced: compare lines of two profiles, not a line with the
@@ -23,6 +25,7 @@ import os
 import pstats
 import sys
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":  # before numpy loads: the benchmark runs with one BLAS thread
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,15 +39,9 @@ from owtt import datagen, engine  # noqa: E402
 HEADER = "self_us_per_batch calls_per_batch function"
 
 
-def fold(eng, stream):
-    """Step ``eng`` through ``stream``, every branch on this thread."""
-    for batch in stream:
-        eng.step(batch)
-
-
 def profile(name: str, worlds: int, seed: int):
-    """(pstats.Stats of ``Engine.step`` over the streams of the first ``worlds``
-    worlds of ``seed``, batches run)."""
+    """(pstats.Stats of ``Engine.run`` over the streams of the first ``worlds``
+    worlds of ``seed``, every branch on this thread; batches run)."""
     workload = harness.WORKLOADS[name]
     profiler = cProfile.Profile()
     batches = 0
@@ -54,7 +51,8 @@ def profile(name: str, worlds: int, seed: int):
         values, labels = datagen.generate_source(spec)
         stream = datagen.generate_stream(spec)
         eng = engine.Engine(config, values, labels, spec.k_s)
-        profiler.runcall(fold, eng, stream)
+        with mock.patch.object(datagen, "_usable_cpus", lambda: 1):
+            profiler.runcall(eng.run, stream)
         batches += len(stream)
     return pstats.Stats(profiler), batches
 
