@@ -18,7 +18,7 @@ from oracles import (
     unfused_kl_divergence,
     unfused_kl_gradient,
 )
-from owtt import objective
+from owtt import datagen, engine, objective
 from owtt.adapter import embed_backward, embed_batch
 from owtt.errors import EmptyEstimate, NumericalFailure, UnknownLabel
 from owtt.objective import (
@@ -581,8 +581,6 @@ def test_fitting_a_rank_one_covariance_far_above_the_ridge_raises_numerical_fail
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "overlap_worker"])
 def test_a_target_estimate_refused_in_a_run_is_a_stage_failure(monkeypatch, cpus):
-    from owtt import datagen, engine
-
     spec = datagen.WorldSpec(d_in=128, signal_dims=64, k_s=10, k_t=10, batch_size=512,
                              n_batches=3, seed=0)
     stream = datagen.generate_stream(spec)
@@ -598,10 +596,10 @@ def test_a_target_estimate_refused_in_a_run_is_a_stage_failure(monkeypatch, cpus
 
     monkeypatch.setattr(engine, "update_target_stats", negated)
     monkeypatch.setattr(engine.datagen, "_usable_cpus", lambda: cpus)
-    run = engine.Engine(engine.RunConfig(feature_dim=64, batch_size=512, seed=0),
+    eng = engine.Engine(engine.RunConfig(feature_dim=64, batch_size=512, seed=0),
                         *datagen.generate_source(spec), spec.k_s)
     with pytest.raises(engine.StageFailure) as failure:
-        run.run(stream)
+        eng.run(stream)
     assert failure.value.batch_index == 1
     assert type(failure.value.cause) is NumericalFailure
     assert (threads[-1] is threading.current_thread()) == (cpus == 1)

@@ -25,6 +25,7 @@ from owtt.scoring import (
     batch_ood_scores,
     clamp_scores,
     ood_score,
+    row_indices,
 )
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -229,6 +230,15 @@ def test_clamp_matches_np_clip_bytes_at_the_edges():
     window = ScoreWindow(16)
     window.push(edges)
     assert window.values().tobytes() == np.clip(edges, 0.0, 1.0).tobytes()
+
+
+def test_row_indices_are_a_read_only_arange_of_every_length():
+    for n in [*range(70), 511, 512, 513, 64]:  # 64 again: from the cache
+        rows = row_indices(n)
+        assert rows.dtype == np.arange(n).dtype and np.array_equal(rows, np.arange(n))
+        assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        row_indices(64)[0] = 1
 
 
 @settings(max_examples=200, deadline=None)
