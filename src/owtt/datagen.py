@@ -432,27 +432,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_worker(target, name=None) -> threading.Thread:
-    """Start a thread that runs ``target`` on the process's usable CPUs other than
-    the calling thread's, so the two run side by side even where the kernel keeps
-    a new thread on its creator's CPU. Only the worker's own mask is set; where
-    the CPU lookup or an affinity call is missing or fails, it runs unpinned."""
-    try:
-        others = os.sched_getaffinity(0) - {_sched_getcpu()}
-    except (AttributeError, OSError):
-        others = None
+class Worker:
+    """A thread that runs submitted calls one at a time, in submit order, beside
+    the calling thread. The first ``submit`` starts it, pinned to the process's
+    usable CPUs other than the caller's, so the two run side by side even where
+    the kernel keeps a new thread on its creator's CPU; only the worker's own
+    mask is set, and where the CPU lookup or an affinity call is missing or
+    fails, it runs unpinned."""
 
-    def pinned():
+    def __init__(self, name=None):
+        self.name = name
+        self._thread = None
+
+    def _serve(self, others):
         if others:
             try:
                 os.sched_setaffinity(0, others)  # pid 0: this thread alone
             except OSError:
                 pass
-        target()
+        for call, args in iter(self._calls.get, None):
+            try:
+                self._outcomes.put((call(*args), None))
+            except BaseException as exc:  # raised again on the calling thread
+                self._outcomes.put((None, exc))
 
-    worker = threading.Thread(target=pinned, name=name)
-    worker.start()
-    return worker
+    def submit(self, call, *args):
+        if self._thread is None:
+            from queue import SimpleQueue  # loaded only by a path that uses a worker
+
+            try:
+                others = os.sched_getaffinity(0) - {_sched_getcpu()}
+            except (AttributeError, OSError):
+                others = None
+            self._calls, self._outcomes = SimpleQueue(), SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, args=(others,), name=self.name)
+            self._thread.start()
+        self._calls.put((call, args))
+
+    def result(self):
+        """Wait for the oldest outstanding call; its value, or its error raised here."""
+        value, error = self._outcomes.get()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        """Wait for a call still running, dropping its outcome, then join the thread."""
+        if self._thread is not None:
+            self._calls.put(None)
+            self._thread.join()
 
 
 def generate_stream(spec: WorldSpec) -> List[Batch]:
@@ -471,27 +499,18 @@ def generate_stream(spec: WorldSpec) -> List[Batch]:
     half = spec.n_batches // 2
     if (half == 0 or spec.batch_size * spec.d_in < SPLIT_BATCH_VALUES
             or _usable_cpus() < 2):
-        return [_batch(spec, t, *constants) for t in range(spec.n_batches)]
-
-    batches: List[Batch] = [None] * spec.n_batches
-    errors: List[BaseException] = []
-
-    def draw_later_half():
-        try:
-            for t in range(half, spec.n_batches):
-                batches[t] = _batch(spec, t, *constants)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    worker = _start_worker(draw_later_half)
+        return _draw(spec, range(spec.n_batches), constants)
+    worker = Worker("owtt-stream")
     try:
-        for t in range(half):
-            batches[t] = _batch(spec, t, *constants)
+        worker.submit(_draw, spec, range(half, spec.n_batches), constants)
+        first = _draw(spec, range(half), constants)
+        return first + worker.result()
     finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return batches
+        worker.close()
+
+
+def _draw(spec: WorldSpec, batches: range, constants) -> List[Batch]:
+    return [_batch(spec, t, *constants) for t in batches]
 
 
 # --- stream export / ingestion ----------------------------------------------------

@@ -15,7 +15,6 @@ called batch by batch, which never starts a thread.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -239,44 +238,6 @@ def next_threshold(
     return adaptive_threshold(window, floor).tau
 
 
-class _Worker:
-    """The thread on which ``Engine.run`` overlaps alignment branches, one call
-    at a time: started by the first ``submit``, stopped and joined by ``close``."""
-
-    def __init__(self):
-        self._thread: Optional[threading.Thread] = None
-
-    def _serve(self):
-        # numpy's error state is per thread: enter the one step enters for adaptation.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for call, args in iter(self._calls.get, None):
-                try:
-                    self._outcomes.put((call(*args), None))
-                except BaseException as exc:  # raised again on the calling thread
-                    self._outcomes.put((None, exc))
-
-    def submit(self, call, *args):
-        if self._thread is None:
-            from queue import SimpleQueue  # loaded only by a run that overlaps
-
-            self._calls, self._outcomes = SimpleQueue(), SimpleQueue()
-            self._thread = datagen._start_worker(self._serve, "owtt-alignment")
-        self._calls.put((call, args))
-
-    def result(self):
-        """Wait for the submitted call; its value, or its error raised here."""
-        value, error = self._outcomes.get()
-        if error is not None:
-            raise error
-        return value
-
-    def close(self):
-        """Wait for a call still running, dropping its outcome, then stop the thread."""
-        if self._thread is not None:
-            self._calls.put(None)
-            self._thread.join()
-
-
 class Engine:
     """Holds all mutable state for one sequential run."""
 
@@ -312,7 +273,7 @@ class Engine:
         self.extended_window = ScoreWindow(config.window_length)
         self.batch_index = 0  # of the next batch step reads
         self._cause: Optional[Exception] = None  # of the StageFailure that spent the engine
-        self._worker: Optional[_Worker] = None  # set only while run folds the stream
+        self._worker: Optional[datagen.Worker] = None  # set only while run folds the stream
 
     # --- inference stage ---------------------------------------------------------
 
@@ -370,8 +331,9 @@ class Engine:
         overlap = (batch_values.size >= OVERLAP_BATCH_VALUES and self._worker is not None
                    and cfg.enable_clustering and cfg.enable_alignment)
         if overlap:
-            self._worker.submit(self.alignment_branch, batch_values, features, predicted,
-                                self.weight)
+            # numpy's error state is per thread: the worker runs the branch under step's.
+            branch = np.errstate(over="ignore", invalid="ignore")(self.alignment_branch)
+            self._worker.submit(branch, batch_values, features, predicted, self.weight)
         if cfg.enable_expansion:
             extended = batch_ood_scores(similarities)
             if cfg.fixed_threshold is None and extended.max(initial=-math.inf) <= EXPANSION_FLOOR:
@@ -479,7 +441,7 @@ class Engine:
         thread, kept off the calling thread's CPU; it is joined before this
         returns or raises."""
         outcomes, hidden = [], []
-        self._worker = _Worker() if datagen._usable_cpus() >= 2 else None
+        self._worker = datagen.Worker("owtt-alignment") if datagen._usable_cpus() >= 2 else None
         try:
             for batch in stream:
                 try:

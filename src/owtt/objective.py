@@ -42,8 +42,8 @@ class GaussianStats:
     The regularized covariance (plus COV_EPS on the diagonal), its
     log-determinant and its inverse are computed once, when the estimate is
     built; an estimate that holds no samples has none of them (None). A
-    covariance that is not positive-definite after regularization is refused
-    when built, with NumericalFailure.
+    covariance that is not positive-definite after regularization, or that
+    holds a NaN, is refused when built, with NumericalFailure.
     """
 
     mean: np.ndarray
@@ -70,6 +70,8 @@ class GaussianStats:
                 chol = _umath_linalg.cholesky_lo(regularized, signature="d->d")
                 inverse = _umath_linalg.inv(regularized, signature="d->d")
             logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+            if logdet != logdet:  # LAPACK may factor a NaN covariance into NaN, unflagged
+                raise NumericalFailure("covariance has a NaN factor")
         object.__setattr__(self, "regularized", regularized)
         object.__setattr__(self, "logdet", logdet)
         object.__setattr__(self, "inverse", inverse)

@@ -93,12 +93,13 @@ def test_the_readme_lists_exactly_the_config_fields(section, cls):
 
 
 def test_import_owtt_loads_no_process_pool():
-    # run_sweep imports its process pool only when it starts workers.
+    # run_sweep imports its process pool only when it starts workers, and
+    # datagen.Worker its queues only when it starts its thread.
     src = str(Path(owtt.__file__).parent.parent)  # the checkout under test
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, owtt; print(sorted(name for name in sys.modules "
-            "if name in ('multiprocessing', 'concurrent.futures.process')))")
+            "if name in ('multiprocessing', 'concurrent.futures.process', 'queue')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

@@ -586,6 +586,75 @@ def test_a_split_whose_pinning_fails_draws_unpinned_with_the_serial_bits(monkeyp
         [(b.values.tobytes(), b.hidden.tobytes()) for b in serial]
 
 
+def worker_threads(name):
+    return [thread for thread in threading.enumerate() if thread.name == name]
+
+
+def test_a_worker_starts_its_thread_at_the_first_submit():
+    before = threading.active_count()
+    worker = datagen.Worker("owtt-test-worker")
+    worker.close()  # nothing started: nothing to join
+    assert threading.active_count() == before and not worker_threads("owtt-test-worker")
+    try:
+        worker.submit(threading.get_ident)
+        [thread] = worker_threads("owtt-test-worker")
+        assert worker.result() == thread.ident != threading.get_ident()
+    finally:
+        worker.close()
+    assert threading.active_count() == before
+
+
+def test_a_worker_runs_its_calls_and_returns_their_results_in_submit_order():
+    worker, ran = datagen.Worker(), []
+
+    def call(k):
+        time.sleep(0.002 * (5 - k))  # the earlier calls take longer
+        ran.append(k)
+        return k * k
+
+    try:
+        for k in range(5):
+            worker.submit(call, k)
+        assert [worker.result() for _ in range(5)] == [0, 1, 4, 9, 16]
+    finally:
+        worker.close()
+    assert ran == list(range(5))
+
+
+def test_a_worker_raises_a_calls_error_object_on_the_calling_thread():
+    worker, error = datagen.Worker(), _DrawFailed("on the worker")
+
+    def failing():
+        raise error
+
+    try:
+        worker.submit(failing)
+        worker.submit(abs, -3)
+        with pytest.raises(_DrawFailed) as raised:
+            worker.result()
+        assert raised.value is error
+        assert worker.result() == 3  # the thread serves on after an error
+    finally:
+        worker.close()
+
+
+def test_closing_a_worker_waits_for_its_running_call_and_drops_the_outcome():
+    before, started, finished = threading.active_count(), threading.Event(), []
+
+    def slow_failure():
+        started.set()
+        time.sleep(0.05)
+        finished.append(True)
+        raise _DrawFailed("dropped")
+
+    worker = datagen.Worker()
+    worker.submit(slow_failure)
+    assert started.wait(10)
+    worker.close()  # neither raises the call's error nor leaves its thread
+    assert finished == [True]
+    assert threading.active_count() == before
+
+
 def test_a_hand_built_batch_keeps_every_check_the_generator_skips():
     batch = generate_batch(small_spec(), 0)
     checked = Batch(batch.values, batch.hidden)  # the checks pass and convert nothing

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -287,6 +288,22 @@ def test_kl_nonnegative_on_random_pairs():
 def test_kl_rejects_non_positive_definite():
     with pytest.raises(NumericalFailure):
         gaussian([0.0, 0.0], np.array([[1.0, 0.0], [0.0, -5.0]]))
+
+
+def test_an_estimate_of_rows_holding_a_nan_is_refused():
+    # The Cholesky factor of a NaN covariance can come back NaN with no error
+    # and no floating-point flag; the NaN log-determinant refuses it.
+    rows = np.random.default_rng(3).normal(size=(10, 4))
+    rows[6, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure, match="NaN"):
+            fit_gaussian(rows)
+        with pytest.raises(NumericalFailure, match="NaN"):
+            update_target_stats(GaussianStats.empty(4), rows, 0.15)
+        stats = update_target_stats(GaussianStats.empty(4), rows[:5], 0.15)
+        with pytest.raises(NumericalFailure, match="NaN"):
+            update_target_stats(stats, rows[5:], 0.15)
 
 
 # --- KL gradient ---------------------------------------------------------------------

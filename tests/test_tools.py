@@ -132,7 +132,7 @@ def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatc
     calls = []
     clock = SimpleNamespace(wall=0.0, cpu=0.0)
     # Each run takes 2 s of wall time; the parent's children use 2, 2 and 6 CPU
-    # seconds (ratios 1, 1 and 3, median 1), the change's 3 each (ratio 1.5).
+    # seconds (ratios 1, 1 and 3: quartiles 1, 1 and 2), the change's 3 each (ratio 1.5).
     cpu = {"P": [2.0, 2.0, 6.0], "C": [3.0, 3.0, 3.0]}
 
     def fake_run(checkout, workload, seed, seconds):
@@ -155,14 +155,14 @@ def test_bench_pairs_alternates_sides_and_exits_1_on_an_incorrect_run(monkeypatc
     assert out[0] == "# workload=default-long seed=0 seconds=30 pairs=3"
     assert out[1] == " ".join(bench_pairs.COLUMNS)
     assert out[2] == "engine_samples_per_s 1 1 1 1 1 1 0 3 0 False False"
-    assert out[3:] == ["# cpu_per_wall parent=1 change=1.5"]
+    assert out[3:] == ["# cpu_per_wall q1/median/q3 parent=1/1/2 change=1.5/1.5/1.5"]
     monkeypatch.undo()  # the real clocks: a stub that starts no child reads 0 CPU
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_run(engine_samples_per_s=1.0))
     assert bench_pairs.main(["P", "C", "--workload", "wide-saturated", "--pairs", "1",
                              "--seed", "7919", "--seconds", "12.5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "# workload=wide-saturated seed=7919 seconds=12.5 pairs=1"
-    assert out[-1] == "# cpu_per_wall parent=0 change=0"
+    assert out[-1] == "# cpu_per_wall q1/median/q3 parent=0/0/0 change=0/0/0"
 
 
 def test_artifact_digests_hashes_every_file_of_the_standard_trees(tmp_path, capsys):

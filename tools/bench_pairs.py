@@ -14,10 +14,12 @@ more than the parent's interquartile range. The ``regressed`` column is true
 when the change's median is worse than the parent's by more than the
 metric's ``bound``, read as a fraction of the parent's median (a bound of
 0.24 on a parent median of 100 samples/s flags a change median below 76).
-A last line, ``# cpu_per_wall parent=P change=C``, gives each side's median
-CPU seconds per wall second: the user and system time of the finished child
-processes (``RUSAGE_CHILDREN``) over the wall time of each run. About 1 means
-the run used one CPU at a time; a thread path that overlaps work reads above 1.
+A last line, ``# cpu_per_wall q1/median/q3 parent=P1/P2/P3 change=C1/C2/C3``,
+gives the quartiles of each side's CPU seconds per wall second: the user and
+system time of the finished child processes (``RUSAGE_CHILDREN``) over the
+wall time of each run. About 1 means the run used one CPU at a time; a thread
+path that overlaps work reads above 1. The spread shows whether the kernel
+placed a thread path's threads the same way in every run of a side.
 Exits 1 when any run is not ``correct``, otherwise 0.
 """
 import argparse
@@ -106,8 +108,9 @@ def main(argv) -> int:
     print(" ".join(COLUMNS))
     for row in summarize(pairs, json.loads(BENCHMARK.read_text())["end_to_end"]):
         print(" ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
-    parent, change = np.median(ratios, axis=0)
-    print(f"# cpu_per_wall parent={parent:.3g} change={change:.3g}")
+    parent, change = ("/".join(f"{q:.3g}" for q in side)
+                      for side in np.percentile(ratios, [25, 50, 75], axis=0).T)
+    print(f"# cpu_per_wall q1/median/q3 parent={parent} change={change}")
     return 0 if all(run["correct"] for pair in pairs for run in pair) else 1
 
 
